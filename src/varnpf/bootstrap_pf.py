@@ -14,7 +14,9 @@ from .ensemble import (
     effective_sample_size,
     systematic_resample,
 )
-from .sde import BrownianPath, IntegrationError, SdeModel, integrate_path
+# integrate_path is the one-particle loop that advect_particles reproduces
+# bit for bit; perfbench/layertrace.py still looks it up in this module
+from .sde import BrownianPath, SdeModel, integrate_path, rk4_step  # noqa: F401
 
 Array = np.ndarray
 
@@ -28,23 +30,34 @@ def advect_particles(
 ) -> tuple[Array, list[int]]:
     """Propagate each particle along its own Brownian path.
 
-    controls: (n, d), one constant control per particle.  A particle whose
-    trajectory leaves float64 is frozen at its last state and reported in
-    the failure list; the caller zeroes its weight.  Returns trajectories
-    of shape (S + 1, n, d).
+    controls: (n, d), one constant control per particle.  All particles
+    advance together, one RK4 step over the (n, d) state array per time
+    step; every row gets exactly the bits a one-particle ``integrate_path``
+    would give it.  A particle whose trajectory leaves float64 is frozen at
+    its start state and reported in the failure list; the caller zeroes its
+    weight.  Returns trajectories of shape (S + 1, n, d).
     """
-    n = states.shape[0]
-    n_steps = paths[0].n_steps
-    out = np.empty((n_steps + 1, n, states.shape[1]))
-    failures = []
-    for i in range(n):
-        try:
-            traj = integrate_path(model, states[i], controls[i], paths[i], t_start)
-            out[:, i, :] = traj
-        except IntegrationError:
-            out[:, i, :] = states[i]
-            failures.append(i)
-    return out, failures
+    states = np.asarray(states, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    dt = paths[0].dt
+    dW = np.stack([p.increments for p in paths], axis=1)  # (S, n, d)
+    # stacked row-by-row products: a plain (n, d) @ (d, d) product rounds
+    # differently from the one-vector product of integrate_step
+    noise = (dW[..., None, :] @ model.dispersion.T)[..., 0, :]
+    out = np.empty((dW.shape[0] + 1,) + states.shape)
+    out[0] = states
+    failed = np.zeros(states.shape[0], dtype=bool)
+    x = states
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(dW.shape[0]):
+            x = rk4_step(model.drift, x, controls, dt) + noise[s]
+            lost = ~np.all(np.isfinite(x), axis=1)
+            if np.any(lost):
+                failed |= lost
+                x[lost] = states[lost]  # keep failed rows finite
+            out[s + 1] = x
+    out[:, failed] = states[failed]
+    return out, np.flatnonzero(failed).tolist()
 
 
 def _apply_failures(weights: Array, failures: list[int]) -> Array:

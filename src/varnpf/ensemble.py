@@ -172,19 +172,27 @@ def bayes_reweight(
 def systematic_offspring_counts(weights: Array, u: float) -> Array:
     """Offspring counts from a single uniform draw.
 
-    Stratum i looks at position (u + i) / n in the cumulative weight
-    profile.  Counts always land in {floor(n w), ceil(n w)} per ancestor
+    Stratum k looks at position (u + k) / n in the cumulative weight
+    profile, so ancestor i gets the strata k with n C_{i-1} <= u + k <
+    n C_i.  Counts always land in {floor(n w), ceil(n w)} per ancestor
     and average to n w over u.
     """
     w = np.asarray(weights, dtype=float)
     n = w.shape[0]
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
-    positions = (u + np.arange(n)) / n
-    cum = np.cumsum(w)
-    cum[-1] = max(cum[-1], 1.0)  # guard against cumulative rounding
-    idx = np.searchsorted(cum, positions, side="right")
-    return np.bincount(np.minimum(idx, n - 1), minlength=n)
+    expected = n * w
+    whole = np.floor(expected)
+    # the whole parts are counted exactly and only the fractional parts
+    # are accumulated, so cumulative rounding cannot take an ancestor
+    # below floor(n w) or give one with a whole n w an extra offspring (a
+    # plain cumsum of w could, when u sits on the stratum lattice); the
+    # clip keeps the profile monotone under the exact total
+    reach = np.cumsum(expected - whole)
+    reach[-1] = n - whole.sum()
+    reach = np.minimum(reach, reach[-1])
+    hits = np.ceil(reach - u)
+    return (whole + np.diff(hits, prepend=0.0)).astype(np.intp)
 
 
 def systematic_resample(ensemble: ParticleEnsemble, u: float) -> ParticleEnsemble:

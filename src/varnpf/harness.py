@@ -624,9 +624,14 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
     )
 
 
-def _run_task(config: ExperimentConfig) -> RunMetrics:
-    """Worker for sweep execution; must stay picklable at module level."""
-    return run_metrics(run_experiment(config))
+def _run_pair(configs: tuple) -> list[RunMetrics]:
+    """Sweep worker: one truth, then every filter of one (ic, run) pair.
+
+    The configs differ only in the filter, so the first one keys the truth
+    for all of them.  Must stay picklable at module level.
+    """
+    truth = generate_truth_and_observations(configs[0])
+    return [run_metrics(run_experiment(cfg, truth=truth)) for cfg in configs]
 
 
 @dataclass
@@ -748,26 +753,31 @@ def run_monte_carlo(
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
 
-    tasks = []
-    for i, ic in enumerate(initial_conditions):
-        for r in range(runs_per_ic):
-            for name in filters:
-                tasks.append(dataclasses.replace(
-                    config_template,
-                    filter_name=name,
-                    truth_init=ic,
-                    ic_index=i,
-                    run_index=r,
-                    seed=base_seed,
-                ))
+    # one task per (ic, run) pair: its filters share one truth
+    tasks = [
+        tuple(
+            dataclasses.replace(
+                config_template,
+                filter_name=name,
+                truth_init=ic,
+                ic_index=i,
+                run_index=r,
+                seed=base_seed,
+            )
+            for name in filters
+        )
+        for i, ic in enumerate(initial_conditions)
+        for r in range(runs_per_ic)
+    ] if filters else []
 
     if jobs == 1:
-        results = [_run_task(cfg) for cfg in tasks]
+        pairs = [_run_pair(configs) for configs in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task, tasks))
+            pairs = list(pool.map(_run_pair, tasks))
+    results = [row for rows in pairs for row in rows]
 
     return McSummary(
         base_seed=base_seed,

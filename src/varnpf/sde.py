@@ -179,6 +179,25 @@ def whole_steps(t0: float, t1: float, dt: float) -> int:
     return steps
 
 
+def rk4_step(drift: Callable[[Array], Array], x: Array,
+             control: Array | None, dt: float) -> Array:
+    """Unchecked deterministic RK4 update for f(x) + control over ``dt``.
+
+    ``control`` of None means f alone.  Broadcasts over leading axes, one
+    row per state, and each row's result does not depend on the others
+    when the drift acts row by row.  Overflow propagates as inf or nan:
+    callers decide how to check it.
+    """
+    def rhs(y):
+        return drift(y) if control is None else drift(y) + control
+
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def integrate_step(
     model: SdeModel, state: Array, control: Array, dt: float, dW: Array
 ) -> Array:
@@ -190,20 +209,9 @@ def integrate_step(
     """
     x = np.asarray(state, dtype=float)
     u = np.asarray(control, dtype=float)
-
-    def rhs(y):
-        return model.drift(y) + u
-
     # overflow surfaces as the IntegrationError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
-        out = (
-            x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            + dW @ model.dispersion.T
-        )
+        out = rk4_step(model.drift, x, u, dt) + dW @ model.dispersion.T
     if not np.all(np.isfinite(out)):
         raise IntegrationError(
             f"non-finite state after step of size {dt} from {x}"

@@ -14,6 +14,17 @@ two-loop recursion over recent curvature pairs, gradient projection onto a
 coordinate box around the prior mean, Armijo backtracking.  Gradients come
 from central finite differences, which keeps the cost function free to
 contain an arbitrary flow map.
+
+The flow costs about as much for one row as for fifty, so each iteration
+makes a single batched flow: the clipped candidate at every backtracking
+step length, plus the difference points of the leading candidates'
+gradients.  The step lengths are then scanned in order, as a sequential
+search would try them.  Each candidate's misfit is formed from its own
+endpoint alone, because a many-row product with a general observation
+operator rounds differently from a one-row product.  With a drift that
+acts row by row, as Lorenz-63's does, the iterates are then bit for bit
+those of the one-trial-at-a-time search.  Only an accepted step beyond
+the look-ahead needs a second flow, for its gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import ObservationModel
-from .sde import SdeModel, whole_steps
+from .sde import SdeModel, rk4_step, whole_steps
 
 Array = np.ndarray
 
@@ -49,15 +60,8 @@ def regularize_covariance(cov: Array, eps: float = 1e-6) -> Array:
 def flow_states(model: SdeModel, x: Array, n_steps: int, dt: float) -> Array:
     """Drift-only RK4 endpoint after ``n_steps``; broadcasts over rows."""
     y = np.asarray(x, dtype=float)
-    f = model.drift
-    half = 0.5 * dt
-    sixth = dt / 6.0
     for _ in range(n_steps):
-        k1 = f(y)
-        k2 = f(y + half * k1)
-        k3 = f(y + half * k2)
-        k4 = f(y + dt * k3)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        y = rk4_step(model.drift, y, None, dt)
     return y
 
 
@@ -97,13 +101,17 @@ class VariationalProblem:
         )
 
 
-def _cost_batch(states: Array, problem: VariationalProblem) -> Array:
-    """Cost at a batch of candidate initial states, shape (B,)."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
+def _flow_ends(states: Array, problem: VariationalProblem) -> Array:
+    """Drift-only flow endpoints of (B, d) states; blow-ups stay non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return flow_states(problem.model, states, problem.n_steps, problem.dt)
+
+
+def _costs_at(states: Array, ends: Array, problem: VariationalProblem) -> Array:
+    """Cost of (B, d) states whose flow endpoints are ``ends``, shape (B,)."""
     dx = states - problem.prior_mean
     prior_term = 0.5 * np.einsum("bi,ij,bj->b", dx, problem._prior_prec, dx)
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = flow_states(problem.model, states, problem.n_steps, problem.dt)
         misfit = np.asarray(
             problem.obs_model.neg_log_likelihood(ends, problem.observation)
         )
@@ -111,19 +119,32 @@ def _cost_batch(states: Array, problem: VariationalProblem) -> Array:
     return np.where(np.isfinite(cost), cost, BLOWUP_COST)
 
 
+def _cost_batch(states: Array, problem: VariationalProblem) -> Array:
+    """Cost at a batch of candidate initial states, shape (B,)."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    return _costs_at(states, _flow_ends(states, problem), problem)
+
+
 def variational_cost(x: Array, problem: VariationalProblem) -> float:
     """Prior-plus-terminal-misfit cost; BLOWUP_COST when the flow diverges."""
     return float(_cost_batch(np.asarray(x, float)[None, :], problem)[0])
 
 
+def _gradient_points(x: Array) -> tuple[Array, Array]:
+    """The 2d central-difference points around ``x`` and their steps h."""
+    h = np.maximum(1e-6, 1e-8 * np.abs(x))
+    return np.concatenate([x + np.diag(h), x - np.diag(h)], axis=0), h
+
+
+def _central_difference(costs: Array, h: Array) -> Array:
+    d = h.shape[0]
+    return (costs[:d] - costs[d:]) / (2.0 * h)
+
+
 def variational_gradient(x: Array, problem: VariationalProblem) -> Array:
     """Central-difference gradient, step max(1e-6, 1e-8 |x_i|) per axis."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    h = np.maximum(1e-6, 1e-8 * np.abs(x))
-    points = np.concatenate([x + np.diag(h), x - np.diag(h)], axis=0)
-    costs = _cost_batch(points, problem)
-    return (costs[:d] - costs[d:]) / (2.0 * h)
+    points, h = _gradient_points(np.asarray(x, dtype=float))
+    return _central_difference(_cost_batch(points, problem), h)
 
 
 def _projected_gradient(x: Array, g: Array, lower: Array, upper: Array) -> Array:
@@ -164,6 +185,13 @@ class VariationalResult:
     status: str  # "gradient" | "cost_decrease" | "max_iterations" | "stalled"
 
 
+# Armijo step lengths 1, 1/2, ..., 2**-39 (the last one >= 1e-12), tried
+# in this order
+STEP_LENGTHS = 0.5 ** np.arange(40)
+# leading step lengths whose gradient points share the trials' flow
+GRADIENT_LOOKAHEAD = 2
+
+
 def minimize_cost(
     problem: VariationalProblem,
     x0: Array | None = None,
@@ -177,23 +205,23 @@ def minimize_cost(
     Terminates on a small projected gradient, a relative cost decrease
     below ``cost_decrease_tol``, the iteration cap, or a failed line
     search ("stalled"); the best iterate seen is always returned and its
-    cost never exceeds the cost at the starting point.
+    cost never exceeds the cost at the starting point.  ``cost_evals``
+    counts the evaluations a one-trial-at-a-time line search would make,
+    not the rows flowed ahead of need.
     """
     lower, upper = problem.lower, problem.upper
     x = np.clip(problem.prior_mean if x0 is None else np.asarray(x0, float),
                 lower, upper)
-    evals = [0]
+    d = x.shape[0]
+    n_trials = STEP_LENGTHS.shape[0]
 
-    def cost(y):
-        evals[0] += 1
-        return float(_cost_batch(y[None, :], problem)[0])
-
-    def grad(y):
-        evals[0] += 2 * y.shape[0]
-        return variational_gradient(y, problem)
-
-    current = cost(x)
-    g = grad(x)
+    # the start's cost and gradient share one flow
+    points, h = _gradient_points(x)
+    rows = np.concatenate([x[None, :], points])
+    ends = _flow_ends(rows, problem)
+    current = float(_costs_at(rows[:1], ends[:1], problem)[0])
+    g = _central_difference(_costs_at(points, ends[1:], problem), h)
+    evals = 1 + 2 * d
     pairs: list[tuple[Array, Array]] = []
     status = "max_iterations"
     iterations = 0
@@ -209,23 +237,42 @@ def minimize_cost(
         if float(direction @ g) >= 0.0:
             direction = -g  # curvature information unusable; fall back
 
-        alpha = 1.0
-        accepted = False
-        while alpha >= 1e-12:
-            candidate = np.clip(x + alpha * direction, lower, upper)
-            step = candidate - x
+        # one flow for every trial of the backtracking search, plus the
+        # gradient points of the leading trials; the scan below then takes
+        # the same decisions in the same order as trying them one by one
+        candidates = np.clip(
+            x + STEP_LENGTHS[:, None] * direction, lower, upper
+        )
+        ahead = [_gradient_points(c) for c in candidates[:GRADIENT_LOOKAHEAD]]
+        rows = np.concatenate([candidates] + [p for p, _ in ahead])
+        ends = _flow_ends(rows, problem)
+
+        accepted = -1
+        for k in range(n_trials):
+            step = candidates[k] - x
             if not np.any(step):
                 break  # projection swallowed the whole step
-            trial = cost(candidate)
+            evals += 1
+            trial = float(_costs_at(
+                candidates[k : k + 1], ends[k : k + 1], problem
+            )[0])
             if trial <= current + 1e-4 * float(g @ step):
-                accepted = True
+                accepted = k
                 break
-            alpha *= 0.5
-        if not accepted:
+        if accepted < 0:
             status = "stalled"
             break
 
-        new_g = grad(candidate)
+        candidate = candidates[accepted]
+        evals += 2 * d
+        if accepted < GRADIENT_LOOKAHEAD:
+            points, h = ahead[accepted]
+            lo = n_trials + 2 * d * accepted
+            new_g = _central_difference(
+                _costs_at(points, ends[lo : lo + 2 * d], problem), h
+            )
+        else:
+            new_g = variational_gradient(candidate, problem)
         s = candidate - x
         y = new_g - g
         if float(s @ y) > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
@@ -248,7 +295,7 @@ def minimize_cost(
         cost_opt=current,
         gradient_norm=float(np.max(np.abs(pg))),
         iterations=iterations,
-        cost_evals=evals[0],
+        cost_evals=evals,
         status=status,
     )
 

@@ -341,6 +341,7 @@ class TestExactProperties:
 
 # ------------------------------------------------------- statistical suite
 
+@pytest.mark.slow
 class TestBenchmark:
     def test_criterion_08_rmse_margin(self, star_mc):
         pf = median(star_mc, "pf", "rmse")

@@ -6,7 +6,12 @@ import pytest
 from varnpf.diagnostics import CycleFailure
 from varnpf.bootstrap_pf import advect_particles, pf_assimilation_cycle
 from varnpf.ensemble import ObservationModel, ParticleEnsemble
-from varnpf.sde import lorenz63, sample_brownian_path
+from varnpf.sde import (
+    IntegrationError,
+    integrate_path,
+    lorenz63,
+    sample_brownian_path,
+)
 from varnpf.seeding import stream_generator, stream_sequence
 
 
@@ -151,6 +156,65 @@ class TestFailures:
         assert failures == [1]
         assert np.array_equal(trajs[:, 1], np.tile(states[1], (11, 1)))
         assert np.all(np.isfinite(trajs[:, 0]))
+
+
+def one_at_a_time(model, states, controls, paths):
+    """The per-particle loop that batched advection must reproduce."""
+    out = np.empty((paths[0].n_steps + 1,) + states.shape)
+    failures = []
+    for i in range(states.shape[0]):
+        try:
+            out[:, i] = integrate_path(model, states[i], controls[i], paths[i])
+        except IntegrationError:
+            out[:, i] = states[i]
+            failures.append(i)
+    return out, failures
+
+
+class TestBatchedAdvection:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_bitwise_equal_to_per_particle_paths(self, n):
+        rng = np.random.default_rng(100 + n)
+        model = lorenz63()
+        for _ in range(5):
+            states = spread_ensemble(rng, n).states * rng.uniform(0.5, 2.0)
+            controls = rng.normal(scale=rng.uniform(0.0, 20.0), size=(n, 3))
+            paths = make_paths(rng, n, steps=int(rng.integers(1, 60)))
+            got = advect_particles(model, states, controls, paths, 0.0)
+            want = one_at_a_time(model, states, controls, paths)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1] == []
+
+    @pytest.mark.parametrize("bad", [0, 3, 5])
+    def test_blowup_row_leaves_healthy_rows_untouched(self, bad):
+        rng = np.random.default_rng(110 + bad)
+        model = lorenz63()
+        states = spread_ensemble(rng, 6).states.copy()
+        states[bad] = 1e8
+        controls = rng.normal(size=(6, 3))
+        paths = make_paths(rng, 6, steps=30)
+        trajs, failures = advect_particles(
+            model, states, controls, paths, 0.0
+        )
+        want, want_failures = one_at_a_time(model, states, controls, paths)
+        assert failures == want_failures == [bad]
+        assert np.array_equal(trajs, want)
+        assert np.array_equal(trajs[:, bad], np.tile(states[bad], (31, 1)))
+        healthy = [i for i in range(6) if i != bad]
+        alone, _ = advect_particles(
+            model, states[healthy], controls[healthy],
+            [paths[i] for i in healthy], 0.0,
+        )
+        assert np.array_equal(trajs[:, healthy], alone)
+
+    def test_single_failing_particle(self):
+        rng = np.random.default_rng(120)
+        states = np.full((1, 3), 1e8)
+        trajs, failures = advect_particles(
+            lorenz63(), states, np.zeros((1, 3)), make_paths(rng, 1), 0.0
+        )
+        assert failures == [0]
+        assert np.array_equal(trajs, np.tile(states, (51, 1, 1)))
 
 
 class TestResampling:

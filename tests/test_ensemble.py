@@ -152,6 +152,14 @@ class TestSystematicResampling:
         assert np.all(counts >= np.floor(expected) - 1e-9)
         assert np.all(counts <= np.ceil(expected) + 1e-9)
 
+    def test_lattice_u_keeps_brackets(self):
+        # w = (5, 1, 3) / 9 at u = 0: the plain cumulative sum rounds the
+        # second boundary above 2/3 and took the third ancestor's only
+        # offspring away
+        ws = np.array([5.0, 1.0, 3.0])
+        counts = systematic_offspring_counts(ws / ws.sum(), 0.0)
+        assert counts.tolist() == [2, 0, 1]
+
     def test_unbiased_over_u_grid(self):
         rng = np.random.default_rng(3)
         w = rng.dirichlet(np.ones(6))

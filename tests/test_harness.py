@@ -280,3 +280,67 @@ class TestMonteCarlo:
             run_monte_carlo(cfg, runs_per_ic=0)
         with pytest.raises(ConfigError):
             run_monte_carlo(cfg, jobs=0)
+
+
+# RunMetrics fields that depend on timing rather than on the computation
+TIMING_FIELDS = {
+    "runtime_total", "runtime_control", "runtime_variational",
+    "variational_share",
+}
+
+
+def _untimed(row):
+    # repr makes nan equal to nan and keeps every float bit
+    return {
+        k: repr(v) for k, v in dataclasses.asdict(row).items()
+        if k not in TIMING_FIELDS
+    }
+
+
+class TestTruthReuse:
+    SWEEP = dict(
+        initial_conditions=BENCHMARK_ICS[:2], runs_per_ic=2,
+        filters=("pf", "npf", "var_npf"),
+    )
+
+    def test_one_truth_per_ic_run_pair(self, monkeypatch):
+        import varnpf.harness as harness
+
+        calls = []
+        original = harness.generate_truth_and_observations
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(
+            harness, "generate_truth_and_observations", counted
+        )
+        summary = run_monte_carlo(quick_config(seed=23, particles=3),
+                                  **self.SWEEP)
+        assert len(summary.runs) == 12
+        assert len(calls) == 4
+
+    def test_rows_match_per_filter_generation(self):
+        cfg = quick_config(seed=24, particles=3)
+        summary = run_monte_carlo(cfg, **self.SWEEP)
+        expected = []
+        for i, ic in enumerate(self.SWEEP["initial_conditions"]):
+            for r in range(self.SWEEP["runs_per_ic"]):
+                for name in self.SWEEP["filters"]:
+                    own = dataclasses.replace(
+                        cfg, filter_name=name, truth_init=ic,
+                        ic_index=i, run_index=r,
+                    )
+                    expected.append(run_metrics(run_experiment(own)))
+        assert [_untimed(row) for row in summary.runs] == [
+            _untimed(row) for row in expected
+        ]
+
+    def test_parallel_rows_equal_serial_rows(self):
+        cfg = quick_config(seed=25, particles=3)
+        serial = run_monte_carlo(cfg, jobs=1, **self.SWEEP)
+        parallel = run_monte_carlo(cfg, jobs=2, **self.SWEEP)
+        assert [_untimed(row) for row in parallel.runs] == [
+            _untimed(row) for row in serial.runs
+        ]

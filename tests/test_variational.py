@@ -14,7 +14,11 @@ from varnpf.ensemble import ObservationModel
 from varnpf.sde import BrownianPath, SdeModel, integrate_path, lorenz63
 from varnpf.variational import (
     BLOWUP_COST,
+    GRADIENT_LOOKAHEAD,
     VariationalProblem,
+    VariationalResult,
+    _projected_gradient,
+    _two_loop_direction,
     build_pseudo_path,
     flow_states,
     minimize_cost,
@@ -204,6 +208,123 @@ class TestSolverContract:
             model, np.zeros(3), np.eye(3), obs, np.zeros(3), t_end=0.5
         )
         assert variational_cost(np.full(3, 1e8), problem) == BLOWUP_COST
+
+
+def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
+                        cost_decrease_tol=1e-9, memory=10):
+    """One-trial-at-a-time Armijo search, kept here only as an oracle.
+
+    Returns the result plus the accepted backtracking depth per iteration.
+    """
+    lower, upper = problem.lower, problem.upper
+    x = np.clip(problem.prior_mean, lower, upper)
+    evals = [0]
+    depths = []
+
+    def cost(y):
+        evals[0] += 1
+        return variational_cost(y, problem)
+
+    def grad(y):
+        evals[0] += 2 * y.shape[0]
+        return variational_gradient(y, problem)
+
+    current = cost(x)
+    g = grad(x)
+    pairs = []
+    status = "max_iterations"
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        pg = _projected_gradient(x, g, lower, upper)
+        if np.max(np.abs(pg)) < gradient_tol:
+            status = "gradient"
+            break
+        direction = -_two_loop_direction(g, pairs)
+        if float(direction @ g) >= 0.0:
+            direction = -g
+        alpha = 1.0
+        depth = 0
+        accepted = False
+        while alpha >= 1e-12:
+            candidate = np.clip(x + alpha * direction, lower, upper)
+            step = candidate - x
+            if not np.any(step):
+                break
+            trial = cost(candidate)
+            if trial <= current + 1e-4 * float(g @ step):
+                accepted = True
+                break
+            alpha *= 0.5
+            depth += 1
+        if not accepted:
+            status = "stalled"
+            break
+        depths.append(depth)
+        new_g = grad(candidate)
+        s = candidate - x
+        y = new_g - g
+        if float(s @ y) > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y))
+            if len(pairs) > memory:
+                pairs.pop(0)
+        decrease = current - trial
+        relative = decrease / max(abs(current), abs(trial), 1.0)
+        x, current, g = candidate, trial, new_g
+        if relative < cost_decrease_tol:
+            status = "cost_decrease"
+            break
+    else:
+        iterations = max_iterations
+    pg = _projected_gradient(x, g, lower, upper)
+    result = VariationalResult(
+        x_opt=x, cost_opt=current, gradient_norm=float(np.max(np.abs(pg))),
+        iterations=iterations, cost_evals=evals[0], status=status,
+    )
+    return result, depths
+
+
+def random_l63_problem(rng):
+    """A fit with a random prior, operator, horizon and box width."""
+    mean = rng.normal(0.0, 8.0, 3) + np.array([0.0, 0.0, 25.0])
+    a = rng.normal(size=(3, 3))
+    cov = a @ a.T * rng.uniform(0.1, 10.0)
+    m = int(rng.integers(1, 4))
+    operator = np.eye(3) if m == 3 and rng.random() < 0.5 else (
+        rng.normal(size=(m, 3))
+    )
+    obs = ObservationModel(
+        operator=operator, noise_cov=rng.uniform(0.5, 3.0) * np.eye(m)
+    )
+    y = operator @ (mean + rng.normal(0.0, 5.0, 3))
+    return VariationalProblem(
+        model=lorenz63(), obs_model=obs, prior_mean=mean, prior_cov=cov,
+        observation=y, t_start=0.0, t_end=float(rng.choice([0.1, 0.3, 0.5])),
+        dt=0.01, bound_sigmas=float(rng.choice([0.5, 10.0])),
+    )
+
+
+class TestBatchedLineSearch:
+    def test_bitwise_equal_to_sequential_search(self):
+        rng = np.random.default_rng(2024)
+        seen = {"deep": 0, "stalled": 0, "pinned": 0}
+        for _ in range(40):
+            problem = random_l63_problem(rng)
+            cap = int(rng.choice([5, 200]))
+            got = minimize_cost(problem, max_iterations=cap)
+            want, depths = sequential_minimize(problem, max_iterations=cap)
+            assert np.array_equal(got.x_opt, want.x_opt)
+            assert repr(got.cost_opt) == repr(want.cost_opt)
+            assert got.iterations == want.iterations
+            assert got.cost_evals == want.cost_evals
+            assert got.status == want.status
+            assert repr(got.gradient_norm) == repr(want.gradient_norm)
+            seen["deep"] += any(k >= GRADIENT_LOOKAHEAD for k in depths)
+            seen["stalled"] += got.status == "stalled"
+            seen["pinned"] += bool(np.any(
+                (got.x_opt == problem.lower) | (got.x_opt == problem.upper)
+            ))
+        # the seeded set covers each path through the scan
+        assert all(seen.values()), seen
 
 
 class TestRegularization:
