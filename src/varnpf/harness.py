@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -286,16 +287,17 @@ def generate_truth_and_observations(
     return TruthData(times, trajectory, obs_times, observations, digest)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentRecord:
     """Full output of one run: series on the integrator grid plus truth.
 
-    ``step_states`` and ``step_weights`` hold the post-update ensemble at
-    observation indices and the advected ensemble elsewhere, so
-    ``ensemble_mean`` is the filter estimate at every grid time.  Nudging
-    and variational fields are None for filters that never produce them.
-    A failed run keeps its series up to the failing cycle; the remainder
-    stays nan.
+    Every array attribute but ``times`` is a series of :data:`RECORD_SERIES`,
+    which gives its axes.  ``step_states`` and ``step_weights`` hold the
+    post-update ensemble at observation indices and the advected ensemble
+    elsewhere, so ``ensemble_mean`` is the filter estimate at every grid
+    time.  Series a filter never produces are None.  A failed run keeps its
+    series up to the failing cycle; the remainder keeps its fill (nan, or 0
+    for counts and flags).
     """
 
     config: ExperimentConfig
@@ -303,30 +305,113 @@ class ExperimentRecord:
     truth: Array
     obs_times: Array
     observations: Array
-    step_states: Array  # (T + 1, n, d)
-    step_weights: Array  # (T + 1, n)
-    ensemble_mean: Array  # (T + 1, d)
-    prior_ness: Array  # (L,)
-    posterior_ness: Array  # (L,)
-    resampled: Array  # (L,) bool
-    collapsed: Array  # (L,) bool
-    step_ratio: Array | None  # (T, n)
-    control_proposed_norms: Array | None  # (L, M, n)
-    control_applied_norms: Array | None  # (L, M, n)
-    rollbacks: Array | None  # (L, M, n) bool
-    phi_floored: Array | None  # (L, M, n) bool
-    batches_used: Array | None  # (L, M, n)
-    log_rn: Array | None  # (L, n)
-    realization_steps: Array | None  # (L,)
-    variational_status: list | None  # length L
-    variational_cost: Array | None  # (L,)
-    variational_iterations: Array | None  # (L,)
-    pseudo_targets: Array | None  # (L, M, m)
+    step_states: Array
+    step_weights: Array
+    ensemble_mean: Array
+    prior_ness: Array
+    posterior_ness: Array
+    resampled: Array
+    collapsed: Array
+    step_ratio: Array | None = None
+    control_proposed_norms: Array | None = None
+    control_applied_norms: Array | None = None
+    rollbacks: Array | None = None
+    phi_floored: Array | None = None
+    batches_used: Array | None = None
+    log_rn: Array | None = None
+    realization_steps: Array | None = None
+    variational_status: list | None = None  # length L
+    variational_cost: Array | None = None
+    variational_iterations: Array | None = None
+    pseudo_targets: Array | None = None
     runtime: dict
     truth_digest: str
     failed: bool = False
     failure_message: str | None = None
     cycles: list = field(default_factory=list)  # kept only on request
+
+
+# The record.csv index column of each record axis.  ``time`` counts the
+# grid times and ``step`` the integrator steps, each labelled by its
+# (start) time; axes sharing a column flatten into it row-major.
+RECORD_AXES = {
+    "time": "time", "step": "time", "cycle": "cycle", "particle": "particle",
+    "state": "component", "obs": "component", "subinterval": "component",
+}
+
+
+class Series(NamedTuple):
+    """One numeric series of a run: record attribute and record.csv rows.
+
+    ``from_cycle`` says how a cycle fills its rows (its index on a
+    ``cycle`` axis, its steps on a ``step`` axis, the grid times it
+    reaches on a ``time`` axis): True copies the CycleDiagnostics
+    attribute of the same name, a callable converts the diagnostics, and
+    False marks a series set once per run.  A cycle value of None leaves
+    the fill (nan, or 0 for other dtypes) in place.
+    """
+
+    name: str  # record.csv series
+    attr: str  # ExperimentRecord attribute
+    axes: tuple  # keys of RECORD_AXES, one per array axis
+    dtype: type = float
+    filters: tuple = tuple(FILTER_CODES)
+    from_cycle: bool | Callable[[CycleDiagnostics], Array] = True
+
+
+# A cycle's grid rows: the advected ensemble, with the posterior at the
+# observation time.
+def _step_states(diag: CycleDiagnostics) -> Array:
+    rows = diag.step_states[1:].copy()
+    rows[-1] = diag.posterior.states
+    return rows
+
+
+def _step_weights(diag: CycleDiagnostics) -> Array:
+    rows = np.tile(diag.carried_weights, (len(diag.step_states) - 1, 1))
+    rows[-1] = diag.posterior.weights
+    return rows
+
+
+def _norms(name: str) -> Callable[[CycleDiagnostics], Array]:
+    return lambda diag: np.linalg.norm(getattr(diag, name), axis=2)
+
+
+_NUDGED = ("npf", "var_npf")
+_GUIDED = ("var_npf",)
+_SUBS = ("cycle", "subinterval", "particle")
+
+# Every numeric series of a run, in record.csv order.
+RECORD_SERIES: tuple[Series, ...] = (
+    Series("truth", "truth", ("time", "state"), from_cycle=False),
+    Series("ensemble_mean", "ensemble_mean", ("time", "state"),
+           from_cycle=False),
+    Series("step_state", "step_states", ("time", "particle", "state"),
+           from_cycle=_step_states),
+    Series("step_weight", "step_weights", ("time", "particle"),
+           from_cycle=_step_weights),
+    Series("obs_time", "obs_times", ("cycle",), from_cycle=False),
+    Series("observation", "observations", ("cycle", "obs"), from_cycle=False),
+    Series("prior_ness", "prior_ness", ("cycle",)),
+    Series("posterior_ness", "posterior_ness", ("cycle",)),
+    Series("resampled", "resampled", ("cycle",), bool),
+    Series("collapsed", "collapsed", ("cycle",), bool),
+    Series("step_ratio", "step_ratio", ("step", "particle"), float, _NUDGED),
+    Series("control_proposed_norm", "control_proposed_norms", _SUBS, float,
+           _NUDGED, _norms("control_proposed")),
+    Series("control_applied_norm", "control_applied_norms", _SUBS, float,
+           _NUDGED, _norms("control_applied")),
+    Series("rollback", "rollbacks", _SUBS, bool, _NUDGED),
+    Series("phi_floored", "phi_floored", _SUBS, bool, _NUDGED),
+    Series("batches_used", "batches_used", _SUBS, int, _NUDGED),
+    Series("log_rn", "log_rn", ("cycle", "particle"), float, _NUDGED),
+    Series("realization_steps", "realization_steps", ("cycle",), int, _NUDGED),
+    Series("variational_cost", "variational_cost", ("cycle",), float, _GUIDED),
+    Series("variational_iterations", "variational_iterations", ("cycle",),
+           int, _GUIDED),
+    Series("pseudo_target", "pseudo_targets", ("cycle", "subinterval", "obs"),
+           float, _GUIDED),
+)
 
 
 def run_experiment(
@@ -348,13 +433,9 @@ def run_experiment(
     span = config.steps_per_interval
     n_cycles = config.n_intervals
     total = config.n_steps
-    m_sub = config.nudging.subintervals
-    m_obs = obs_model.operator.shape[0]
     seed = config.seed
     ic = config.ic_index
     run = config.run_index
-    nudged = config.filter_name in ("npf", "var_npf")
-    variational = config.filter_name == "var_npf"
     filter_code = FILTER_CODES[config.filter_name]
 
     tic_truth = time.perf_counter()
@@ -381,36 +462,27 @@ def run_experiment(
         stream_sequence(seed, RESAMPLE, ic, run)
     )
 
-    step_states = np.full((total + 1, n, d), np.nan)
-    step_weights = np.full((total + 1, n), np.nan)
-    prior_ness = np.full(n_cycles, np.nan)
-    posterior_ness = np.full(n_cycles, np.nan)
-    resampled = np.zeros(n_cycles, dtype=bool)
-    collapsed = np.zeros(n_cycles, dtype=bool)
-    if nudged:
-        step_ratio = np.full((total, n), np.nan)
-        proposed_norms = np.full((n_cycles, m_sub, n), np.nan)
-        applied_norms = np.full((n_cycles, m_sub, n), np.nan)
-        rollbacks = np.zeros((n_cycles, m_sub, n), dtype=bool)
-        phi_floored = np.zeros((n_cycles, m_sub, n), dtype=bool)
-        batches_used = np.zeros((n_cycles, m_sub, n), dtype=int)
-        log_rn = np.full((n_cycles, n), np.nan)
-        realization_steps = np.zeros(n_cycles, dtype=int)
-    else:
-        step_ratio = proposed_norms = applied_norms = None
-        rollbacks = phi_floored = batches_used = None
-        log_rn = realization_steps = None
-    if variational:
-        var_status: list | None = [None] * n_cycles
-        var_cost = np.full(n_cycles, np.nan)
-        var_iters = np.zeros(n_cycles, dtype=int)
-        pseudo_targets = np.full((n_cycles, m_sub, m_obs), np.nan)
-    else:
-        var_status = None
-        var_cost = var_iters = pseudo_targets = None
-
-    step_states[0] = ens.states
-    step_weights[0] = ens.weights
+    extent = {
+        "time": total + 1, "step": total, "cycle": n_cycles, "particle": n,
+        "state": d, "obs": obs_model.operator.shape[0],
+        "subinterval": config.nudging.subintervals,
+    }
+    filled = [
+        s for s in RECORD_SERIES
+        if s.from_cycle is not False and config.filter_name in s.filters
+    ]
+    series = {
+        s.attr: np.full(
+            [extent[axis] for axis in s.axes],
+            np.nan if s.dtype is float else 0,
+            dtype=s.dtype,
+        )
+        for s in filled
+    }
+    # grid row 0 holds the initial ensemble; cycles fill the rest
+    series["step_states"][0] = ens.states
+    series["step_weights"][0] = ens.weights
+    statuses: list = [None] * n_cycles
     control_time = 0.0
     variational_time = 0.0
     cycles: list[CycleDiagnostics] = []
@@ -458,66 +530,38 @@ def run_experiment(
             failure_message = f"cycle {k}: {err}"
             break
 
-        lo = k * span + 1
-        hi = (k + 1) * span + 1
-        step_states[lo:hi] = diag.step_states[1:]
-        step_weights[lo:hi] = diag.carried_weights
-        step_states[hi - 1] = diag.posterior.states
-        step_weights[hi - 1] = diag.posterior.weights
-        prior_ness[k] = diag.prior_ness
-        posterior_ness[k] = diag.posterior_ness
-        resampled[k] = diag.resampled
-        collapsed[k] = diag.collapsed
-        if nudged:
-            step_ratio[k * span:(k + 1) * span] = diag.step_ratio
-            proposed_norms[k] = np.linalg.norm(diag.control_proposed, axis=2)
-            applied_norms[k] = np.linalg.norm(diag.control_applied, axis=2)
-            rollbacks[k] = diag.rollbacks
-            phi_floored[k] = diag.phi_floored
-            batches_used[k] = diag.batches_used
-            log_rn[k] = diag.log_rn
-            realization_steps[k] = diag.realization_steps
-            control_time += diag.timings.get("control", 0.0)
-        if variational:
-            var_status[k] = diag.variational_status
-            var_cost[k] = (
-                np.nan if diag.variational_cost is None
-                else diag.variational_cost
+        # the rows this cycle fills along a series' first axis
+        rows = {
+            "cycle": k,
+            "step": slice(k * span, (k + 1) * span),
+            "time": slice(k * span + 1, (k + 1) * span + 1),
+        }
+        for s in filled:
+            value = (
+                getattr(diag, s.attr) if s.from_cycle is True
+                else s.from_cycle(diag)
             )
-            var_iters[k] = diag.variational_iterations or 0
-            if diag.pseudo_targets is not None:
-                pseudo_targets[k] = diag.pseudo_targets
-            variational_time += diag.timings.get("variational", 0.0)
+            if value is not None:
+                series[s.attr][rows[s.axes[0]]] = value
+        statuses[k] = diag.variational_status
+        control_time += diag.timings.get("control", 0.0)
+        variational_time += diag.timings.get("variational", 0.0)
         if keep_cycles:
             cycles.append(diag)
 
     total_time = time.perf_counter() - tic
-    ensemble_mean = np.einsum("tn,tnd->td", step_weights, step_states)
     return ExperimentRecord(
         config=config,
         times=truth.times,
         truth=truth.trajectory,
         obs_times=truth.obs_times,
         observations=truth.observations,
-        step_states=step_states,
-        step_weights=step_weights,
-        ensemble_mean=ensemble_mean,
-        prior_ness=prior_ness,
-        posterior_ness=posterior_ness,
-        resampled=resampled,
-        collapsed=collapsed,
-        step_ratio=step_ratio,
-        control_proposed_norms=proposed_norms,
-        control_applied_norms=applied_norms,
-        rollbacks=rollbacks,
-        phi_floored=phi_floored,
-        batches_used=batches_used,
-        log_rn=log_rn,
-        realization_steps=realization_steps,
-        variational_status=var_status,
-        variational_cost=var_cost,
-        variational_iterations=var_iters,
-        pseudo_targets=pseudo_targets,
+        ensemble_mean=np.einsum(
+            "tn,tnd->td", series["step_weights"], series["step_states"]
+        ),
+        variational_status=(
+            statuses if config.filter_name == "var_npf" else None
+        ),
         runtime={
             "total": total_time,
             "truth": truth_time,
@@ -528,6 +572,7 @@ def run_experiment(
         failed=failed,
         failure_message=failure_message,
         cycles=cycles,
+        **series,
     )
 
 

@@ -2,9 +2,11 @@
 
 ``record.csv`` is one tidy table with columns series, time, cycle,
 particle, component, value; every numeric series of a run lands there.
-Values are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so parse(write(record)) reproduces every number bit for
-bit.  Strings and provenance go to ``meta.json`` instead.
+``harness.RECORD_SERIES`` lists the series and the axes of each, and
+``harness.RECORD_AXES`` the index column of each axis.  Values are
+written with 17 significant digits, which round-trips IEEE doubles
+exactly, so parse(write(record)) reproduces every number bit for bit.
+Strings and provenance go to ``meta.json`` instead.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 import yaml
 
 from .harness import (
+    RECORD_AXES,
+    RECORD_SERIES,
     ConfigError,
     ExperimentConfig,
     ExperimentRecord,
@@ -51,122 +56,73 @@ def _package_version() -> str:
     return __version__
 
 
-def _series_rows(record: ExperimentRecord):
-    """Yield every numeric series of a record as tidy rows.
-
-    Index conventions: ``time`` is the grid time (for per-step ratios, the
-    step start), ``cycle`` the observation interval, ``component`` the
-    state or observation component; per-subinterval series use the
-    subinterval index as component, and pseudo targets flatten
-    (subinterval, component) to subinterval * m + component.
-    """
-    times = record.times
-    for name, arr in (
-        ("truth", record.truth),
-        ("ensemble_mean", record.ensemble_mean),
-    ):
-        for t in range(arr.shape[0]):
-            for c in range(arr.shape[1]):
-                yield (name, _fmt(times[t]), "", "", str(c), _fmt(arr[t, c]))
-    for t in range(record.step_states.shape[0]):
-        for i in range(record.step_states.shape[1]):
-            for c in range(record.step_states.shape[2]):
-                yield (
-                    "step_state", _fmt(times[t]), "", str(i), str(c),
-                    _fmt(record.step_states[t, i, c]),
-                )
-            yield (
-                "step_weight", _fmt(times[t]), "", str(i), "",
-                _fmt(record.step_weights[t, i]),
-            )
-    for k in range(record.obs_times.shape[0]):
-        yield ("obs_time", "", str(k), "", "", _fmt(record.obs_times[k]))
-        for c in range(record.observations.shape[1]):
-            yield (
-                "observation", "", str(k), "", str(c),
-                _fmt(record.observations[k, c]),
-            )
-    for name in ("prior_ness", "posterior_ness", "resampled", "collapsed"):
-        arr = getattr(record, name)
-        for k in range(arr.shape[0]):
-            yield (name, "", str(k), "", "", _fmt(arr[k]))
-    if record.step_ratio is not None:
-        for t in range(record.step_ratio.shape[0]):
-            for i in range(record.step_ratio.shape[1]):
-                yield (
-                    "step_ratio", _fmt(times[t]), "", str(i), "",
-                    _fmt(record.step_ratio[t, i]),
-                )
-        per_sub = (
-            ("control_proposed_norm", record.control_proposed_norms),
-            ("control_applied_norm", record.control_applied_norms),
-            ("rollback", record.rollbacks),
-            ("phi_floored", record.phi_floored),
-            ("batches_used", record.batches_used),
-        )
-        for name, arr in per_sub:
-            for k in range(arr.shape[0]):
-                for j in range(arr.shape[1]):
-                    for i in range(arr.shape[2]):
-                        yield (
-                            name, "", str(k), str(i), str(j),
-                            _fmt(arr[k, j, i]),
-                        )
-        for k in range(record.log_rn.shape[0]):
-            for i in range(record.log_rn.shape[1]):
-                yield (
-                    "log_rn", "", str(k), str(i), "",
-                    _fmt(record.log_rn[k, i]),
-                )
-        for k in range(record.realization_steps.shape[0]):
-            yield (
-                "realization_steps", "", str(k), "", "",
-                _fmt(record.realization_steps[k]),
-            )
-    if record.pseudo_targets is not None:
-        n_cycles, m_sub, m_obs = record.pseudo_targets.shape
-        for k in range(n_cycles):
-            yield (
-                "variational_cost", "", str(k), "", "",
-                _fmt(record.variational_cost[k]),
-            )
-            yield (
-                "variational_iterations", "", str(k), "", "",
-                _fmt(record.variational_iterations[k]),
-            )
-            for j in range(m_sub):
-                for c in range(m_obs):
-                    yield (
-                        "pseudo_target", "", str(k), "", str(j * m_obs + c),
-                        _fmt(record.pseudo_targets[k, j, c]),
-                    )
-
-
 def write_record_csv(record: ExperimentRecord, path) -> None:
+    """Write every series of ``RECORD_SERIES`` the record holds, one row
+    per value in row-major order."""
+    times = np.array([_fmt(t) for t in record.times], dtype=object)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCHEMA)
-        writer.writerows(_series_rows(record))
+        for series in RECORD_SERIES:
+            values = getattr(record, series.attr)
+            if values is None:
+                continue
+            # axes sharing a column (pseudo targets) flatten into it
+            columns = list(dict.fromkeys(
+                RECORD_AXES[axis] for axis in series.axes
+            ))
+            values = np.asarray(values, dtype=float)
+            values = values.reshape(values.shape[:len(columns) - 1] + (-1,))
+            counts = np.array(
+                [str(i) for i in range(max(values.shape))], dtype=object
+            )
+            cells = dict.fromkeys(SCHEMA[1:-1], repeat(""))
+            index = np.indices(values.shape).reshape(len(columns), -1)
+            for column, positions in zip(columns, index):
+                labels = times if column == "time" else counts
+                cells[column] = labels[positions].tolist()
+            writer.writerows(zip(
+                repeat(series.name),
+                *cells.values(),
+                map(_fmt, values.ravel().tolist()),
+            ))
+
+
+def _bad_row(path, reader, problem) -> ConfigError:
+    return ConfigError(f"{path}, line {reader.line_num}: {problem}")
+
+
+def _check_width(row, header, path, reader) -> None:
+    """A short or long row would shift its cells against the header."""
+    if len(row) != len(header):
+        raise _bad_row(
+            path, reader, f"{len(row)} cells, expected {len(header)}"
+        )
 
 
 def read_record_csv(path) -> dict:
     """Load a tidy record file as {series: {column: array}}.
 
     Index columns come back as float arrays with nan where the writer left
-    the cell empty; values preserve the written doubles exactly.
+    the cell empty; values preserve the written doubles exactly.  A row
+    of the wrong width or with a non-numeric cell raises ConfigError.
     """
     out: dict = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != SCHEMA:
             raise ConfigError(f"unexpected record header {header!r}")
         for row in reader:
+            _check_width(row, SCHEMA, path, reader)
             bucket = out.setdefault(
                 row[0], {name: [] for name in SCHEMA[1:]}
             )
-            for name, cell in zip(SCHEMA[1:], row[1:]):
-                bucket[name].append(float(cell) if cell != "" else np.nan)
+            try:
+                for name, cell in zip(SCHEMA[1:], row[1:]):
+                    bucket[name].append(float(cell) if cell != "" else np.nan)
+            except ValueError as err:
+                raise _bad_row(path, reader, err) from err
     return {
         name: {col: np.asarray(vals) for col, vals in bucket.items()}
         for name, bucket in out.items()
@@ -200,21 +156,25 @@ def read_summary_csv(path) -> list:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != _SUMMARY_FIELDS:
             raise ConfigError(f"unexpected summary header {header!r}")
         for raw in reader:
+            _check_width(raw, header, path, reader)
             kwargs = {}
-            for name, cell in zip(header, raw):
-                kind = _SUMMARY_TYPES[name]
-                if kind == "float":
-                    kwargs[name] = float(cell)
-                elif kind == "int":
-                    kwargs[name] = int(cell)
-                elif kind == "bool":
-                    kwargs[name] = cell == "1"
-                else:
-                    kwargs[name] = cell
+            try:
+                for name, cell in zip(header, raw):
+                    kind = _SUMMARY_TYPES[name]
+                    if kind == "float":
+                        kwargs[name] = float(cell)
+                    elif kind == "int":
+                        kwargs[name] = int(cell)
+                    elif kind == "bool":
+                        kwargs[name] = cell == "1"
+                    else:
+                        kwargs[name] = cell
+            except ValueError as err:
+                raise _bad_row(path, reader, err) from err
             rows.append(RunMetrics(**kwargs))
     return rows
 

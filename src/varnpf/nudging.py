@@ -32,7 +32,7 @@ from .ensemble import (
     systematic_resample,
 )
 from .bootstrap_pf import _apply_failures, advect_particles
-from .sde import BrownianPath, SdeModel, whole_steps
+from .sde import BrownianPath, SdeModel, rk4_step, whole_steps
 from .seeding import child_sequence, stream_generator
 
 Array = np.ndarray
@@ -109,17 +109,12 @@ def _propagate_with_sensitivity(
     states = np.broadcast_to(np.asarray(x, dtype=float), (n, d)).copy()
     fund = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     sigma_t = model.dispersion.T
-    f = model.drift
     jac = model.drift_jacobian
     half = 0.5 * dt
     sixth = dt / 6.0
     for s in range(n_steps):
         x0 = states
-        k1 = f(x0)
-        k2 = f(x0 + half * k1)
-        k3 = f(x0 + half * k2)
-        k4 = f(x0 + dt * k3)
-        x1 = x0 + sixth * (k1 + 2.0 * (k2 + k3) + k4) + increments[:, s] @ sigma_t
+        x1 = rk4_step(model.drift, x0, None, dt) + increments[:, s] @ sigma_t
         a0 = jac(x0)
         am = jac(0.5 * (x0 + x1))
         a1 = jac(x1)

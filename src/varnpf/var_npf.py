@@ -22,7 +22,7 @@ from .ensemble import (
     ParticleEnsemble,
     empirical_moments,
 )
-from .nudging import NudgingConfig, _nudged_sweep
+from .nudging import NudgingConfig, _nudged_sweep, npf_assimilation_cycle
 from .sde import BrownianPath, SdeModel
 from .variational import (
     VariationalProblem,
@@ -80,13 +80,9 @@ def var_npf_assimilation_cycle(
     dt_sub = (t_end - t_start) / m_sub
 
     if settings.skip_variational:
-
-        def target_fn(j, states, weights):
-            return observation, t_end
-
-        posterior, diag = _nudged_sweep(
-            ensemble, model, obs_model, target_fn, observation,
-            t_start, t_end, config, paths, control_seqs, resample_rng,
+        posterior, diag = npf_assimilation_cycle(
+            ensemble, model, obs_model, observation, t_start, t_end,
+            config, paths, control_seqs, resample_rng,
             resample, resample_threshold,
         )
         diag.variational_status = "skipped"

@@ -1,10 +1,15 @@
 """Command line flows and exit codes, driven in-process through main()."""
 
+import dataclasses
 import json
 
+import pytest
+
 from varnpf.cli import main
-from varnpf.harness import ExperimentConfig
+from varnpf.harness import ExperimentConfig, RunMetrics
 from varnpf.io import load_config_file, write_config_file
+
+SUMMARY_FIELDS = [f.name for f in dataclasses.fields(RunMetrics)]
 
 
 def write_config(tmp_path, **kwargs):
@@ -125,6 +130,24 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert code == 1
         assert "config error" in captured.err
+
+    @pytest.mark.parametrize("text,problem", [
+        (",".join(SUMMARY_FIELDS) + "\npf,0,0\n", "line 2"),
+        (
+            ",".join(SUMMARY_FIELDS) + "\npf,0,0,0,abc"
+            + ",0" * (len(SUMMARY_FIELDS) - 5) + "\n",
+            "line 2",
+        ),
+        ("", "header"),
+    ], ids=["short_row", "non_numeric_cell", "empty_file"])
+    def test_report_on_malformed_summary_exits_one(
+        self, tmp_path, capsys, text, problem
+    ):
+        (tmp_path / "summary.csv").write_text(text)
+        code = main(["report", "--in", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert problem in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

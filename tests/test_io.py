@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from varnpf.harness import (
+    RECORD_SERIES,
     ConfigError,
     ExperimentConfig,
+    ExperimentRecord,
     run_experiment,
     run_metrics,
 )
@@ -91,12 +93,110 @@ class TestRecordCsv:
             record.realization_steps.astype(float),
         )
 
+    @pytest.mark.parametrize("config", [
+        small_config(filter_name="npf", seed=66),
+        small_config(filter_name="var_npf", seed=67, t_final=1.0),
+        small_config(seed=68, ensemble_mean=(1e8, 1e8, 1e8)),
+        small_config(
+            filter_name="var_npf", seed=69, ensemble_mean=(1e8, 1e8, 1e8)
+        ),
+    ], ids=["npf", "var_npf", "failed_pf", "failed_var_npf"])
+    def test_every_series_round_trips(self, tmp_path, config):
+        record = run_experiment(config)
+        path = tmp_path / "record.csv"
+        write_record_csv(record, path)
+        data = read_record_csv(path)
+        written = [
+            s for s in RECORD_SERIES if getattr(record, s.attr) is not None
+        ]
+        assert list(data) == [s.name for s in written]
+        for series in written:
+            want = np.asarray(getattr(record, series.attr), dtype=float)
+            got = data[series.name]["value"]
+            assert got.size == want.size, series.name
+            assert np.array_equal(
+                got, want.reshape(-1), equal_nan=True
+            ), series.name
+        if record.failed:
+            # the failing cycle and everything after it stay nan
+            assert np.isnan(record.step_weights[1:]).all()
+            tail = data["step_weight"]["value"].reshape(-1, 3)[1:]
+            assert np.isnan(tail).all()
+            assert np.isnan(data["posterior_ness"]["value"]).all()
+
+    def test_index_columns_follow_the_axes(self, tmp_path):
+        record = run_experiment(small_config(filter_name="var_npf", seed=70))
+        path = tmp_path / "record.csv"
+        write_record_csv(record, path)
+        data = read_record_csv(path)
+        state = data["step_state"]
+        assert np.array_equal(state["time"], np.repeat(record.times, 9))
+        assert np.array_equal(
+            state["particle"], np.tile(np.repeat(np.arange(3.0), 3), 51)
+        )
+        assert np.array_equal(
+            state["component"], np.tile(np.arange(3.0), 153)
+        )
+        assert np.isnan(state["cycle"]).all()
+        ratio = data["step_ratio"]
+        assert np.array_equal(ratio["time"], np.repeat(record.times[:-1], 3))
+        applied = data["control_applied_norm"]
+        assert np.array_equal(applied["cycle"], np.zeros(15))
+        assert np.array_equal(
+            applied["component"], np.repeat(np.arange(5.0), 3)
+        )
+        assert np.array_equal(applied["particle"], np.tile(np.arange(3.0), 5))
+        # pseudo targets flatten (subinterval, component) to j * m + c
+        target = data["pseudo_target"]
+        assert np.array_equal(target["component"], np.arange(15.0))
+        assert np.isnan(target["particle"]).all()
+        assert np.array_equal(data["obs_time"]["cycle"], [0.0])
+
+    def test_every_array_attribute_is_a_written_series(self, tmp_path):
+        table = {s.attr for s in RECORD_SERIES}
+        assert len(table) == len(RECORD_SERIES)
+        assert len({s.name for s in RECORD_SERIES}) == len(RECORD_SERIES)
+        for name in ("pf", "npf", "var_npf"):
+            record = run_experiment(small_config(filter_name=name, seed=71))
+            arrays = {
+                f.name for f in dataclasses.fields(ExperimentRecord)
+                if isinstance(getattr(record, f.name), np.ndarray)
+            }
+            # times labels the time column instead of being a series
+            arrays.discard("times")
+            if name == "var_npf":
+                assert arrays == table
+            assert arrays <= table
+            path = tmp_path / f"{name}.csv"
+            write_record_csv(record, path)
+            data = read_record_csv(path)
+            for series in RECORD_SERIES:
+                present = getattr(record, series.attr) is not None
+                assert (series.name in data) == present, series.name
+
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
             read_record_csv(path)
         assert SCHEMA[0] == "series"
+
+    @pytest.mark.parametrize("row", [
+        "truth,0.01,,,1", "truth,0.01,,,1,2.5,7", "truth", "truth,x,,,1,2.5",
+    ])
+    def test_rejects_malformed_rows(self, tmp_path, row):
+        path = tmp_path / "record.csv"
+        path.write_text(
+            ",".join(SCHEMA) + "\ntruth,0,,,0,1.5\n" + row + "\n"
+        )
+        with pytest.raises(ConfigError, match="line 3"):
+            read_record_csv(path)
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "record.csv"
+        path.write_text("")
+        with pytest.raises(ConfigError, match="header"):
+            read_record_csv(path)
 
 
 def rows_equal(a, b):
@@ -126,6 +226,20 @@ class TestSummaryCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ConfigError):
+            read_summary_csv(path)
+
+    @pytest.mark.parametrize("cut", [
+        lambda row: row.rsplit(",", 1)[0],
+        lambda row: row + ",1",
+        lambda row: row.replace(",", ",x,", 1).rsplit(",", 1)[0],
+    ], ids=["short", "long", "non_numeric"])
+    def test_rejects_malformed_rows(self, tmp_path, cut):
+        summary = run_monte_carlo(small_config(seed=72), filters=("pf",))
+        path = tmp_path / "summary.csv"
+        write_summary_csv(summary.runs, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [cut(lines[1])]))
+        with pytest.raises(ConfigError, match="line 3"):
             read_summary_csv(path)
 
 
