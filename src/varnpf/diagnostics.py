@@ -51,6 +51,7 @@ class CycleDiagnostics:
     variational_status: str | None = None
     variational_cost: float | None = None
     variational_iterations: int | None = None
+    variational_cost_evals: int | None = None
     pseudo_targets: Array | None = None  # (M, m)
 
     timings: dict = field(default_factory=dict)

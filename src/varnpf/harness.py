@@ -323,6 +323,7 @@ class ExperimentRecord:
     variational_status: list | None = None  # length L
     variational_cost: Array | None = None
     variational_iterations: Array | None = None
+    variational_cost_evals: Array | None = None
     pseudo_targets: Array | None = None
     runtime: dict
     truth_digest: str
@@ -408,6 +409,8 @@ RECORD_SERIES: tuple[Series, ...] = (
     Series("realization_steps", "realization_steps", ("cycle",), int, _NUDGED),
     Series("variational_cost", "variational_cost", ("cycle",), float, _GUIDED),
     Series("variational_iterations", "variational_iterations", ("cycle",),
+           int, _GUIDED),
+    Series("variational_cost_evals", "variational_cost_evals", ("cycle",),
            int, _GUIDED),
     Series("pseudo_target", "pseudo_targets", ("cycle", "subinterval", "obs"),
            float, _GUIDED),

@@ -6,7 +6,9 @@ particle, component, value; every numeric series of a run lands there.
 ``harness.RECORD_AXES`` the index column of each axis.  Values are
 written with 17 significant digits, which round-trips IEEE doubles
 exactly, so parse(write(record)) reproduces every number bit for bit.
-Strings and provenance go to ``meta.json`` instead.
+The writer streams rows in blocks of ``WRITE_BLOCK_ROWS``, so the text of
+a whole record is never held at once; the reader keeps one float64 per
+cell.  Strings and provenance go to ``meta.json`` instead.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import csv
 import dataclasses
 import json
 import sys
+from array import array
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import islice, product, repeat, starmap
 
 import numpy as np
 import yaml
@@ -33,6 +36,8 @@ from .harness import (
 )
 
 SCHEMA = ("series", "time", "cycle", "particle", "component", "value")
+_EOL = "\r\n"  # the line terminator of csv.writer
+WRITE_BLOCK_ROWS = 8192  # record.csv rows joined per write
 
 
 def _fmt(value) -> str:
@@ -58,11 +63,10 @@ def _package_version() -> str:
 
 def write_record_csv(record: ExperimentRecord, path) -> None:
     """Write every series of ``RECORD_SERIES`` the record holds, one row
-    per value in row-major order."""
-    times = np.array([_fmt(t) for t in record.times], dtype=object)
+    per value in row-major order, ``WRITE_BLOCK_ROWS`` rows at a time."""
+    times = [_fmt(t) for t in record.times]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCHEMA)
+        fh.write(",".join(SCHEMA) + _EOL)
         for series in RECORD_SERIES:
             values = getattr(record, series.attr)
             if values is None:
@@ -73,19 +77,23 @@ def write_record_csv(record: ExperimentRecord, path) -> None:
             ))
             values = np.asarray(values, dtype=float)
             values = values.reshape(values.shape[:len(columns) - 1] + (-1,))
-            counts = np.array(
-                [str(i) for i in range(max(values.shape))], dtype=object
+            labels = [
+                times[:size] if column == "time"
+                else [str(i) for i in range(size)]
+                for column, size in zip(columns, values.shape)
+            ]
+            # the row's index cells, {k} standing for the label on axis k
+            prefix = ",".join([series.name] + [
+                f"{{{columns.index(column)}}}" if column in columns else ""
+                for column in SCHEMA[1:-1]
+            ] + [""]).format
+            rows = map(
+                str.__add__,
+                starmap(prefix, product(*labels)),
+                map(format, values.ravel().tolist(), repeat(".17g")),
             )
-            cells = dict.fromkeys(SCHEMA[1:-1], repeat(""))
-            index = np.indices(values.shape).reshape(len(columns), -1)
-            for column, positions in zip(columns, index):
-                labels = times if column == "time" else counts
-                cells[column] = labels[positions].tolist()
-            writer.writerows(zip(
-                repeat(series.name),
-                *cells.values(),
-                map(_fmt, values.ravel().tolist()),
-            ))
+            while block := list(islice(rows, WRITE_BLOCK_ROWS)):
+                fh.write(_EOL.join(block) + _EOL)
 
 
 def _bad_row(path, reader, problem) -> ConfigError:
@@ -101,7 +109,7 @@ def _check_width(row, header, path, reader) -> None:
 
 
 def read_record_csv(path) -> dict:
-    """Load a tidy record file as {series: {column: array}}.
+    """Load a tidy record file as {series: {column: float64 array}}.
 
     Index columns come back as float arrays with nan where the writer left
     the cell empty; values preserve the written doubles exactly.  A row
@@ -115,17 +123,22 @@ def read_record_csv(path) -> dict:
             raise ConfigError(f"unexpected record header {header!r}")
         for row in reader:
             _check_width(row, SCHEMA, path, reader)
-            bucket = out.setdefault(
-                row[0], {name: [] for name in SCHEMA[1:]}
-            )
+            name, t, cycle, particle, component, value = row
+            buffers = out.get(name)
+            if buffers is None:
+                buffers = out[name] = [array("d") for _ in SCHEMA[1:]]
+            # one line per column: a loop over the cells costs a third more
             try:
-                for name, cell in zip(SCHEMA[1:], row[1:]):
-                    bucket[name].append(float(cell) if cell != "" else np.nan)
+                buffers[0].append(float(t) if t else np.nan)
+                buffers[1].append(float(cycle) if cycle else np.nan)
+                buffers[2].append(float(particle) if particle else np.nan)
+                buffers[3].append(float(component) if component else np.nan)
+                buffers[4].append(float(value) if value else np.nan)
             except ValueError as err:
                 raise _bad_row(path, reader, err) from err
     return {
-        name: {col: np.asarray(vals) for col, vals in bucket.items()}
-        for name, bucket in out.items()
+        name: {col: np.array(buf) for col, buf in zip(SCHEMA[1:], buffers)}
+        for name, buffers in out.items()
     }
 
 

@@ -112,18 +112,24 @@ def _propagate_with_sensitivity(
     jac = model.drift_jacobian
     half = 0.5 * dt
     sixth = dt / 6.0
-    for s in range(n_steps):
-        x0 = states
-        x1 = rk4_step(model.drift, x0, None, dt) + increments[:, s] @ sigma_t
-        a0 = jac(x0)
-        am = jac(0.5 * (x0 + x1))
-        a1 = jac(x1)
-        p1 = a0 @ fund
-        p2 = am @ (fund + half * p1)
-        p3 = am @ (fund + half * p2)
-        p4 = a1 @ (fund + dt * p3)
-        fund = fund + sixth * (p1 + 2.0 * (p2 + p3) + p4)
-        states = x1
+    # blown-up realizations go non-finite here and are dropped by
+    # _combine_terms, so their overflow is not worth a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n_steps):
+            x0 = states
+            x1 = (
+                rk4_step(model.drift, x0, None, dt)
+                + increments[:, s] @ sigma_t
+            )
+            a0 = jac(x0)
+            am = jac(0.5 * (x0 + x1))
+            a1 = jac(x1)
+            p1 = a0 @ fund
+            p2 = am @ (fund + half * p1)
+            p3 = am @ (fund + half * p2)
+            p4 = a1 @ (fund + dt * p3)
+            fund = fund + sixth * (p1 + 2.0 * (p2 + p3) + p4)
+            states = x1
     return states, fund
 
 

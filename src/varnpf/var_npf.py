@@ -93,6 +93,7 @@ def var_npf_assimilation_cycle(
     statuses: list[str] = []
     costs: list[float] = []
     iteration_total = [0]
+    cost_eval_total = [0]
 
     def solve(mean, cov, t_from):
         tic = time.perf_counter()
@@ -115,6 +116,7 @@ def var_npf_assimilation_cycle(
         statuses.append(result.status)
         costs.append(result.cost_opt)
         iteration_total[0] += result.iterations
+        cost_eval_total[0] += result.cost_evals
         return result
 
     if not settings.resolve_per_subinterval:
@@ -162,5 +164,6 @@ def var_npf_assimilation_cycle(
     diag.variational_status = statuses[-1]
     diag.variational_cost = costs[-1]
     diag.variational_iterations = iteration_total[0]
+    diag.variational_cost_evals = cost_eval_total[0]
     diag.timings["variational"] = var_time[0]
     return posterior, diag

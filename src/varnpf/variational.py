@@ -58,10 +58,14 @@ def regularize_covariance(cov: Array, eps: float = 1e-6) -> Array:
 
 
 def flow_states(model: SdeModel, x: Array, n_steps: int, dt: float) -> Array:
-    """Drift-only RK4 endpoint after ``n_steps``; broadcasts over rows."""
+    """Drift-only RK4 endpoint after ``n_steps``; broadcasts over rows.
+
+    A row that blows up comes back non-finite, without a warning.
+    """
     y = np.asarray(x, dtype=float)
-    for _ in range(n_steps):
-        y = rk4_step(model.drift, y, None, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            y = rk4_step(model.drift, y, None, dt)
     return y
 
 
@@ -103,8 +107,7 @@ class VariationalProblem:
 
 def _flow_ends(states: Array, problem: VariationalProblem) -> Array:
     """Drift-only flow endpoints of (B, d) states; blow-ups stay non-finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return flow_states(problem.model, states, problem.n_steps, problem.dt)
+    return flow_states(problem.model, states, problem.n_steps, problem.dt)
 
 
 def _costs_at(states: Array, ends: Array, problem: VariationalProblem) -> Array:

@@ -1,12 +1,14 @@
 """Experiment configs, truth pairing, full runs, and sweep aggregation."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from varnpf.harness import (
     BENCHMARK_ICS,
+    RECORD_SERIES,
     ConfigError,
     ExperimentConfig,
     ModelConfig,
@@ -199,6 +201,28 @@ class TestFailureHandling:
         assert np.all(np.isnan(record.ensemble_mean[-1]))
         row = run_metrics(record)
         assert row.failed
+
+    @pytest.mark.parametrize("name", ["npf", "var_npf"])
+    def test_blow_up_warns_nothing_and_keeps_the_record(self, name):
+        # blown-up realizations and pseudo paths go non-finite silently;
+        # treating warnings as errors must not change the run
+        cfg = quick_config(
+            filter_name=name, seed=69, ensemble_mean=(1e8, 1e8, 1e8)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            quiet = run_experiment(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            strict = run_experiment(cfg)
+        assert strict.failed
+        assert strict.failure_message == quiet.failure_message
+        for series in RECORD_SERIES:
+            want = getattr(quiet, series.attr)
+            got = getattr(strict, series.attr)
+            assert (got is None) == (want is None), series.name
+            if want is not None:
+                assert got.tobytes() == want.tobytes(), series.name
 
     def test_sweep_keeps_failed_rows_out_of_averages(self):
         cfg = quick_config(seed=19, ensemble_mean=(1e8, 1e8, 1e8))

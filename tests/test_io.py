@@ -1,13 +1,16 @@
 """Artifact round trips: tidy record CSV, summary CSV, meta, YAML configs."""
 
+import csv
 import dataclasses
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
 
 from varnpf.harness import (
+    RECORD_AXES,
     RECORD_SERIES,
     ConfigError,
     ExperimentConfig,
@@ -17,6 +20,7 @@ from varnpf.harness import (
 )
 from varnpf.io import (
     SCHEMA,
+    WRITE_BLOCK_ROWS,
     build_mc_meta,
     build_run_meta,
     load_config_file,
@@ -196,6 +200,129 @@ class TestRecordCsv:
         path = tmp_path / "record.csv"
         path.write_text("")
         with pytest.raises(ConfigError, match="header"):
+            read_record_csv(path)
+
+
+def oracle_write_record_csv(record, path):
+    """Reference writer: one csv.writer row per value, built by fancy
+    indexing numpy object arrays."""
+    def fmt(value):
+        return format(float(value), ".17g")
+
+    times = np.array([fmt(t) for t in record.times], dtype=object)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCHEMA)
+        for series in RECORD_SERIES:
+            values = getattr(record, series.attr)
+            if values is None:
+                continue
+            columns = list(dict.fromkeys(
+                RECORD_AXES[axis] for axis in series.axes
+            ))
+            values = np.asarray(values, dtype=float)
+            values = values.reshape(values.shape[:len(columns) - 1] + (-1,))
+            counts = np.array(
+                [str(i) for i in range(max(values.shape))], dtype=object
+            )
+            cells = dict.fromkeys(SCHEMA[1:-1], repeat(""))
+            index = np.indices(values.shape).reshape(len(columns), -1)
+            for column, positions in zip(columns, index):
+                labels = times if column == "time" else counts
+                cells[column] = labels[positions].tolist()
+            writer.writerows(zip(
+                repeat(series.name),
+                *cells.values(),
+                map(fmt, values.ravel().tolist()),
+            ))
+
+
+def oracle_read_record_csv(path):
+    """Reference reader: lists of Python floats per column."""
+    out = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert tuple(next(reader)) == SCHEMA
+        for row in reader:
+            bucket = out.setdefault(
+                row[0], {name: [] for name in SCHEMA[1:]}
+            )
+            for name, cell in zip(SCHEMA[1:], row[1:]):
+                bucket[name].append(float(cell) if cell != "" else np.nan)
+    return {
+        name: {col: np.asarray(vals) for col, vals in bucket.items()}
+        for name, bucket in out.items()
+    }
+
+
+def assert_same_read(got, want):
+    assert list(got) == list(want)
+    for name, columns in want.items():
+        assert list(got[name]) == list(columns), name
+        for col, expected in columns.items():
+            array = got[name][col]
+            assert array.dtype == expected.dtype == np.float64, (name, col)
+            assert array.tobytes() == expected.tobytes(), (name, col)
+            assert array.flags.owndata and array.flags.writeable
+
+
+ORACLE_CONFIGS = {
+    # 101 grid rows x 100 particles x 3 components: several write blocks
+    "pf_100": small_config(particles=100, t_final=1.0, seed=80),
+    "npf": small_config(filter_name="npf", seed=81),
+    "var_npf": small_config(filter_name="var_npf", seed=82, t_final=1.0),
+    "failed_pf": small_config(seed=83, ensemble_mean=(1e8, 1e8, 1e8)),
+    "failed_var_npf": small_config(
+        filter_name="var_npf", seed=84, ensemble_mean=(1e8, 1e8, 1e8)
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_CONFIGS))
+def written_pair(request, tmp_path_factory):
+    """(new writer's file, reference writer's file) for one record."""
+    record = run_experiment(ORACLE_CONFIGS[request.param])
+    folder = tmp_path_factory.mktemp(request.param)
+    new, old = folder / "new.csv", folder / "old.csv"
+    write_record_csv(record, new)
+    oracle_write_record_csv(record, old)
+    return new, old
+
+
+class TestRecordCsvOracle:
+    def test_writer_bytes_match_reference(self, written_pair):
+        new, old = written_pair
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_reader_matches_reference(self, written_pair):
+        new, _ = written_pair
+        assert_same_read(read_record_csv(new), oracle_read_record_csv(new))
+
+    @pytest.mark.parametrize("body", [
+        # series interleave; first appearance fixes the key order
+        "b,0.5,,,0,2\r\na,,0,,,1.25\r\nb,1,,,1,-3e-300\r\na,,1,,,inf\r\n",
+        # an empty value cell reads as nan
+        "a,0,,,0,\r\na,0,,,1,4.5\r\n",
+        # quoted cells, one with an embedded separator in the series name
+        '"a",0,,"2",0,"1.5"\r\n"x,y",,,,,7\r\n',
+    ], ids=["interleaved", "empty_value", "quoted"])
+    def test_reader_matches_reference_on_hand_made_files(self, tmp_path, body):
+        path = tmp_path / "record.csv"
+        path.write_bytes((",".join(SCHEMA) + "\r\n" + body).encode())
+        assert_same_read(read_record_csv(path), oracle_read_record_csv(path))
+
+    @pytest.mark.parametrize("bad", [
+        "step_state,0.01,,1,2", "step_state,0.01,,1,2,x1.5",
+    ], ids=["short_row", "non_numeric"])
+    def test_error_past_first_block_names_its_line(self, tmp_path, bad):
+        record = run_experiment(ORACLE_CONFIGS["pf_100"])
+        path = tmp_path / "record.csv"
+        write_record_csv(record, path)
+        lines = path.read_bytes().split(b"\r\n")
+        line = WRITE_BLOCK_ROWS + 1000
+        lines[line - 1] = bad.encode()
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ConfigError, match=f"line {line}:"):
             read_record_csv(path)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from varnpf import var_npf
 from varnpf.ensemble import ObservationModel, ParticleEnsemble, empirical_moments
 from varnpf.nudging import NudgingConfig, npf_assimilation_cycle
 from varnpf.sde import lorenz63, sample_brownian_path
@@ -166,3 +167,28 @@ class TestAblationFlags:
         # one solve per subinterval costs more optimizer work
         assert refreshed.variational_iterations > once.variational_iterations
         assert np.isclose(refreshed.posterior.weights.sum(), 1.0)
+
+    def test_cycle_sums_optimizer_work_over_its_solves(self, monkeypatch):
+        results = []
+
+        def recording_minimize(*args, **kwargs):
+            results.append(minimize_cost(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(var_npf, "minimize_cost", recording_minimize)
+        model, obs_model, ens, paths, y = setup_cycle()
+        config = NudgingConfig()
+        _, diag = var_npf_assimilation_cycle(
+            ens, model, obs_model, y, 0.0, 0.5, config,
+            VarNpfSettings(resolve_per_subinterval=True), paths,
+            control_seqs(102, 2, ens.n_particles),
+            np.random.default_rng(103),
+        )
+        assert len(results) == config.subintervals
+        assert diag.variational_iterations == sum(
+            r.iterations for r in results
+        )
+        assert diag.variational_cost_evals == sum(
+            r.cost_evals for r in results
+        )
+        assert diag.variational_cost_evals > diag.variational_iterations
