@@ -100,14 +100,24 @@ def _propagate_with_sensitivity(
     """Advance realizations together with the linearized-drift fundamental
     matrix Psi' = J(eta_s) Psi, Psi(0) = I, both by RK4.
 
-    increments: (n, S, d).  The midpoint Jacobian uses the chord midpoint of
-    the step, the endpoint Jacobian the post-noise state, so Psi follows the
-    realized path rather than the drift-only flow.  Returns endpoints (n, d)
-    and fundamental matrices (n, d, d).
+    increments: (k, b, S, d), k batches of b realizations each.  The
+    midpoint Jacobian uses the chord midpoint of the step, the endpoint
+    Jacobian the post-noise state, so Psi follows the realized path rather
+    than the drift-only flow; a step's endpoint Jacobian is the next step's
+    start Jacobian, so each step evaluates two.  The RK4 and Psi work runs
+    over all k * b rows at once; the noise term is a matrix product, which
+    rounds differently for different row counts, so it is formed batch by
+    batch.  When the drift and its Jacobian act row by row (as the
+    Lorenz-63 ones do), each batch's realizations come out bitwise as if
+    propagated alone.  Returns endpoints (k, b, d) and fundamental
+    matrices (k, b, d, d).
     """
-    n, n_steps, d = increments.shape
+    k, b, n_steps, d = increments.shape
+    n = k * b
     states = np.broadcast_to(np.asarray(x, dtype=float), (n, d)).copy()
     fund = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    noise = np.empty((k, b, d))
+    flat_noise = noise.reshape(n, d)
     sigma_t = model.dispersion.T
     jac = model.drift_jacobian
     half = 0.5 * dt
@@ -115,13 +125,12 @@ def _propagate_with_sensitivity(
     # blown-up realizations go non-finite here and are dropped by
     # _combine_terms, so their overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        a0 = jac(states)
         for s in range(n_steps):
             x0 = states
-            x1 = (
-                rk4_step(model.drift, x0, None, dt)
-                + increments[:, s] @ sigma_t
-            )
-            a0 = jac(x0)
+            for i in range(k):
+                np.matmul(increments[i, :, s], sigma_t, out=noise[i])
+            x1 = rk4_step(model.drift, x0, None, dt) + flat_noise
             am = jac(0.5 * (x0 + x1))
             a1 = jac(x1)
             p1 = a0 @ fund
@@ -130,7 +139,8 @@ def _propagate_with_sensitivity(
             p4 = a1 @ (fund + dt * p3)
             fund = fund + sixth * (p1 + 2.0 * (p2 + p3) + p4)
             states = x1
-    return states, fund
+            a0 = a1
+    return states.reshape(k, b, d), fund.reshape(k, b, d, d)
 
 
 def _misfit_terms(
@@ -141,14 +151,22 @@ def _misfit_terms(
     increments: Array,
     dt: float,
 ) -> tuple[Array, Array]:
-    """Per-realization (g, Psi grad g) pairs for the estimator."""
+    """Per-realization (g, Psi grad g) pairs for the estimator.
+
+    increments: (k, b, S, d) as for _propagate_with_sensitivity; the
+    observation products are formed batch by batch for the same reason.
+    Returns g (k * b,) and terms (k * b, d), batch after batch.
+    """
     ends, fund = _propagate_with_sensitivity(model, x, increments, dt)
-    g = np.atleast_1d(
-        np.asarray(obs_model.neg_log_likelihood(ends, target_obs), dtype=float)
-    )
-    gg = obs_model.nll_gradient(ends, target_obs)
-    term = np.einsum("nij,nj->ni", fund, gg)
-    return g, term
+    g = []
+    term = []
+    for ends_i, fund_i in zip(ends, fund):
+        g.append(np.atleast_1d(np.asarray(
+            obs_model.neg_log_likelihood(ends_i, target_obs), dtype=float
+        )))
+        gg = obs_model.nll_gradient(ends_i, target_obs)
+        term.append(np.einsum("nij,nj->ni", fund_i, gg))
+    return np.concatenate(g), np.concatenate(term)
 
 
 def _combine_terms(
@@ -198,7 +216,7 @@ def estimate_phi_grad(
     n_steps = whole_steps(t, horizon_end, dt)
     x = np.asarray(x, dtype=float)
     increments = rng.normal(
-        0.0, np.sqrt(dt), size=(n_realizations, n_steps, x.shape[-1])
+        0.0, np.sqrt(dt), size=(1, n_realizations, n_steps, x.shape[-1])
     )
     g, term = _misfit_terms(model, obs_model, x, target_obs, increments, dt)
     phi, grad, _, _ = _combine_terms(g, term, model.diffusion)
@@ -234,10 +252,18 @@ def adaptive_control(
     change drops to ``tolerance`` or the batch budget runs out.  The
     normalization keeps one tolerance meaningful across regions where the
     drift varies by orders of magnitude.
+
+    Since convergence compares two estimates, no solve stops before its
+    second batch (unless ``max_batches`` is 1), so the first pass draws and
+    propagates the first two batches together; most solves end right
+    there.  One draw of two batches gives the same numbers as two draws,
+    and each batch is propagated bitwise as if alone, so the result and
+    the generator's final state do not depend on how batches are grouped.
     """
     x = np.asarray(x, dtype=float)
     n_steps = whole_steps(t, horizon_end, dt)
     d = x.shape[-1]
+    b = config.batch_size
     denom = float(np.linalg.norm(model.drift(x)))
     if denom < 1e-12:
         denom = 1.0  # solving at an equilibrium; fall back to raw magnitude
@@ -248,33 +274,35 @@ def adaptive_control(
     prev_normalized = None
     converged = False
     batches = 0
+    drawn = 0
     phi, grad, control, floored = PHI_FLOOR, np.zeros(d), np.zeros(d), True
-    while batches < config.max_batches:
-        increments = rng.normal(
-            0.0, np.sqrt(dt), size=(config.batch_size, n_steps, d)
-        )
-        g_new, term_new = _misfit_terms(
-            model, obs_model, x, target_obs, increments, dt
-        )
-        g_all = np.concatenate([g_all, g_new])
-        term_all = np.concatenate([term_all, term_new])
+    while batches < config.max_batches and not converged:
+        if batches == drawn:
+            # every solve uses at least two batches: draw both at once
+            k = 1 if drawn else min(2, config.max_batches)
+            increments = rng.normal(0.0, np.sqrt(dt), size=(k, b, n_steps, d))
+            g_new, term_new = _misfit_terms(
+                model, obs_model, x, target_obs, increments, dt
+            )
+            g_all = np.concatenate([g_all, g_new])
+            term_all = np.concatenate([term_all, term_new])
+            drawn += k
         batches += 1
+        used = batches * b
         phi, grad, control, floored = _combine_terms(
-            g_all, term_all, model.diffusion
+            g_all[:used], term_all[:used], model.diffusion
         )
         normalized = control / denom
         if prev_normalized is not None:
             delta = float(np.linalg.norm(normalized - prev_normalized))
             history.append(delta)
-            if delta <= config.tolerance:
-                converged = True
-                break
+            converged = delta <= config.tolerance
         prev_normalized = normalized
     return ControlEstimate(
         control=np.zeros(d) if floored else control,
         phi=phi,
         grad_phi=grad,
-        realizations_used=batches * config.batch_size,
+        realizations_used=batches * b,
         converged=converged,
         normalized_variation_history=tuple(history),
         phi_floored=floored,

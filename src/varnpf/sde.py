@@ -8,6 +8,7 @@ which is all the additive noise allows anyway.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,21 +43,34 @@ def l63_drift(state: Array, params: L63Params = L63Params()) -> Array:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _l63_jacobian_constants(alpha: float, beta: float) -> Array:
+    """The state-independent entries of the Lorenz-63 Jacobian, read-only.
+
+    Keyed by the two floats rather than by L63Params, whose generated hash
+    and equality cost more than the lookup saves.
+    """
+    const = np.zeros((3, 3))
+    const[0, 0] = -alpha
+    const[0, 1] = alpha
+    const[1, 1] = -1.0
+    const[2, 2] = -beta
+    const.flags.writeable = False
+    return const
+
+
 def l63_jacobian(state: Array, params: L63Params = L63Params()) -> Array:
     """Jacobian of the Lorenz-63 drift, shape (..., 3, 3)."""
     state = np.asarray(state, dtype=float)
     x = state[..., 0]
     y = state[..., 1]
     z = state[..., 2]
-    jac = np.zeros(state.shape[:-1] + (3, 3))
-    jac[..., 0, 0] = -params.alpha
-    jac[..., 0, 1] = params.alpha
+    jac = np.empty(state.shape[:-1] + (3, 3))
+    jac[...] = _l63_jacobian_constants(params.alpha, params.beta)
     jac[..., 1, 0] = params.gamma - z
-    jac[..., 1, 1] = -1.0
     jac[..., 1, 2] = -x
     jac[..., 2, 0] = y
     jac[..., 2, 1] = x
-    jac[..., 2, 2] = -params.beta
     return jac
 
 

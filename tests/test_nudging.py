@@ -12,7 +12,11 @@ import pytest
 from varnpf.bootstrap_pf import pf_assimilation_cycle
 from varnpf.ensemble import ObservationModel, ParticleEnsemble
 from varnpf.nudging import (
+    PHI_FLOOR,
+    ControlEstimate,
     NudgingConfig,
+    _combine_terms,
+    _propagate_with_sensitivity,
     adaptive_control,
     estimate_phi_grad,
     feedback_control,
@@ -21,7 +25,13 @@ from varnpf.nudging import (
     rn_log_increment,
     rollback_test,
 )
-from varnpf.sde import SdeModel, lorenz63, sample_brownian_path
+from varnpf.sde import (
+    SdeModel,
+    lorenz63,
+    rk4_step,
+    sample_brownian_path,
+    whole_steps,
+)
 from varnpf.seeding import stream_generator, stream_sequence
 
 
@@ -272,6 +282,247 @@ class TestAdaptiveBatching:
         assert all(
             d > 0.05 for d in est.normalized_variation_history[:-1]
         )
+
+
+def _propagate_oracle(model, x, increments, dt):
+    """One-batch propagation evaluating all three Jacobians at every step."""
+    n, n_steps, d = increments.shape
+    states = np.broadcast_to(np.asarray(x, dtype=float), (n, d)).copy()
+    fund = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    sigma_t = model.dispersion.T
+    jac = model.drift_jacobian
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n_steps):
+            x0 = states
+            x1 = (
+                rk4_step(model.drift, x0, None, dt)
+                + increments[:, s] @ sigma_t
+            )
+            a0 = jac(x0)
+            am = jac(0.5 * (x0 + x1))
+            a1 = jac(x1)
+            p1 = a0 @ fund
+            p2 = am @ (fund + half * p1)
+            p3 = am @ (fund + half * p2)
+            p4 = a1 @ (fund + dt * p3)
+            fund = fund + sixth * (p1 + 2.0 * (p2 + p3) + p4)
+            states = x1
+    return states, fund
+
+
+def _adaptive_control_oracle(
+    model, obs_model, t, x, horizon_end, target_obs, config, rng, dt
+):
+    """The one-batch-at-a-time solve: draw, propagate, combine, compare."""
+    x = np.asarray(x, dtype=float)
+    n_steps = whole_steps(t, horizon_end, dt)
+    d = x.shape[-1]
+    denom = float(np.linalg.norm(model.drift(x)))
+    if denom < 1e-12:
+        denom = 1.0
+    g_all = np.empty(0)
+    term_all = np.empty((0, d))
+    history = []
+    prev_normalized = None
+    converged = False
+    batches = 0
+    phi, grad, control, floored = PHI_FLOOR, np.zeros(d), np.zeros(d), True
+    while batches < config.max_batches:
+        increments = rng.normal(
+            0.0, np.sqrt(dt), size=(config.batch_size, n_steps, d)
+        )
+        ends, fund = _propagate_oracle(model, x, increments, dt)
+        g_new = np.atleast_1d(np.asarray(
+            obs_model.neg_log_likelihood(ends, target_obs), dtype=float
+        ))
+        gg = obs_model.nll_gradient(ends, target_obs)
+        term_new = np.einsum("nij,nj->ni", fund, gg)
+        g_all = np.concatenate([g_all, g_new])
+        term_all = np.concatenate([term_all, term_new])
+        batches += 1
+        phi, grad, control, floored = _combine_terms(
+            g_all, term_all, model.diffusion
+        )
+        normalized = control / denom
+        if prev_normalized is not None:
+            delta = float(np.linalg.norm(normalized - prev_normalized))
+            history.append(delta)
+            if delta <= config.tolerance:
+                converged = True
+                break
+        prev_normalized = normalized
+    return ControlEstimate(
+        control=np.zeros(d) if floored else control,
+        phi=phi,
+        grad_phi=grad,
+        realizations_used=batches * config.batch_size,
+        converged=converged,
+        normalized_variation_history=tuple(history),
+        phi_floored=floored,
+    )
+
+
+def _same_state(a, b):
+    """Bit generator states are equal (Philox holds arrays in nested dicts)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _linear_model():
+    A = np.array([[-1.0, 2.0, 0.0], [0.0, -1.5, 1.0], [0.5, 0.0, -0.8]])
+    R = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
+    return SdeModel(
+        dimension=3,
+        drift=lambda x: np.einsum("ij,...j->...i", A, x),
+        drift_jacobian=lambda x: np.broadcast_to(A, x.shape[:-1] + (3, 3)),
+        dispersion=np.linalg.cholesky(R),
+        diffusion=R,
+    )
+
+
+_OPERATORS = {
+    "identity": ObservationModel(
+        operator=np.eye(3), noise_cov=2.0 * np.eye(3)
+    ),
+    "2x3": ObservationModel(
+        operator=np.array([[1.0, 0.5, 0.0], [0.0, 0.3, 1.0]]),
+        noise_cov=np.array([[1.0, 0.2], [0.2, 0.5]]),
+    ),
+}
+
+
+class TestPropagationOracle:
+    """The Jacobian carried from one step's end to the next step's start."""
+
+    @staticmethod
+    def _counting(model):
+        calls = []
+
+        def jac(x):
+            calls.append(x.shape)
+            return model.drift_jacobian(x)
+
+        counted = SdeModel(
+            dimension=model.dimension, drift=model.drift, drift_jacobian=jac,
+            dispersion=model.dispersion, diffusion=model.diffusion,
+        )
+        return counted, calls
+
+    @pytest.mark.parametrize("name", ["l63", "linear"])
+    def test_matches_per_step_jacobians_bitwise(self, name):
+        model = lorenz63() if name == "l63" else _linear_model()
+        rng = np.random.default_rng(7)
+        dt, n_steps = 0.01, 25
+        x = np.array([1.5, -1.5, 25.0])
+        increments = rng.normal(0.0, np.sqrt(dt), size=(5, n_steps, 3))
+        counted, calls = self._counting(model)
+        ends, fund = _propagate_with_sensitivity(
+            counted, x, increments[None], dt
+        )
+        want_ends, want_fund = _propagate_oracle(model, x, increments, dt)
+        assert ends.shape == (1, 5, 3) and fund.shape == (1, 5, 3, 3)
+        assert ends[0].tobytes() == want_ends.tobytes()
+        assert fund[0].tobytes() == want_fund.tobytes()
+        assert len(calls) == 2 * n_steps + 1
+
+    def test_blowup_row_among_healthy_rows(self):
+        model = lorenz63()
+        rng = np.random.default_rng(8)
+        dt, n_steps = 0.01, 20
+        x = np.array([1.5, -1.5, 25.0]) + rng.normal(size=(4, 3))
+        x[2] = 1e8
+        increments = rng.normal(0.0, np.sqrt(dt), size=(4, n_steps, 3))
+        ends, fund = _propagate_with_sensitivity(model, x, increments[None], dt)
+        want_ends, want_fund = _propagate_oracle(model, x, increments, dt)
+        assert not np.all(np.isfinite(want_ends[2]))
+        assert np.all(np.isfinite(want_ends[[0, 1, 3]]))
+        assert ends[0].tobytes() == want_ends.tobytes()
+        assert fund[0].tobytes() == want_fund.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_batches_propagate_as_if_alone(self, batch_size):
+        model = lorenz63()
+        rng = np.random.default_rng(9)
+        dt, n_steps = 0.01, 15
+        x = np.array([-5.0, 3.0, 20.0])
+        increments = rng.normal(
+            0.0, np.sqrt(dt), size=(3, batch_size, n_steps, 3)
+        )
+        ends, fund = _propagate_with_sensitivity(model, x, increments, dt)
+        for i in range(3):
+            want_ends, want_fund = _propagate_oracle(
+                model, x, increments[i], dt
+            )
+            assert ends[i].tobytes() == want_ends.tobytes()
+            assert fund[i].tobytes() == want_fund.tobytes()
+
+
+class TestAdaptiveControlOracle:
+    """Propagating the first two batches in one pass changes no bit.
+
+    180 seeded Lorenz-63 solves: batch size 1, 2, 3 times max_batches 1,
+    2, 50 times an identity or a 2x3 operator, ten solves each.  Solve 0
+    of each group aims at an unreachable target, so its value function
+    floors; solve 1 has a tolerance no estimate meets; the others have
+    tolerances tight enough that some solves go past two batches.
+    """
+
+    @pytest.mark.parametrize("operator", sorted(_OPERATORS))
+    @pytest.mark.parametrize("max_batches", [1, 2, 50])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_matches_one_batch_loop(self, batch_size, max_batches, operator):
+        model = lorenz63()
+        obs = _OPERATORS[operator]
+        m = obs.operator.shape[0]
+        dt = 0.01
+        seen = {"floored": 0, "unconverged": 0, "converged_late": 0}
+        for idx in range(10):
+            setup = np.random.default_rng(1000 + idx)
+            x = np.array([1.5, -1.5, 25.0]) + setup.normal(scale=4.0, size=3)
+            target = obs.observe(x) + setup.normal(scale=3.0, size=m)
+            tolerance = 0.1 if idx == 2 else 0.003
+            if idx == 0:
+                target = np.full(m, 1e6)
+            if idx == 1:
+                tolerance = 1e-12
+            config = NudgingConfig(
+                batch_size=batch_size, max_batches=max_batches,
+                tolerance=tolerance,
+            )
+            horizon = dt * (5 + 4 * idx)
+            rng = stream_generator(stream_sequence(77, batch_size, idx))
+            rng_oracle = stream_generator(stream_sequence(77, batch_size, idx))
+            est = adaptive_control(
+                model, obs, 0.0, x, horizon, target, config, rng, dt
+            )
+            want = _adaptive_control_oracle(
+                model, obs, 0.0, x, horizon, target, config, rng_oracle, dt
+            )
+            assert est.control.tobytes() == want.control.tobytes()
+            assert np.float64(est.phi).tobytes() == np.float64(want.phi).tobytes()
+            assert est.grad_phi.tobytes() == want.grad_phi.tobytes()
+            assert est.realizations_used == want.realizations_used
+            assert est.converged == want.converged
+            assert (
+                est.normalized_variation_history
+                == want.normalized_variation_history
+            )
+            assert est.phi_floored == want.phi_floored
+            assert _same_state(
+                rng.bit_generator.state, rng_oracle.bit_generator.state
+            )
+            seen["floored"] += est.phi_floored
+            seen["unconverged"] += not est.converged
+            seen["converged_late"] += (
+                est.converged and est.realizations_used > 2 * batch_size
+            )
+        assert seen["floored"] >= 1
+        assert seen["unconverged"] >= 1
+        if max_batches == 50:
+            assert seen["converged_late"] >= 2
 
 
 class TestGirsanov:

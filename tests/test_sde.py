@@ -100,6 +100,38 @@ class TestJacobian:
         for i in range(6):
             assert np.array_equal(batched[i], l63_jacobian(states[i]))
 
+    @staticmethod
+    def _zero_filled_jacobian(state, params):
+        """Entry-by-entry form on a zero array: the oracle for the template."""
+        state = np.asarray(state, dtype=float)
+        x = state[..., 0]
+        y = state[..., 1]
+        z = state[..., 2]
+        jac = np.zeros(state.shape[:-1] + (3, 3))
+        jac[..., 0, 0] = -params.alpha
+        jac[..., 0, 1] = params.alpha
+        jac[..., 1, 0] = params.gamma - z
+        jac[..., 1, 1] = -1.0
+        jac[..., 1, 2] = -x
+        jac[..., 2, 0] = y
+        jac[..., 2, 1] = x
+        jac[..., 2, 2] = -params.beta
+        return jac
+
+    @pytest.mark.parametrize("shape", [(3,), (7, 3), (4, 2, 3)])
+    def test_template_matches_entrywise_form_bitwise(self, shape):
+        rng = np.random.default_rng(5)
+        states = rng.normal(scale=15.0, size=shape)
+        states.reshape(-1, 3)[0] = [0.0, -0.0, 28.0]  # signed zeros, gamma - z = 0
+        for params in (L63Params(), L63Params(alpha=-3.5, gamma=0.0, beta=1e-3)):
+            got = l63_jacobian(states, params)
+            want = self._zero_filled_jacobian(states, params)
+            assert got.shape == want.shape == shape[:-1] + (3, 3)
+            assert got.tobytes() == want.tobytes()
+            got[...] = np.nan  # the result owns its memory
+            again = l63_jacobian(states, params)
+            assert again.tobytes() == want.tobytes()
+
 
 class TestModel:
     def test_dispersion_reproduces_diffusion(self):
