@@ -625,6 +625,8 @@ class RunMetrics:
     runtime_control: float
     runtime_variational: float
     realization_steps: int
+    variational_iterations: int
+    variational_cost_evals: int
     rollback_fraction: float
     max_batches: int
     resampled_cycles: int
@@ -644,6 +646,11 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
         rollback_fraction = 0.0
         max_batches = 0
         realization_steps = 0
+    if record.variational_iterations is not None:
+        variational_iterations = int(record.variational_iterations.sum())
+        variational_cost_evals = int(record.variational_cost_evals.sum())
+    else:
+        variational_iterations = variational_cost_evals = 0
     total = record.runtime["total"]
     share = (
         record.runtime["variational"] / total
@@ -662,6 +669,8 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
         runtime_control=record.runtime["control"],
         runtime_variational=record.runtime["variational"],
         realization_steps=realization_steps,
+        variational_iterations=variational_iterations,
+        variational_cost_evals=variational_cost_evals,
         rollback_fraction=rollback_fraction,
         max_batches=max_batches,
         resampled_cycles=int(np.sum(record.resampled)),

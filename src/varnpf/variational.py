@@ -3,17 +3,19 @@
 The cost balances closeness to the current ensemble (through its regularized
 covariance) against the terminal misfit of the drift-only flow:
 
-    J(x) = 0.5 <x - mu, (Sigma + eps I)^-1 (x - mu)>
-         + 0.5 <y - h(F(x)), C^-1 (y - h(F(x)))>,
+    cost(x) = 0.5 <x - mu, (Sigma + eps I)^-1 (x - mu)>
+            + 0.5 <y - h(F(x)), C^-1 (y - h(F(x)))>,
 
 with F the deterministic flow over the observation interval.  The minimizer
 seeds the pseudo observation path that guides the nudged filter.
 
-The solver is a self-contained bounded limited-memory quasi-Newton descent:
-two-loop recursion over recent curvature pairs, gradient projection onto a
-coordinate box around the prior mean, Armijo backtracking.  Gradients come
-from central finite differences, which keeps the cost function free to
-contain an arbitrary flow map.
+The solver is a box-constrained Gauss-Newton descent, the outer loop of
+incremental 4D-Var.  Each step solves (P + J^T H^T C^-1 H J) p = -g, with P
+the regularized prior precision, H and C from the observation model and g
+the central-difference gradient.  Column i of the flow Jacobian J is
+(F(x + h_i e_i) - F(x - h_i e_i)) / 2 h_i, from the endpoints the gradient's
+own difference points already flowed.  The step is projected onto a box
+around the prior mean and shortened by Armijo backtracking.
 
 The flow costs about as much for one row as for fifty, so each iteration
 makes a single batched flow: the clipped candidate at every backtracking
@@ -160,22 +162,27 @@ def _projected_gradient(x: Array, g: Array, lower: Array, upper: Array) -> Array
     return pg
 
 
-def _two_loop_direction(g: Array, pairs: list[tuple[Array, Array]]) -> Array:
-    """Limited-memory inverse-Hessian product, scaled by the latest pair."""
-    q = g.copy()
-    coeffs = []
-    for s, y in reversed(pairs):
-        rho = 1.0 / float(y @ s)
-        alpha = rho * float(s @ q)
-        q -= alpha * y
-        coeffs.append((alpha, rho, s, y))
-    if pairs:
-        s, y = pairs[-1]
-        q *= float(s @ y) / float(y @ y)
-    for alpha, rho, s, y in reversed(coeffs):
-        beta = rho * float(y @ q)
-        q += (alpha - beta) * s
-    return q
+def _gauss_newton_direction(
+    g: Array, ends: Array, h: Array, problem: VariationalProblem
+) -> Array:
+    """Solve (P + J^T H^T C^-1 H J) p = -g; -g when p is unusable.
+
+    J is the central-difference flow Jacobian from the flow endpoints
+    ``ends`` of the 2d gradient points with steps ``h``.  A blown-up
+    endpoint makes J non-finite, which falls back to -g without a warning.
+    """
+    d = h.shape[0]
+    obs = problem.obs_model
+    with np.errstate(over="ignore", invalid="ignore"):
+        hj = obs.operator @ ((ends[:d] - ends[d:]) / (2.0 * h)[:, None]).T
+        normal = problem._prior_prec + hj.T @ obs._noise_prec @ hj
+        if not np.all(np.isfinite(normal)):
+            return -g
+        try:
+            p = np.linalg.solve(normal, -g)
+        except np.linalg.LinAlgError:  # singular normal matrix
+            return -g
+        return p if np.all(np.isfinite(p)) and p @ g < 0.0 else -g
 
 
 @dataclass(frozen=True)
@@ -201,16 +208,16 @@ def minimize_cost(
     max_iterations: int = 200,
     gradient_tol: float = 1e-5,
     cost_decrease_tol: float = 1e-9,
-    memory: int = 10,
 ) -> VariationalResult:
     """Minimize the variational cost inside the coordinate box.
 
-    Terminates on a small projected gradient, a relative cost decrease
-    below ``cost_decrease_tol``, the iteration cap, or a failed line
-    search ("stalled"); the best iterate seen is always returned and its
-    cost never exceeds the cost at the starting point.  ``cost_evals``
-    counts the evaluations a one-trial-at-a-time line search would make,
-    not the rows flowed ahead of need.
+    Steps along the Gauss-Newton direction, or along -g when that is not
+    a finite descent direction.  Terminates on a small projected gradient,
+    a relative cost decrease below ``cost_decrease_tol``, the iteration
+    cap, or a failed line search ("stalled"); the best iterate seen is
+    always returned and its cost never exceeds the cost at the starting
+    point.  ``cost_evals`` counts the evaluations a one-trial-at-a-time
+    line search would make, not the rows flowed ahead of need.
     """
     lower, upper = problem.lower, problem.upper
     x = np.clip(problem.prior_mean if x0 is None else np.asarray(x0, float),
@@ -223,12 +230,11 @@ def minimize_cost(
     rows = np.concatenate([x[None, :], points])
     ends = _flow_ends(rows, problem)
     current = float(_costs_at(rows[:1], ends[:1], problem)[0])
-    g = _central_difference(_costs_at(points, ends[1:], problem), h)
+    point_ends = ends[1:]
+    g = _central_difference(_costs_at(points, point_ends, problem), h)
     evals = 1 + 2 * d
-    pairs: list[tuple[Array, Array]] = []
     status = "max_iterations"
     iterations = 0
-    pg = _projected_gradient(x, g, lower, upper)
 
     for iterations in range(1, max_iterations + 1):
         pg = _projected_gradient(x, g, lower, upper)
@@ -236,9 +242,7 @@ def minimize_cost(
             status = "gradient"
             break
 
-        direction = -_two_loop_direction(g, pairs)
-        if float(direction @ g) >= 0.0:
-            direction = -g  # curvature information unusable; fall back
+        direction = _gauss_newton_direction(g, point_ends, h, problem)
 
         # one flow for every trial of the backtracking search, plus the
         # gradient points of the leading trials; the scan below then takes
@@ -271,17 +275,11 @@ def minimize_cost(
         if accepted < GRADIENT_LOOKAHEAD:
             points, h = ahead[accepted]
             lo = n_trials + 2 * d * accepted
-            new_g = _central_difference(
-                _costs_at(points, ends[lo : lo + 2 * d], problem), h
-            )
+            point_ends = ends[lo : lo + 2 * d]
         else:
-            new_g = variational_gradient(candidate, problem)
-        s = candidate - x
-        y = new_g - g
-        if float(s @ y) > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y))
-            if len(pairs) > memory:
-                pairs.pop(0)
+            points, h = _gradient_points(candidate)
+            point_ends = _flow_ends(points, problem)
+        new_g = _central_difference(_costs_at(points, point_ends, problem), h)
 
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)

@@ -340,7 +340,8 @@ def rows_equal(a, b):
 class TestSummaryCsv:
     def test_rows_round_trip(self, tmp_path):
         summary = run_monte_carlo(
-            small_config(seed=62), runs_per_ic=2, filters=("pf", "npf")
+            small_config(seed=62), runs_per_ic=2,
+            filters=("pf", "npf", "var_npf"),
         )
         path = tmp_path / "summary.csv"
         write_summary_csv(summary.runs, path)
@@ -348,6 +349,11 @@ class TestSummaryCsv:
         assert len(back) == len(summary.runs)
         for a, b in zip(summary.runs, back):
             assert rows_equal(a, b)
+            # the variational counters are 0 unless the filter solves
+            guided = b.filter_name == "var_npf"
+            assert (b.variational_iterations > 0) == guided
+            assert (b.variational_cost_evals > 0) == guided
+            assert b.variational_cost_evals >= b.variational_iterations
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -383,6 +389,19 @@ class TestMeta:
         assert not loaded["failed"]
         assert ExperimentConfig.from_dict(loaded["config"]) == cfg
         assert loaded["metrics"]["rmse"] == run_metrics(record).rmse
+
+    def test_run_meta_sums_variational_counters(self, tmp_path):
+        record = run_experiment(small_config(filter_name="var_npf", seed=65))
+        path = tmp_path / "meta.json"
+        write_meta(build_run_meta(record), path)
+        metrics = json.loads(path.read_text())["metrics"]
+        assert metrics["variational_iterations"] == int(
+            record.variational_iterations.sum()
+        )
+        assert metrics["variational_cost_evals"] == int(
+            record.variational_cost_evals.sum()
+        )
+        assert metrics["variational_iterations"] > 0
 
     def test_mc_meta_carries_aggregate(self, tmp_path):
         cfg = small_config(seed=64)
