@@ -628,6 +628,9 @@ class RunMetrics:
     variational_iterations: int
     variational_cost_evals: int
     rollback_fraction: float
+    control_solves: int
+    floored_solves: int
+    threshold_rollbacks: int
     max_batches: int
     resampled_cycles: int
     collapsed_cycles: int
@@ -640,10 +643,17 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
     cfg = record.config
     if record.rollbacks is not None and record.rollbacks.size:
         rollback_fraction = float(np.mean(record.rollbacks))
+        # a cell with no batches is a particle that had failed before it
+        control_solves = int(np.count_nonzero(record.batches_used))
+        floored_solves = int(np.sum(record.phi_floored))
+        threshold_rollbacks = int(
+            np.sum(record.rollbacks & ~record.phi_floored)
+        )
         max_batches = int(record.batches_used.max())
         realization_steps = int(record.realization_steps.sum())
     else:
         rollback_fraction = 0.0
+        control_solves = floored_solves = threshold_rollbacks = 0
         max_batches = 0
         realization_steps = 0
     if record.variational_iterations is not None:
@@ -672,6 +682,9 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
         variational_iterations=variational_iterations,
         variational_cost_evals=variational_cost_evals,
         rollback_fraction=rollback_fraction,
+        control_solves=control_solves,
+        floored_solves=floored_solves,
+        threshold_rollbacks=threshold_rollbacks,
         max_batches=max_batches,
         resampled_cycles=int(np.sum(record.resampled)),
         collapsed_cycles=int(np.sum(record.collapsed)),

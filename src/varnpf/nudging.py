@@ -100,17 +100,20 @@ def _propagate_with_sensitivity(
     """Advance realizations together with the linearized-drift fundamental
     matrix Psi' = J(eta_s) Psi, Psi(0) = I, both by RK4.
 
-    increments: (k, b, S, d), k batches of b realizations each.  The
+    increments: (k, b, S, d), k batches of b realizations each.  x is one
+    (d,) start for every row or a (k * b, d) start per row, batch after
+    batch, so batches of different solves can share the pass.  The
     midpoint Jacobian uses the chord midpoint of the step, the endpoint
     Jacobian the post-noise state, so Psi follows the realized path rather
     than the drift-only flow; a step's endpoint Jacobian is the next step's
     start Jacobian, so each step evaluates two.  The RK4 and Psi work runs
-    over all k * b rows at once; the noise term is a matrix product, which
-    rounds differently for different row counts, so it is formed batch by
-    batch.  When the drift and its Jacobian act row by row (as the
-    Lorenz-63 ones do), each batch's realizations come out bitwise as if
-    propagated alone.  Returns endpoints (k, b, d) and fundamental
-    matrices (k, b, d, d).
+    over all k * b rows at once.  The noise term is a matrix product,
+    which rounds differently for different row counts; one stacked matmul
+    over the (k, b, d) increments multiplies each (b, d) batch on its own,
+    so it rounds as a batch alone does.  When the drift and its Jacobian
+    act row by row (as the Lorenz-63 ones do), each batch's realizations
+    come out bitwise as if propagated alone.  Returns endpoints (k, b, d)
+    and fundamental matrices (k, b, d, d).
     """
     k, b, n_steps, d = increments.shape
     n = k * b
@@ -128,8 +131,7 @@ def _propagate_with_sensitivity(
         a0 = jac(states)
         for s in range(n_steps):
             x0 = states
-            for i in range(k):
-                np.matmul(increments[i, :, s], sigma_t, out=noise[i])
+            np.matmul(increments[:, :, s], sigma_t, out=noise)
             x1 = rk4_step(model.drift, x0, None, dt) + flat_noise
             am = jac(0.5 * (x0 + x1))
             a1 = jac(x1)
@@ -153,8 +155,10 @@ def _misfit_terms(
 ) -> tuple[Array, Array]:
     """Per-realization (g, Psi grad g) pairs for the estimator.
 
-    increments: (k, b, S, d) as for _propagate_with_sensitivity; the
-    observation products are formed batch by batch for the same reason.
+    x and increments (k, b, S, d) as for _propagate_with_sensitivity.
+    The observation products are formed batch by batch: the three-operand
+    einsum of the log-likelihood rounds differently once batches are
+    stacked, so this loop runs once per pass rather than once per step.
     Returns g (k * b,) and terms (k * b, d), batch after batch.
     """
     ends, fund = _propagate_with_sensitivity(model, x, increments, dt)
@@ -232,6 +236,45 @@ def feedback_control(phi: float, grad_phi: Array, diffusion: Array) -> Array:
     )
 
 
+def _first_pass(
+    model: SdeModel,
+    obs_model: ObservationModel,
+    t: float,
+    x: Array,
+    horizon_end: float,
+    target_obs: Array,
+    config: NudgingConfig,
+    rngs: Sequence[np.random.Generator],
+    dt: float,
+) -> tuple[Array, Array]:
+    """The first min(2, max_batches) batches of several solves, in one pass.
+
+    Since convergence compares two estimates, no solve stops before its
+    second batch (unless ``max_batches`` is 1), so those batches are drawn
+    and propagated before any convergence test.  x: (n, d), one solve
+    point per generator in ``rngs``; each generator draws its solve's
+    batches in one call, and all n * k batches propagate together, each
+    row from its own solve point.  One draw of two batches gives the same
+    numbers as two draws, and each batch propagates bitwise as if alone,
+    so every solve's terms and generator state do not depend on how the
+    batches are grouped.  Returns g (n, k * b) and terms (n, k * b, d).
+    """
+    x = np.asarray(x, dtype=float)
+    n, d = x.shape
+    k = min(2, config.max_batches)
+    rows = k * config.batch_size
+    n_steps = whole_steps(t, horizon_end, dt)
+    increments = np.concatenate([
+        rng.normal(0.0, np.sqrt(dt), size=(k, config.batch_size, n_steps, d))
+        for rng in rngs
+    ])
+    g, term = _misfit_terms(
+        model, obs_model, np.repeat(x, rows, axis=0), target_obs,
+        increments, dt,
+    )
+    return g.reshape(n, rows), term.reshape(n, rows, d)
+
+
 def adaptive_control(
     model: SdeModel,
     obs_model: ObservationModel,
@@ -242,6 +285,7 @@ def adaptive_control(
     config: NudgingConfig,
     rng: np.random.Generator,
     dt: float,
+    first_pass: tuple[Array, Array] | None = None,
 ) -> ControlEstimate:
     """Grow the realization set batch by batch until the control settles.
 
@@ -253,12 +297,12 @@ def adaptive_control(
     normalization keeps one tolerance meaningful across regions where the
     drift varies by orders of magnitude.
 
-    Since convergence compares two estimates, no solve stops before its
-    second batch (unless ``max_batches`` is 1), so the first pass draws and
-    propagates the first two batches together; most solves end right
-    there.  One draw of two batches gives the same numbers as two draws,
-    and each batch is propagated bitwise as if alone, so the result and
-    the generator's final state do not depend on how batches are grouped.
+    The solve starts from the (g, terms) of its first pass (see
+    _first_pass), which most solves never go past.  ``first_pass`` holds
+    them when the caller has already drawn them from ``rng`` (the nudged
+    sweep propagates every particle's first pass together); when None the
+    solve builds its own.  Either way later batches are drawn from ``rng``
+    and propagated one at a time.
     """
     x = np.asarray(x, dtype=float)
     n_steps = whole_steps(t, horizon_end, dt)
@@ -268,25 +312,28 @@ def adaptive_control(
     if denom < 1e-12:
         denom = 1.0  # solving at an equilibrium; fall back to raw magnitude
 
-    g_all = np.empty(0)
-    term_all = np.empty((0, d))
+    if first_pass is None:
+        g_first, term_first = _first_pass(
+            model, obs_model, t, x[None], horizon_end, target_obs, config,
+            [rng], dt,
+        )
+        first_pass = g_first[0], term_first[0]
+    g_all, term_all = first_pass
+    drawn = len(g_all) // b
     history: list[float] = []
     prev_normalized = None
     converged = False
     batches = 0
-    drawn = 0
     phi, grad, control, floored = PHI_FLOOR, np.zeros(d), np.zeros(d), True
     while batches < config.max_batches and not converged:
         if batches == drawn:
-            # every solve uses at least two batches: draw both at once
-            k = 1 if drawn else min(2, config.max_batches)
-            increments = rng.normal(0.0, np.sqrt(dt), size=(k, b, n_steps, d))
+            increments = rng.normal(0.0, np.sqrt(dt), size=(1, b, n_steps, d))
             g_new, term_new = _misfit_terms(
                 model, obs_model, x, target_obs, increments, dt
             )
             g_all = np.concatenate([g_all, g_new])
             term_all = np.concatenate([term_all, term_new])
-            drawn += k
+            drawn += 1
         batches += 1
         used = batches * b
         phi, grad, control, floored = _combine_terms(
@@ -307,6 +354,38 @@ def adaptive_control(
         normalized_variation_history=tuple(history),
         phi_floored=floored,
     )
+
+
+def _solve_controls(
+    model: SdeModel,
+    obs_model: ObservationModel,
+    t: float,
+    states: Array,
+    horizon_end: float,
+    target_obs: Array,
+    config: NudgingConfig,
+    rngs: Sequence[np.random.Generator],
+    dt: float,
+) -> list[ControlEstimate]:
+    """One adaptive_control solve per row of ``states``, each drawing from
+    its own generator in ``rngs``.
+
+    The first passes of all solves propagate together; the few solves they
+    leave unsettled go on one batch at a time, each on its own.
+    """
+    if not rngs:
+        return []
+    g, term = _first_pass(
+        model, obs_model, t, states, horizon_end, target_obs, config, rngs,
+        dt,
+    )
+    return [
+        adaptive_control(
+            model, obs_model, t, x, horizon_end, target_obs, config, rng, dt,
+            first_pass=(g_i, term_i),
+        )
+        for x, rng, g_i, term_i in zip(states, rngs, g, term)
+    ]
 
 
 def rn_log_increment(v_values: Array, increments: Array, dt: float) -> float:
@@ -369,9 +448,13 @@ def _nudged_sweep(
 
     ``target_fn(j, states, weights) -> (target_obs, horizon_end)`` is
     consulted once per subinterval before the control solves, so a guided
-    cycle can refresh its target mid-interval.  Controls are held constant
-    within a subinterval; the weights repay each applied control through
-    the accumulated change-of-measure factor at the terminal reweight.
+    cycle can refresh its target mid-interval.  Each live particle then
+    solves for its control with adaptive_control, drawing from its own
+    ``child_sequence(control_seqs[i], j)`` generator; the first passes of
+    all a subinterval's solves propagate together (see _solve_controls).
+    Controls are held constant within a subinterval; the weights repay each
+    applied control through the accumulated change-of-measure factor at the
+    terminal reweight.
     """
     tic = time.perf_counter()
     n = ensemble.n_particles
@@ -411,14 +494,15 @@ def _nudged_sweep(
         sub_controls = np.zeros((n, d))
         sub_v = np.zeros((n, d))
         tic_c = time.perf_counter()
-        for i in range(n):
-            if i in failed:
-                continue
-            rng_ij = stream_generator(child_sequence(control_seqs[i], j))
-            est = adaptive_control(
-                model, obs_model, t_j, states[i], horizon_end, target_obs,
-                config, rng_ij, dt,
-            )
+        live = [i for i in range(n) if i not in failed]
+        estimates = _solve_controls(
+            model, obs_model, t_j, states[live], horizon_end, target_obs,
+            config,
+            [stream_generator(child_sequence(control_seqs[i], j))
+             for i in live],
+            dt,
+        )
+        for i, est in zip(live, estimates):
             realization_steps += est.realizations_used * horizon_steps
             proposed[j, i] = est.control
             batches_used[j, i] = est.realizations_used // config.batch_size

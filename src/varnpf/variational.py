@@ -218,6 +218,11 @@ def minimize_cost(
     always returned and its cost never exceeds the cost at the starting
     point.  ``cost_evals`` counts the evaluations a one-trial-at-a-time
     line search would make, not the rows flowed ahead of need.
+
+    The gradient is a central difference with h = max(1e-6, 1e-8 |x_i|),
+    whose rounding noise is near 1e-8 at costs of order 1-10.  A
+    ``gradient_tol`` below about 1e-7 is under that noise floor, so such a
+    solve may not stop on "gradient" and ends on "cost_decrease" instead.
     """
     lower, upper = problem.lower, problem.upper
     x = np.clip(problem.prior_mean if x0 is None else np.asarray(x0, float),

@@ -339,10 +339,12 @@ def rows_equal(a, b):
 
 class TestSummaryCsv:
     def test_rows_round_trip(self, tmp_path):
+        config = small_config(seed=62)
         summary = run_monte_carlo(
-            small_config(seed=62), runs_per_ic=2,
-            filters=("pf", "npf", "var_npf"),
+            config, runs_per_ic=2, filters=("pf", "npf", "var_npf"),
         )
+        cells = (config.n_intervals * config.nudging.subintervals
+                 * config.particles)
         path = tmp_path / "summary.csv"
         write_summary_csv(summary.runs, path)
         back = read_summary_csv(path)
@@ -354,6 +356,14 @@ class TestSummaryCsv:
             assert (b.variational_iterations > 0) == guided
             assert (b.variational_cost_evals > 0) == guided
             assert b.variational_cost_evals >= b.variational_iterations
+            # so are the control counters unless the filter nudges, and the
+            # two rollback causes add up to the rollback fraction
+            nudged = b.filter_name != "pf"
+            assert (b.control_solves > 0) == nudged
+            assert b.control_solves <= cells
+            assert b.floored_solves + b.threshold_rollbacks == round(
+                b.rollback_fraction * cells
+            )
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -402,6 +412,26 @@ class TestMeta:
             record.variational_cost_evals.sum()
         )
         assert metrics["variational_iterations"] > 0
+
+    @pytest.mark.parametrize("filter_name", ["pf", "npf"])
+    def test_run_meta_sums_control_counters(self, tmp_path, filter_name):
+        record = run_experiment(small_config(filter_name=filter_name, seed=66))
+        path = tmp_path / "meta.json"
+        write_meta(build_run_meta(record), path)
+        metrics = json.loads(path.read_text())["metrics"]
+        counters = (
+            metrics["control_solves"], metrics["floored_solves"],
+            metrics["threshold_rollbacks"],
+        )
+        if record.rollbacks is None:
+            assert counters == (0, 0, 0)
+            return
+        assert counters == (
+            np.count_nonzero(record.batches_used),
+            np.sum(record.phi_floored),
+            np.sum(record.rollbacks & ~record.phi_floored),
+        )
+        assert metrics["control_solves"] == record.batches_used.size
 
     def test_mc_meta_carries_aggregate(self, tmp_path):
         cfg = small_config(seed=64)

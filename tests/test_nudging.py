@@ -6,10 +6,14 @@ and the control have closed Gaussian forms, and a 3-d linear-dynamics
 problem whose expectation limit is computed from plain matrix algebra.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from varnpf import nudging
 from varnpf.bootstrap_pf import pf_assimilation_cycle
+from varnpf.diagnostics import CycleDiagnostics
 from varnpf.ensemble import ObservationModel, ParticleEnsemble
 from varnpf.nudging import (
     PHI_FLOOR,
@@ -17,6 +21,7 @@ from varnpf.nudging import (
     NudgingConfig,
     _combine_terms,
     _propagate_with_sensitivity,
+    _solve_controls,
     adaptive_control,
     estimate_phi_grad,
     feedback_control,
@@ -33,6 +38,7 @@ from varnpf.sde import (
     whole_steps,
 )
 from varnpf.seeding import stream_generator, stream_sequence
+from varnpf.var_npf import VarNpfSettings, var_npf_assimilation_cycle
 
 
 def ou_model(rate=1.0, noise=1.0):
@@ -459,6 +465,27 @@ class TestPropagationOracle:
             assert ends[i].tobytes() == want_ends.tobytes()
             assert fund[i].tobytes() == want_fund.tobytes()
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4])
+    def test_stacked_batches_from_distinct_starts(self, batch_size):
+        model = lorenz63()
+        rng = np.random.default_rng(10)
+        dt, n_steps, k = 0.01, 15, 20
+        starts = np.array([-5.0, 3.0, 20.0]) + rng.normal(
+            scale=4.0, size=(k, 3)
+        )
+        increments = rng.normal(
+            0.0, np.sqrt(dt), size=(k, batch_size, n_steps, 3)
+        )
+        ends, fund = _propagate_with_sensitivity(
+            model, np.repeat(starts, batch_size, axis=0), increments, dt
+        )
+        for i in range(k):
+            want_ends, want_fund = _propagate_oracle(
+                model, starts[i], increments[i], dt
+            )
+            assert ends[i].tobytes() == want_ends.tobytes()
+            assert fund[i].tobytes() == want_fund.tobytes()
+
 
 class TestAdaptiveControlOracle:
     """Propagating the first two batches in one pass changes no bit.
@@ -523,6 +550,187 @@ class TestAdaptiveControlOracle:
         assert seen["unconverged"] >= 1
         if max_batches == 50:
             assert seen["converged_late"] >= 2
+
+
+def _solve_controls_oracle(
+    model, obs_model, t, states, horizon_end, target_obs, config, rngs, dt
+):
+    """One particle's solve at a time, each drawn and propagated batch by
+    batch: the subinterval loop before first passes were stacked."""
+    return [
+        _adaptive_control_oracle(
+            model, obs_model, t, x, horizon_end, target_obs, config, rng, dt
+        )
+        for x, rng in zip(states, rngs)
+    ]
+
+
+def _assert_same_estimate(est, want):
+    assert est.control.tobytes() == want.control.tobytes()
+    assert np.float64(est.phi).tobytes() == np.float64(want.phi).tobytes()
+    assert est.grad_phi.tobytes() == want.grad_phi.tobytes()
+    assert est.realizations_used == want.realizations_used
+    assert est.converged == want.converged
+    assert (
+        est.normalized_variation_history == want.normalized_variation_history
+    )
+    assert est.phi_floored == want.phi_floored
+
+
+_EACH_OPERATOR = pytest.mark.parametrize("operator", sorted(_OPERATORS))
+_EACH_MAX_BATCHES = pytest.mark.parametrize("max_batches", [1, 2, 50])
+_EACH_BATCH_SIZE = pytest.mark.parametrize("batch_size", [1, 2, 3])
+
+
+class TestStackedSolves:
+    """A subinterval's solves, first passes propagated together, equal
+    one-at-a-time solves bit for bit, generator states included.
+
+    Sixty solves per case on twelve Lorenz-63 points, one of them at 1e8
+    (its realizations blow up, so its value function floors), toward five
+    targets with tolerances tight enough that some solves go on past the
+    first pass.
+    """
+
+    @_EACH_OPERATOR
+    @_EACH_MAX_BATCHES
+    @_EACH_BATCH_SIZE
+    def test_matches_per_particle_solves(
+        self, batch_size, max_batches, operator
+    ):
+        model = lorenz63()
+        obs = _OPERATORS[operator]
+        dt = 0.01
+        setup = np.random.default_rng(2000)
+        states = np.array([1.5, -1.5, 25.0]) + setup.normal(
+            scale=4.0, size=(12, 3)
+        )
+        states[5] = 1e8
+        seen = {"floored": 0, "unconverged": 0, "converged_late": 0}
+        for idx in range(5):
+            target = obs.observe(states[idx]) + setup.normal(
+                scale=3.0, size=obs.operator.shape[0]
+            )
+            config = NudgingConfig(
+                batch_size=batch_size, max_batches=max_batches,
+                tolerance=(0.1, 0.03, 0.01, 0.003, 0.001)[idx],
+            )
+            horizon = dt * (4 + 3 * idx)
+
+            def generators():
+                return [stream_generator(stream_sequence(78, idx, i))
+                        for i in range(len(states))]
+
+            rngs, rngs_oracle = generators(), generators()
+            got = _solve_controls(
+                model, obs, 0.0, states, horizon, target, config, rngs, dt
+            )
+            want = _solve_controls_oracle(
+                model, obs, 0.0, states, horizon, target, config,
+                rngs_oracle, dt,
+            )
+            assert len(got) == len(want) == len(states)
+            for est, want_est, rng, rng_oracle in zip(
+                got, want, rngs, rngs_oracle
+            ):
+                _assert_same_estimate(est, want_est)
+                assert _same_state(
+                    rng.bit_generator.state, rng_oracle.bit_generator.state
+                )
+                seen["floored"] += est.phi_floored
+                seen["unconverged"] += not est.converged
+                seen["converged_late"] += (
+                    est.converged and est.realizations_used > 2 * batch_size
+                )
+        assert seen["floored"] >= 5
+        if max_batches == 50:
+            assert seen["converged_late"] >= 5
+        else:
+            assert seen["unconverged"] >= 5
+
+    def test_no_live_particles(self):
+        config = NudgingConfig()
+        assert _solve_controls(
+            lorenz63(), _OPERATORS["identity"], 0.0, np.empty((0, 3)), 0.05,
+            np.zeros(3), config, [], 0.01,
+        ) == []
+
+
+def _assert_same_cycle(got, want):
+    post, diag = got
+    post_want, diag_want = want
+    assert post.states.tobytes() == post_want.states.tobytes()
+    assert post.weights.tobytes() == post_want.weights.tobytes()
+    assert post.time == post_want.time
+    for f in dataclasses.fields(CycleDiagnostics):
+        if f.name == "timings":
+            continue
+        a, b = getattr(diag, f.name), getattr(diag_want, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        elif isinstance(a, ParticleEnsemble):
+            assert a.states.tobytes() == b.states.tobytes(), f.name
+            assert a.weights.tobytes() == b.weights.tobytes(), f.name
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+class TestCycleOracle:
+    """Both nudged cycles equal the one-particle-at-a-time subinterval loop.
+
+    Six Lorenz-63 particles, one of them at 1e8: its solve floors in the
+    first subinterval and it fails in advection, so later subintervals
+    solve for the live particles only.  Its weight is tiny, so the
+    variational fit sees the other five and guides them to reachable
+    targets.
+    """
+
+    @staticmethod
+    def _cycle(filter_name, config, operator):
+        model = lorenz63()
+        obs = _OPERATORS[operator]
+        rng = np.random.default_rng(12)
+        center = np.array([1.508870, -1.531271, 25.46091])
+        states = center + rng.normal(scale=np.sqrt(2.0), size=(6, 3))
+        states[4] = 1e8
+        weights = np.full(6, 0.2)
+        weights[4] = 1e-20
+        ens = ParticleEnsemble(states, weights)
+        paths = [sample_brownian_path(rng, 25, 3, 0.01) for _ in range(6)]
+        y = obs.observe(center + np.array([2.0, -1.0, 1.5]))
+        seqs = [stream_sequence(13, 4, i) for i in range(6)]
+        args = (ens, model, obs, y, 0.0, 0.25, config)
+        tail = (paths, seqs, np.random.default_rng(14))
+        if filter_name == "npf":
+            return npf_assimilation_cycle(*args, *tail)
+        return var_npf_assimilation_cycle(*args, VarNpfSettings(), *tail)
+
+    @pytest.mark.parametrize("filter_name", ["npf", "var_npf"])
+    @_EACH_OPERATOR
+    @_EACH_MAX_BATCHES
+    @_EACH_BATCH_SIZE
+    def test_matches_one_particle_loop(
+        self, monkeypatch, filter_name, batch_size, max_batches, operator
+    ):
+        # the short horizons ask for strong controls; a low threshold keeps
+        # most of them, so the change-of-measure weights are exercised too
+        config = NudgingConfig(
+            batch_size=batch_size, max_batches=max_batches, tolerance=0.03,
+            rollback_log_threshold=-30.0,
+        )
+        got = self._cycle(filter_name, config, operator)
+        monkeypatch.setattr(nudging, "_solve_controls", _solve_controls_oracle)
+        want = self._cycle(filter_name, config, operator)
+        _assert_same_cycle(got, want)
+        diag = got[1]
+        assert diag.particle_failures == [4]
+        assert diag.phi_floored[0, 4]
+        assert not np.any(diag.batches_used[1:, 4])
+        live = [0, 1, 2, 3, 5]
+        assert np.all(diag.batches_used[:, live])
+        assert not np.any(diag.phi_floored[:, live])
+        assert np.any(diag.control_applied)
 
 
 class TestGirsanov:
