@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -186,12 +187,25 @@ def _cmd_mc(args) -> int:
         raise ConfigError("--runs must be >= 1")
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
+    started = time.perf_counter()
+
+    def report_progress(rows, done, total):
+        elapsed = time.perf_counter() - started
+        eta = elapsed / done * (total - done)
+        print(
+            f"mc: pair {done}/{total} done (ic {rows[0].ic_index}, run "
+            f"{rows[0].run_index}), {elapsed:.1f} s elapsed, eta "
+            f"{eta:.1f} s",
+            file=sys.stderr, flush=True,
+        )
+
     summary = run_monte_carlo(
         config,
         initial_conditions=ics,
         runs_per_ic=args.runs,
         filters=filters,
         jobs=args.jobs,
+        progress=report_progress,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

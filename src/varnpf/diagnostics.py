@@ -12,7 +12,17 @@ Array = np.ndarray
 
 
 class CycleFailure(RuntimeError):
-    """Every particle in a cycle blew up; the run cannot continue."""
+    """Every particle in a cycle blew up; the run cannot continue.
+
+    ``bookkeeping`` maps CycleDiagnostics attributes of a per-cycle series
+    to the values the failing cycle had reached (a nudged cycle's control
+    solves, floors, rollbacks and realization steps), so the run record
+    still counts that cycle's work.
+    """
+
+    def __init__(self, message: str, bookkeeping: dict | None = None):
+        super().__init__(message)
+        self.bookkeeping = dict(bookkeeping or {})
 
 
 @dataclass

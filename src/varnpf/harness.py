@@ -531,6 +531,9 @@ def run_experiment(
         except (CycleFailure, IntegrationError) as err:
             failed = True
             failure_message = f"cycle {k}: {err}"
+            for attr, value in getattr(err, "bookkeeping", {}).items():
+                if attr in series:
+                    series[attr][k] = value
             break
 
         # the rows this cycle fills along a series' first axis
@@ -636,6 +639,7 @@ class RunMetrics:
     collapsed_cycles: int
     variational_share: float
     failed: bool
+    failure_message: str  # "" for a completed run
     truth_digest: str
 
 
@@ -690,6 +694,7 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
         collapsed_cycles=int(np.sum(record.collapsed)),
         variational_share=share,
         failed=record.failed,
+        failure_message=record.failure_message or "",
         truth_digest=record.truth_digest,
     )
 
@@ -800,12 +805,16 @@ def run_monte_carlo(
     base_seed: int | None = None,
     filters=("pf", "npf", "var_npf"),
     jobs: int = 1,
+    progress: Callable[[list, int, int], None] | None = None,
 ) -> McSummary:
     """Paired sweep over initial conditions, repetitions, and filters.
 
     Every (ic, run) pair reuses one truth across all filters; the run index
     keys the streams, so a single base seed covers the whole sweep.  Failed
     runs are kept as rows with ``failed`` set and excluded from averages.
+    ``progress(rows, done, total)``, when given, is called once per
+    finished (ic, run) pair, in sweep order, with that pair's rows and the
+    count of pairs done out of all of them.
     """
     if initial_conditions is None:
         initial_conditions = (config_template.truth_init,)
@@ -840,14 +849,21 @@ def run_monte_carlo(
         for r in range(runs_per_ic)
     ] if filters else []
 
+    results = []
+
+    def collect(pairs):
+        for done, rows in enumerate(pairs, 1):
+            results.extend(rows)
+            if progress is not None:
+                progress(rows, done, len(tasks))
+
     if jobs == 1:
-        pairs = [_run_pair(configs) for configs in tasks]
+        collect(_run_pair(configs) for configs in tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(_run_pair, tasks))
-    results = [row for rows in pairs for row in rows]
+            collect(pool.map(_run_pair, tasks))
 
     return McSummary(
         base_seed=base_seed,

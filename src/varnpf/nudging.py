@@ -12,14 +12,14 @@ and its state gradient can be estimated along the same realizations,
 with Psi the fundamental matrix of the drift linearized along eta.  The
 feedback control is u = (1/phi) R grad phi with R the diffusion matrix,
 and applying it tilts the path measure, which the weights must repay
-through the change-of-measure factor accumulated in RnAccumulator.
+through the change-of-measure factor accumulated by rn_log_increment.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,18 +80,14 @@ class ControlEstimate:
             raise ValueError("phi must be positive")
 
 
-@dataclass
-class RnAccumulator:
-    """Running log change-of-measure weight for one particle.
+def _squared_norms(v: Array) -> Array:
+    """<v, v> for each vector along the last axis of ``v``.
 
-    Stays exactly 0.0 while the applied control is identically zero, since
-    no increment is ever added for an unnudged subinterval.
+    A stacked one-by-one product, so each value rounds exactly as ``v @ v``
+    of that vector alone, and its square root as ``np.linalg.norm``
+    (``norm(v, axis=-1)`` and a two-operand einsum do not).
     """
-
-    log_rn: float = 0.0
-
-    def add_subinterval(self, v_values: Array, increments: Array, dt: float):
-        self.log_rn += rn_log_increment(v_values, increments, dt)
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _propagate_with_sensitivity(
@@ -175,28 +171,37 @@ def _misfit_terms(
 
 def _combine_terms(
     g: Array, term: Array, diffusion: Array
-) -> tuple[float, Array, Array, bool]:
-    """Turn accumulated realization terms into (phi, grad_phi, control).
+) -> tuple[Array, Array, Array, Array]:
+    """Turn accumulated realization terms into (phi, grad_phi, control,
+    floored), for one solve or a stack of them.
 
+    g: (..., r) and term: (..., r, d), r realizations per solve; returns
+    phi (...), grad_phi (..., d), control (..., d) and floored (...).
     Means are taken with the smallest misfit factored out, so the control
     ratio grad_phi / phi stays well defined even when phi itself underflows.
     Realizations that blew up (non-finite g or term) contribute nothing.
+    A solve with no usable realization, or whose phi underflows, is
+    floored: phi = PHI_FLOOR and a zero control.  Every reduction runs
+    along one solve's own axis, so a solve rounds the same alone as in a
+    stack.
     """
-    ok = np.isfinite(g) & np.all(np.isfinite(term), axis=1)
-    d = term.shape[1]
-    if not ok.any():
-        return PHI_FLOOR, np.zeros(d), np.zeros(d), True
-    g_min = g[ok].min()
-    s = np.where(ok, np.exp(-(np.where(ok, g, 0.0) - g_min)), 0.0)
-    a = s.mean()
-    b = (s[:, None] * np.where(ok[:, None], term, 0.0)).mean(axis=0)
+    ok = np.isfinite(g) & np.all(np.isfinite(term), axis=-1)
+    usable = ok.any(axis=-1)
+    g_min = np.where(usable, np.where(ok, g, np.inf).min(axis=-1), 0.0)
+    s = np.where(ok, np.exp(-(np.where(ok, g, 0.0) - g_min[..., None])), 0.0)
+    a = np.where(usable, s.mean(axis=-1), 1.0)
+    b = (s[..., None] * np.where(ok[..., None], term, 0.0)).mean(axis=-2)
     scale = np.exp(-g_min)
     phi = scale * a
-    grad = -scale * b
-    control = diffusion @ (-(b / a))
-    if phi == 0.0:
-        return PHI_FLOOR, grad, np.zeros(d), True
-    return float(phi), grad, control, False
+    grad = np.where(usable[..., None], -scale[..., None] * b, 0.0)
+    control = (diffusion @ (-(b / a[..., None]))[..., None])[..., 0]
+    floored = ~usable | (phi == 0.0)
+    return (
+        np.where(floored, PHI_FLOOR, phi),
+        grad,
+        np.where(floored[..., None], 0.0, control),
+        floored,
+    )
 
 
 def estimate_phi_grad(
@@ -224,7 +229,7 @@ def estimate_phi_grad(
     )
     g, term = _misfit_terms(model, obs_model, x, target_obs, increments, dt)
     phi, grad, _, _ = _combine_terms(g, term, model.diffusion)
-    return phi, grad
+    return float(phi), grad
 
 
 def feedback_control(phi: float, grad_phi: Array, diffusion: Array) -> Array:
@@ -234,6 +239,28 @@ def feedback_control(phi: float, grad_phi: Array, diffusion: Array) -> Array:
     return np.asarray(diffusion, dtype=float) @ (
         np.asarray(grad_phi, dtype=float) / phi
     )
+
+
+class FirstPass(NamedTuple):
+    """One solve's state after its first pass (see _first_pass).
+
+    ``g`` (r,) and ``term`` (r, d) hold every realization drawn so far,
+    r = k * batch_size for the first pass's k batches.  ``denom`` is the
+    drift magnitude that normalizes the control; phi, grad, control and
+    floored combine all r realizations (see _combine_terms);
+    ``normalized`` is control / denom and ``history`` the normalized
+    variations so far (one entry when k is 2, none when it is 1).
+    """
+
+    g: Array
+    term: Array
+    denom: float
+    phi: float
+    grad: Array
+    control: Array
+    floored: bool
+    normalized: Array
+    history: tuple
 
 
 def _first_pass(
@@ -246,7 +273,7 @@ def _first_pass(
     config: NudgingConfig,
     rngs: Sequence[np.random.Generator],
     dt: float,
-) -> tuple[Array, Array]:
+) -> list[FirstPass]:
     """The first min(2, max_batches) batches of several solves, in one pass.
 
     Since convergence compares two estimates, no solve stops before its
@@ -254,25 +281,51 @@ def _first_pass(
     and propagated before any convergence test.  x: (n, d), one solve
     point per generator in ``rngs``; each generator draws its solve's
     batches in one call, and all n * k batches propagate together, each
-    row from its own solve point.  One draw of two batches gives the same
-    numbers as two draws, and each batch propagates bitwise as if alone,
-    so every solve's terms and generator state do not depend on how the
-    batches are grouped.  Returns g (n, k * b) and terms (n, k * b, d).
+    row from its own solve point.  The drift norms, the batch-1 and
+    batch-2 estimates and the normalized variation between them are then
+    formed for all n solves as arrays.  One draw of two batches gives the
+    same numbers as two draws, each batch propagates bitwise as if alone,
+    and every reduction runs along one solve's own axis, so each solve's
+    state and generator do not depend on how the solves are grouped
+    (given a drift that acts row by row, as Lorenz-63's does).
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
+    b = config.batch_size
     k = min(2, config.max_batches)
-    rows = k * config.batch_size
     n_steps = whole_steps(t, horizon_end, dt)
     increments = np.concatenate([
-        rng.normal(0.0, np.sqrt(dt), size=(k, config.batch_size, n_steps, d))
+        rng.normal(0.0, np.sqrt(dt), size=(k, b, n_steps, d))
         for rng in rngs
     ])
     g, term = _misfit_terms(
-        model, obs_model, np.repeat(x, rows, axis=0), target_obs,
+        model, obs_model, np.repeat(x, k * b, axis=0), target_obs,
         increments, dt,
     )
-    return g.reshape(n, rows), term.reshape(n, rows, d)
+    g = g.reshape(n, k * b)
+    term = term.reshape(n, k * b, d)
+    denom = np.sqrt(_squared_norms(model.drift(x)))
+    # a solve at an equilibrium falls back to the raw control magnitude
+    denom = np.where(denom < 1e-12, 1.0, denom)[:, None]
+    phi, grad, control, floored = _combine_terms(
+        g[:, :b], term[:, :b], model.diffusion
+    )
+    normalized = control / denom
+    history = [()] * n
+    if k == 2:
+        phi, grad, control, floored = _combine_terms(
+            g, term, model.diffusion
+        )
+        first, normalized = normalized, control / denom
+        deltas = np.sqrt(_squared_norms(normalized - first))
+        history = [(delta,) for delta in deltas.tolist()]
+    return [
+        FirstPass(*row)
+        for row in zip(
+            g, term, denom[:, 0].tolist(), phi.tolist(), grad, control,
+            floored.tolist(), normalized, history,
+        )
+    ]
 
 
 def adaptive_control(
@@ -285,7 +338,7 @@ def adaptive_control(
     config: NudgingConfig,
     rng: np.random.Generator,
     dt: float,
-    first_pass: tuple[Array, Array] | None = None,
+    first_pass: FirstPass | None = None,
 ) -> ControlEstimate:
     """Grow the realization set batch by batch until the control settles.
 
@@ -297,62 +350,52 @@ def adaptive_control(
     normalization keeps one tolerance meaningful across regions where the
     drift varies by orders of magnitude.
 
-    The solve starts from the (g, terms) of its first pass (see
-    _first_pass), which most solves never go past.  ``first_pass`` holds
-    them when the caller has already drawn them from ``rng`` (the nudged
-    sweep propagates every particle's first pass together); when None the
-    solve builds its own.  Either way later batches are drawn from ``rng``
-    and propagated one at a time.
+    The solve resumes from its first pass (see _first_pass), its first
+    min(2, max_batches) batches already combined and compared, which
+    settles most solves.  ``first_pass`` holds it when the caller has
+    already drawn it from ``rng`` (the nudged sweep forms every particle's
+    first pass together); when None the solve forms its own.  Either way
+    later batches are drawn from ``rng`` and propagated one at a time.
     """
     x = np.asarray(x, dtype=float)
+    if first_pass is None:
+        first_pass = _first_pass(
+            model, obs_model, t, x[None], horizon_end, target_obs, config,
+            [rng], dt,
+        )[0]
+    g_all, term_all, denom, phi, grad, control, floored, prev, history = (
+        first_pass
+    )
+    history = list(history)
     n_steps = whole_steps(t, horizon_end, dt)
     d = x.shape[-1]
     b = config.batch_size
-    denom = float(np.linalg.norm(model.drift(x)))
-    if denom < 1e-12:
-        denom = 1.0  # solving at an equilibrium; fall back to raw magnitude
-
-    if first_pass is None:
-        g_first, term_first = _first_pass(
-            model, obs_model, t, x[None], horizon_end, target_obs, config,
-            [rng], dt,
-        )
-        first_pass = g_first[0], term_first[0]
-    g_all, term_all = first_pass
-    drawn = len(g_all) // b
-    history: list[float] = []
-    prev_normalized = None
-    converged = False
-    batches = 0
-    phi, grad, control, floored = PHI_FLOOR, np.zeros(d), np.zeros(d), True
+    batches = len(g_all) // b
+    converged = bool(history) and history[-1] <= config.tolerance
     while batches < config.max_batches and not converged:
-        if batches == drawn:
-            increments = rng.normal(0.0, np.sqrt(dt), size=(1, b, n_steps, d))
-            g_new, term_new = _misfit_terms(
-                model, obs_model, x, target_obs, increments, dt
-            )
-            g_all = np.concatenate([g_all, g_new])
-            term_all = np.concatenate([term_all, term_new])
-            drawn += 1
+        increments = rng.normal(0.0, np.sqrt(dt), size=(1, b, n_steps, d))
+        g_new, term_new = _misfit_terms(
+            model, obs_model, x, target_obs, increments, dt
+        )
+        g_all = np.concatenate([g_all, g_new])
+        term_all = np.concatenate([term_all, term_new])
         batches += 1
-        used = batches * b
         phi, grad, control, floored = _combine_terms(
-            g_all[:used], term_all[:used], model.diffusion
+            g_all, term_all, model.diffusion
         )
         normalized = control / denom
-        if prev_normalized is not None:
-            delta = float(np.linalg.norm(normalized - prev_normalized))
-            history.append(delta)
-            converged = delta <= config.tolerance
-        prev_normalized = normalized
+        delta = float(np.linalg.norm(normalized - prev))
+        history.append(delta)
+        converged = delta <= config.tolerance
+        prev = normalized
     return ControlEstimate(
-        control=np.zeros(d) if floored else control,
-        phi=phi,
+        control=control,
+        phi=float(phi),
         grad_phi=grad,
         realizations_used=batches * b,
         converged=converged,
         normalized_variation_history=tuple(history),
-        phi_floored=floored,
+        phi_floored=bool(floored),
     )
 
 
@@ -370,47 +413,69 @@ def _solve_controls(
     """One adaptive_control solve per row of ``states``, each drawing from
     its own generator in ``rngs``.
 
-    The first passes of all solves propagate together; the few solves they
-    leave unsettled go on one batch at a time, each on its own.
+    One array pass settles every solve's first pass: it propagates all of
+    their first batches together and forms the batch-1 and batch-2
+    estimates, drift norms and normalized variations as arrays (see
+    _first_pass).  Each solve then returns through its own adaptive_control
+    call, which only the few solves left unsettled go on in, one batch at
+    a time from their own generator.
     """
     if not rngs:
         return []
-    g, term = _first_pass(
+    passes = _first_pass(
         model, obs_model, t, states, horizon_end, target_obs, config, rngs,
         dt,
     )
     return [
         adaptive_control(
             model, obs_model, t, x, horizon_end, target_obs, config, rng, dt,
-            first_pass=(g_i, term_i),
+            first_pass=first,
         )
-        for x, rng, g_i, term_i in zip(states, rngs, g, term)
+        for x, rng, first in zip(states, rngs, passes)
     ]
 
 
-def rn_log_increment(v_values: Array, increments: Array, dt: float) -> float:
+def rn_log_increment(
+    v_values: Array, increments: Array, dt: float
+) -> float | Array:
     """Log change-of-measure contribution -sum <v, dW> - 0.5 sum |v|^2 dt.
 
-    ``v_values`` holds v at the left endpoint of each step, one row per
-    increment; a single (d,) vector is broadcast across all steps.  For a
-    constant v over S steps this is -<v, W> - 0.5 |v|^2 S dt, whose
+    ``increments`` (..., S, d) holds S steps, with any leading axes for
+    several particles.  ``v_values`` holds v at the left endpoint of each
+    step, one row per increment, or one (..., d) vector held over all S
+    steps.  For a constant v this is -<v, W> - 0.5 |v|^2 S dt, whose
     exponential has expectation one under the uncontrolled measure.
+    Returns a float for one particle, else an array over the leading axes;
+    each particle's sums run over its own S * d products, so it rounds
+    the same alone as in a stack.
     """
     increments = np.asarray(increments, dtype=float)
-    v = np.broadcast_to(np.asarray(v_values, dtype=float), increments.shape)
-    return float(-(v * increments).sum() - 0.5 * (v * v).sum() * dt)
+    v = np.asarray(v_values, dtype=float)
+    if v.ndim < increments.ndim:
+        v = v[..., None, :]  # held over the steps
+    v = np.broadcast_to(v, increments.shape)
+    *lead, n_steps, d = increments.shape
+    flat = (*lead, n_steps * d)
+    total = (
+        -(v * increments).reshape(flat).sum(axis=-1)
+        - 0.5 * (v * v).reshape(flat).sum(axis=-1) * dt
+    )
+    return float(total) if total.ndim == 0 else total
 
 
 def nudging_bm_ratio(u: Array, dW: Array, dt: float, dispersion: Array) -> Array:
     """Displacement ratio ||u dt|| / ||sigma dW|| for integrator steps.
 
-    ``dW`` may be a single increment (d,) or a stack (..., d); the ratio is
-    scalar respectively (...,).  A vanishing denominator (a probability-zero
+    ``u`` (..., d) is one control per leading index and ``dW`` its single
+    increment (..., d) or a stack (..., S, d); the ratio has shape (...,)
+    respectively (..., S).  A vanishing denominator (a probability-zero
     event, or zero dispersion) is recorded as nan, i.e. missing.
     """
     u = np.asarray(u, dtype=float)
     dW = np.asarray(dW, dtype=float)
-    numerator = np.linalg.norm(u) * dt
+    numerator = np.sqrt(_squared_norms(u)) * dt
+    if dW.ndim > u.ndim:
+        numerator = numerator[..., None]
     denominator = np.linalg.norm(
         dW @ np.asarray(dispersion, dtype=float).T, axis=-1
     )
@@ -450,11 +515,14 @@ def _nudged_sweep(
     consulted once per subinterval before the control solves, so a guided
     cycle can refresh its target mid-interval.  Each live particle then
     solves for its control with adaptive_control, drawing from its own
-    ``child_sequence(control_seqs[i], j)`` generator; the first passes of
-    all a subinterval's solves propagate together (see _solve_controls).
-    Controls are held constant within a subinterval; the weights repay each
-    applied control through the accumulated change-of-measure factor at the
-    terminal reweight.
+    ``child_sequence(control_seqs[i], j)`` generator; one array pass
+    settles all of a subinterval's solves (see _solve_controls).  The
+    rollback candidates -0.5 |sigma^T grad phi / phi|^2 dt_sub, step ratios
+    and change-of-measure increments of all live particles are arrays too,
+    each particle rounding as it would alone; each solve that did not floor
+    still meets its own rollback_test.  Controls are held constant within a
+    subinterval; the weights repay each applied control through the
+    accumulated change-of-measure factor at the terminal reweight.
     """
     tic = time.perf_counter()
     n = ensemble.n_particles
@@ -474,7 +542,8 @@ def _nudged_sweep(
     states = np.array(ensemble.states)
     step_states = np.empty((n_steps + 1, n, d))
     step_states[0] = states
-    accums = [RnAccumulator() for _ in range(n)]
+    increments = np.stack([p.increments for p in paths])  # (n, S, d)
+    log_rn = np.zeros(n)
     proposed = np.zeros((m_sub, n, d))
     applied = np.zeros((m_sub, n, d))
     rollbacks = np.zeros((m_sub, n), dtype=bool)
@@ -483,7 +552,7 @@ def _nudged_sweep(
     solver_converged = np.zeros((m_sub, n), dtype=bool)
     step_ratio = np.full((n_steps, n), np.nan)
     realization_steps = 0
-    failed: set[int] = set()
+    alive = np.ones(n, dtype=bool)
     control_time = 0.0
 
     for j in range(m_sub):
@@ -494,30 +563,38 @@ def _nudged_sweep(
         sub_controls = np.zeros((n, d))
         sub_v = np.zeros((n, d))
         tic_c = time.perf_counter()
-        live = [i for i in range(n) if i not in failed]
+        live = np.flatnonzero(alive)
         estimates = _solve_controls(
             model, obs_model, t_j, states[live], horizon_end, target_obs,
             config,
             [stream_generator(child_sequence(control_seqs[i], j))
-             for i in live],
+             for i in live.tolist()],
             dt,
         )
-        for i, est in zip(live, estimates):
-            realization_steps += est.realizations_used * horizon_steps
-            proposed[j, i] = est.control
-            batches_used[j, i] = est.realizations_used // config.batch_size
-            solver_converged[j, i] = est.converged
-            floors[j, i] = est.phi_floored
-            if est.phi_floored:
-                rollbacks[j, i] = True  # underflowed value function: do not nudge
-                continue
-            v = model.dispersion.T @ (est.grad_phi / est.phi)
-            candidate = -0.5 * float(v @ v) * dt_sub
-            if rollback_test(candidate, config):
-                rollbacks[j, i] = True
-                continue
-            sub_controls[i] = est.control
-            sub_v[i] = v
+        if estimates:
+            used = np.array([est.realizations_used for est in estimates])
+            realization_steps += int(used.sum()) * horizon_steps
+            proposed[j, live] = [est.control for est in estimates]
+            batches_used[j, live] = used // config.batch_size
+            solver_converged[j, live] = [est.converged for est in estimates]
+            floors[j, live] = [est.phi_floored for est in estimates]
+        rollbacks[j] = floors[j]  # an underflowed value function: no nudge
+        solved = [est for est in estimates if not est.phi_floored]
+        if solved:
+            kept = live[~floors[j, live]]
+            grad_over_phi = (
+                np.array([est.grad_phi for est in solved])
+                / np.array([est.phi for est in solved])[:, None]
+            )
+            v = (model.dispersion.T @ grad_over_phi[:, :, None])[:, :, 0]
+            candidates = -0.5 * _squared_norms(v) * dt_sub
+            rejected = np.array(
+                [rollback_test(c, config) for c in candidates.tolist()]
+            )
+            rollbacks[j, kept[rejected]] = True
+            nudged = kept[~rejected]
+            sub_controls[nudged] = proposed[j, nudged]
+            sub_v[nudged] = v[~rejected]
         applied[j] = sub_controls
         control_time += time.perf_counter() - tic_c
 
@@ -531,26 +608,32 @@ def _nudged_sweep(
         )
         step_states[lo + 1 : hi + 1] = trajs[1:]
         states = trajs[-1]
-        for i in new_failures:
-            failed.add(i)
-        for i in range(n):
-            if i in failed:
-                continue
-            # ratio diagnostics track the proposed control: rolled-back
-            # solves still tell how hard the method wanted to push
-            step_ratio[lo:hi, i] = nudging_bm_ratio(
-                proposed[j, i], sub_paths[i].increments, dt, model.dispersion
-            )
-            if np.any(sub_controls[i]):
-                accums[i].add_subinterval(
-                    sub_v[i], sub_paths[i].increments, dt
-                )
+        alive[new_failures] = False
+        # ratio diagnostics track the proposed control: rolled-back solves
+        # still tell how hard the method wanted to push
+        step_ratio[lo:hi, alive] = nudging_bm_ratio(
+            proposed[j, alive], increments[alive, lo:hi], dt,
+            model.dispersion,
+        ).T
+        pushed = alive & np.any(sub_controls, axis=1)
+        log_rn[pushed] += rn_log_increment(
+            sub_v[pushed], increments[pushed, lo:hi], dt
+        )
 
-    carried = _apply_failures(ensemble.weights, sorted(failed))
+    failed = np.flatnonzero(~alive).tolist()
+    try:
+        carried = _apply_failures(ensemble.weights, failed)
+    except CycleFailure as err:
+        # the run record keeps the control work this cycle did
+        raise CycleFailure(str(err), bookkeeping={
+            "batches_used": batches_used,
+            "phi_floored": floors,
+            "rollbacks": rollbacks,
+            "realization_steps": realization_steps,
+        }) from None
     advected = ParticleEnsemble(states, carried, t_end)
     prior_ness = effective_sample_size(carried)
 
-    log_rn = np.array([acc.log_rn for acc in accums])
     # uniform shift before exponentiation; the reweight normalizes it away
     factors = np.exp(log_rn - log_rn.max())
     terminal_obs = reweight_obs() if callable(reweight_obs) else reweight_obs
@@ -575,7 +658,7 @@ def _nudged_sweep(
         posterior_ness=posterior_ness,
         resampled=resampled,
         collapsed=collapsed,
-        particle_failures=sorted(failed),
+        particle_failures=failed,
         control_proposed=proposed,
         control_applied=applied,
         rollbacks=rollbacks,

@@ -123,7 +123,8 @@ def var_npf_assimilation_cycle(
         moments = empirical_moments(ensemble)
         result = solve(moments.mean, moments.cov, t_start)
         pseudo = build_pseudo_path(
-            model, obs_model, result.x_opt, t_start, t_end, m_sub, dt
+            model, obs_model, result.x_opt, t_start, t_end, m_sub, dt,
+            flow=result.flow,
         )
         targets = pseudo.observations[1:]
 
@@ -144,7 +145,8 @@ def var_npf_assimilation_cycle(
             t_j = t_start + j * dt_sub
             result = solve(moments.mean, moments.cov, t_j)
             segment = build_pseudo_path(
-                model, obs_model, result.x_opt, t_j, t_j + dt_sub, 1, dt
+                model, obs_model, result.x_opt, t_j, t_j + dt_sub, 1, dt,
+                flow=result.flow,
             )
             targets[j] = segment.observations[-1]
             return targets[j], t_j + dt_sub

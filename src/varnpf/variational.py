@@ -26,7 +26,9 @@ endpoint alone, because a many-row product with a general observation
 operator rounds differently from a one-row product.  With a drift that
 acts row by row, as Lorenz-63's does, the iterates are then bit for bit
 those of the one-trial-at-a-time search.  Only an accepted step beyond
-the look-ahead needs a second flow, for its gradient.
+the look-ahead needs a second flow, for its gradient.  The flow keeps
+every step, so the best iterate's trajectory, which the pseudo
+observation path samples, needs no flow of its own.
 """
 
 from __future__ import annotations
@@ -59,16 +61,28 @@ def regularize_covariance(cov: Array, eps: float = 1e-6) -> Array:
     return cov
 
 
+def flow_path(model: SdeModel, x: Array, n_steps: int, dt: float) -> Array:
+    """Drift-only RK4 state at every step, start included.
+
+    Broadcasts over rows: shape (n_steps + 1,) + x.shape.  A row that blows
+    up comes back non-finite, without a warning.
+    """
+    y = np.asarray(x, dtype=float)
+    path = np.empty((n_steps + 1,) + y.shape)
+    path[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n_steps):
+            y = rk4_step(model.drift, y, None, dt)
+            path[s + 1] = y
+    return path
+
+
 def flow_states(model: SdeModel, x: Array, n_steps: int, dt: float) -> Array:
     """Drift-only RK4 endpoint after ``n_steps``; broadcasts over rows.
 
     A row that blows up comes back non-finite, without a warning.
     """
-    y = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            y = rk4_step(model.drift, y, None, dt)
-    return y
+    return flow_path(model, x, n_steps, dt)[-1]
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,12 @@ class VariationalProblem:
         object.__setattr__(
             self, "n_steps", whole_steps(self.t_start, self.t_end, self.dt)
         )
+
+
+def _flow_path(states: Array, problem: VariationalProblem) -> Array:
+    """Drift-only flow (S + 1, B, d) of (B, d) states over the interval;
+    blow-ups stay non-finite."""
+    return flow_path(problem.model, states, problem.n_steps, problem.dt)
 
 
 def _flow_ends(states: Array, problem: VariationalProblem) -> Array:
@@ -193,6 +213,8 @@ class VariationalResult:
     iterations: int
     cost_evals: int
     status: str  # "gradient" | "cost_decrease" | "max_iterations" | "stalled"
+    # drift-only flow of x_opt at every step of the interval, (S + 1, d)
+    flow: Array | None = None
 
 
 # Armijo step lengths 1, 1/2, ..., 2**-39 (the last one >= 1e-12), tried
@@ -219,6 +241,12 @@ def minimize_cost(
     point.  ``cost_evals`` counts the evaluations a one-trial-at-a-time
     line search would make, not the rows flowed ahead of need.
 
+    ``flow`` of the result is the drift-only flow of ``x_opt`` at every
+    step of the interval, taken without another flow: from the start's
+    flow, or from the accepted candidate's row of the line-search flow
+    (also when the step was accepted beyond the look-ahead).  Pass it to
+    build_pseudo_path.
+
     The gradient is a central difference with h = max(1e-6, 1e-8 |x_i|),
     whose rounding noise is near 1e-8 at costs of order 1-10.  A
     ``gradient_tol`` below about 1e-7 is under that noise floor, so such a
@@ -233,7 +261,9 @@ def minimize_cost(
     # the start's cost and gradient share one flow
     points, h = _gradient_points(x)
     rows = np.concatenate([x[None, :], points])
-    ends = _flow_ends(rows, problem)
+    path = _flow_path(rows, problem)
+    flow = path[:, 0]
+    ends = path[-1]
     current = float(_costs_at(rows[:1], ends[:1], problem)[0])
     point_ends = ends[1:]
     g = _central_difference(_costs_at(points, point_ends, problem), h)
@@ -257,7 +287,8 @@ def minimize_cost(
         )
         ahead = [_gradient_points(c) for c in candidates[:GRADIENT_LOOKAHEAD]]
         rows = np.concatenate([candidates] + [p for p, _ in ahead])
-        ends = _flow_ends(rows, problem)
+        path = _flow_path(rows, problem)
+        ends = path[-1]
 
         accepted = -1
         for k in range(n_trials):
@@ -289,6 +320,7 @@ def minimize_cost(
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)
         x, current, g = candidate, trial, new_g
+        flow = path[:, accepted]
         if relative < cost_decrease_tol:
             status = "cost_decrease"
             break
@@ -303,6 +335,7 @@ def minimize_cost(
         iterations=iterations,
         cost_evals=evals,
         status=status,
+        flow=flow.copy(),
     )
 
 
@@ -323,23 +356,28 @@ def build_pseudo_path(
     t_end: float,
     n_segments: int,
     dt: float,
+    flow: Array | None = None,
 ) -> PseudoObservationPath:
     """Sample the drift-only flow of ``x0`` at segment endpoints.
 
     With n_segments = 1 only the two interval endpoints appear.  The
     observations are the operator applied to the sampled states, so with an
     identity operator they coincide with the states themselves.
+
+    ``flow``, when given, is that flow already computed at every step from
+    ``t_start`` on (at least to ``t_end``), such as the ``flow`` of the
+    VariationalResult whose ``x_opt`` is ``x0``; it is sampled instead of
+    flowing ``x0`` again.  With a drift that acts row by row, as
+    Lorenz-63's does, both give the same states bit for bit.
     """
     total = whole_steps(t_start, t_end, dt)
     if total % n_segments:
         raise ValueError("segments must divide the interval evenly")
-    per = total // n_segments
-    x = np.asarray(x0, dtype=float)
-    states = np.empty((n_segments + 1, x.shape[-1]))
-    states[0] = x
-    for seg in range(n_segments):
-        x = flow_states(model, x, per, dt)
-        states[seg + 1] = x
+    if flow is None:
+        flow = flow_path(model, x0, total, dt)
+    elif len(flow) <= total:
+        raise ValueError("flow is shorter than the interval")
+    states = np.array(flow[: total + 1 : total // n_segments])
     times = t_start + (t_end - t_start) * np.arange(n_segments + 1) / n_segments
     return PseudoObservationPath(
         times=times, states=states, observations=obs_model.observe(states)

@@ -84,6 +84,33 @@ class TestMcCommand:
         assert code == 0
         assert "pooled over initial conditions:" in captured.out
 
+    def test_progress_line_per_pair_on_stderr(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed=75)
+        out = tmp_path / "sweep"
+        code = main([
+            "mc", "--config", str(cfg), "--runs", "2", "--ics", "0,1",
+            "--filters", "pf,npf", "--out", str(out),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 4
+        for done, (ic, run) in enumerate(
+            [(0, 0), (0, 1), (1, 0), (1, 1)], 1
+        ):
+            line = lines[done - 1]
+            assert line.startswith(
+                f"mc: pair {done}/4 done (ic {ic}, run {run}), "
+            )
+            assert line.endswith(" s") and " elapsed, eta " in line
+        assert lines[-1].endswith("eta 0.0 s")
+        # stdout keeps only the table and the paths; summary.csv its rows
+        assert "mc: pair" not in captured.out
+        assert captured.out.splitlines()[-1].startswith("wrote ")
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[0] == ",".join(SUMMARY_FIELDS)
+        assert len(summary) == 1 + 4 * 2
+
     def test_all_failed_exits_two(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, seed=74, ensemble_mean=(1e8, 1e8, 1e8)

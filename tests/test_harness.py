@@ -224,6 +224,35 @@ class TestFailureHandling:
             if want is not None:
                 assert got.tobytes() == want.tobytes(), series.name
 
+    @pytest.mark.parametrize("name", ["npf", "var_npf"])
+    def test_failing_cycle_keeps_its_control_work(self, name):
+        # every particle at 1e8 floors its first solve and then fails in
+        # advection; the record and the counters still count those solves
+        cfg = ExperimentConfig(
+            filter_name=name, seed=8, ensemble_mean=(1e8, 1e8, 1e8)
+        )
+        record = run_experiment(cfg)
+        assert record.failed
+        assert record.failure_message.startswith("cycle 0: ")
+        n = cfg.particles
+        batches = min(2, cfg.nudging.max_batches)
+        horizon = cfg.steps_per_interval // (
+            cfg.nudging.subintervals if name == "var_npf" else 1
+        )
+        assert np.all(record.batches_used[0, 0] == batches)
+        assert np.all(record.phi_floored[0, 0])
+        assert np.all(record.rollbacks[0, 0])
+        assert not np.any(record.batches_used[0, 1:])
+        assert record.realization_steps[0] == (
+            n * batches * cfg.nudging.batch_size * horizon
+        )
+        row = run_metrics(record)
+        assert row.control_solves == n
+        assert row.floored_solves == n
+        assert row.threshold_rollbacks == 0
+        assert row.max_batches == batches
+        assert row.realization_steps == record.realization_steps[0]
+
     def test_sweep_keeps_failed_rows_out_of_averages(self):
         cfg = quick_config(seed=19, ensemble_mean=(1e8, 1e8, 1e8))
         summary = run_monte_carlo(

@@ -178,6 +178,26 @@ class TestRecordCsv:
                 present = getattr(record, series.attr) is not None
                 assert (series.name in data) == present, series.name
 
+    def test_failure_message_round_trips(self, tmp_path):
+        failed = run_metrics(run_experiment(small_config(
+            filter_name="npf", seed=76, ensemble_mean=(1e8, 1e8, 1e8)
+        )))
+        assert failed.failed
+        assert failed.failure_message.startswith("cycle 0: ")
+        done = run_metrics(run_experiment(small_config(seed=76)))
+        assert not done.failed and done.failure_message == ""
+        quoted = dataclasses.replace(
+            failed, failure_message='cycle 3: "x, y", it said, "z"'
+        )
+        rows = [failed, done, quoted]
+        path = tmp_path / "summary.csv"
+        write_summary_csv(rows, path)
+        back = read_summary_csv(path)
+        assert [r.failure_message for r in back] == [
+            failed.failure_message, "", 'cycle 3: "x, y", it said, "z"',
+        ]
+        assert all(rows_equal(a, b) for a, b in zip(rows, back))
+
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -365,6 +385,26 @@ class TestSummaryCsv:
                 b.rollback_fraction * cells
             )
 
+    def test_failure_message_round_trips(self, tmp_path):
+        failed = run_metrics(run_experiment(small_config(
+            filter_name="npf", seed=76, ensemble_mean=(1e8, 1e8, 1e8)
+        )))
+        assert failed.failed
+        assert failed.failure_message.startswith("cycle 0: ")
+        done = run_metrics(run_experiment(small_config(seed=76)))
+        assert not done.failed and done.failure_message == ""
+        quoted = dataclasses.replace(
+            failed, failure_message='cycle 3: "x, y", it said, "z"'
+        )
+        rows = [failed, done, quoted]
+        path = tmp_path / "summary.csv"
+        write_summary_csv(rows, path)
+        back = read_summary_csv(path)
+        assert [r.failure_message for r in back] == [
+            failed.failure_message, "", 'cycle 3: "x, y", it said, "z"',
+        ]
+        assert all(rows_equal(a, b) for a, b in zip(rows, back))
+
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")
@@ -399,6 +439,18 @@ class TestMeta:
         assert not loaded["failed"]
         assert ExperimentConfig.from_dict(loaded["config"]) == cfg
         assert loaded["metrics"]["rmse"] == run_metrics(record).rmse
+        assert loaded["metrics"]["failure_message"] == ""
+
+    def test_failed_run_meta_carries_message(self, tmp_path):
+        record = run_experiment(small_config(
+            filter_name="npf", seed=77, ensemble_mean=(1e8, 1e8, 1e8)
+        ))
+        path = tmp_path / "meta.json"
+        write_meta(build_run_meta(record), path)
+        loaded = json.loads(path.read_text())
+        assert loaded["failed"] and loaded["metrics"]["failed"]
+        assert loaded["metrics"]["failure_message"] == record.failure_message
+        assert record.failure_message.startswith("cycle 0: ")
 
     def test_run_meta_sums_variational_counters(self, tmp_path):
         record = run_experiment(small_config(filter_name="var_npf", seed=65))

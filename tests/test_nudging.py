@@ -11,10 +11,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from varnpf import nudging
-from varnpf.bootstrap_pf import pf_assimilation_cycle
+from varnpf import nudging, var_npf
+from varnpf.bootstrap_pf import (
+    _apply_failures,
+    advect_particles,
+    pf_assimilation_cycle,
+)
 from varnpf.diagnostics import CycleDiagnostics
-from varnpf.ensemble import ObservationModel, ParticleEnsemble
+from varnpf.ensemble import (
+    ObservationModel,
+    ParticleEnsemble,
+    bayes_reweight,
+    effective_sample_size,
+    systematic_resample,
+)
 from varnpf.nudging import (
     PHI_FLOOR,
     ControlEstimate,
@@ -31,13 +41,14 @@ from varnpf.nudging import (
     rollback_test,
 )
 from varnpf.sde import (
+    BrownianPath,
     SdeModel,
     lorenz63,
     rk4_step,
     sample_brownian_path,
     whole_steps,
 )
-from varnpf.seeding import stream_generator, stream_sequence
+from varnpf.seeding import child_sequence, stream_generator, stream_sequence
 from varnpf.var_npf import VarNpfSettings, var_npf_assimilation_cycle
 
 
@@ -318,6 +329,25 @@ def _propagate_oracle(model, x, increments, dt):
     return states, fund
 
 
+def _combine_terms_oracle(g, term, diffusion):
+    """One solve's (phi, grad_phi, control, floored), written for 1-d g."""
+    ok = np.isfinite(g) & np.all(np.isfinite(term), axis=1)
+    d = term.shape[1]
+    if not ok.any():
+        return PHI_FLOOR, np.zeros(d), np.zeros(d), True
+    g_min = g[ok].min()
+    s = np.where(ok, np.exp(-(np.where(ok, g, 0.0) - g_min)), 0.0)
+    a = s.mean()
+    b = (s[:, None] * np.where(ok[:, None], term, 0.0)).mean(axis=0)
+    scale = np.exp(-g_min)
+    phi = scale * a
+    grad = -scale * b
+    control = diffusion @ (-(b / a))
+    if phi == 0.0:
+        return PHI_FLOOR, grad, np.zeros(d), True
+    return float(phi), grad, control, False
+
+
 def _adaptive_control_oracle(
     model, obs_model, t, x, horizon_end, target_obs, config, rng, dt
 ):
@@ -348,7 +378,7 @@ def _adaptive_control_oracle(
         g_all = np.concatenate([g_all, g_new])
         term_all = np.concatenate([term_all, term_new])
         batches += 1
-        phi, grad, control, floored = _combine_terms(
+        phi, grad, control, floored = _combine_terms_oracle(
             g_all, term_all, model.diffusion
         )
         normalized = control / denom
@@ -676,6 +706,124 @@ def _assert_same_cycle(got, want):
             assert repr(a) == repr(b), f.name
 
 
+def _nudged_sweep_oracle(
+    ensemble, model, obs_model, target_fn, reweight_obs, t_start, t_end,
+    config, paths, control_seqs, resample_rng, resample=True,
+    resample_threshold=0.5,
+):
+    """The subinterval loop one particle at a time: each solve, its
+    rollback test, its step ratios and its change-of-measure increment on
+    their own, with the norms and sums written for one vector."""
+    n, d = ensemble.states.shape
+    dt = paths[0].dt
+    n_steps = paths[0].n_steps
+    m_sub = config.subintervals
+    sub_steps = n_steps // m_sub
+    dt_sub = sub_steps * dt
+    states = np.array(ensemble.states)
+    step_states = np.empty((n_steps + 1, n, d))
+    step_states[0] = states
+    log_rn = [0.0] * n
+    proposed = np.zeros((m_sub, n, d))
+    applied = np.zeros((m_sub, n, d))
+    rollbacks = np.zeros((m_sub, n), dtype=bool)
+    floors = np.zeros((m_sub, n), dtype=bool)
+    batches_used = np.zeros((m_sub, n), dtype=int)
+    solver_converged = np.zeros((m_sub, n), dtype=bool)
+    step_ratio = np.full((n_steps, n), np.nan)
+    realization_steps = 0
+    failed = set()
+    sigma_t = model.dispersion.T
+    for j in range(m_sub):
+        t_j = t_start + j * dt_sub
+        target_obs, horizon_end = target_fn(j, states, ensemble.weights)
+        horizon_steps = whole_steps(t_j, horizon_end, dt)
+        sub_controls = np.zeros((n, d))
+        sub_v = np.zeros((n, d))
+        live = [i for i in range(n) if i not in failed]
+        for i in live:
+            rng = stream_generator(child_sequence(control_seqs[i], j))
+            est = _adaptive_control_oracle(
+                model, obs_model, t_j, states[i], horizon_end, target_obs,
+                config, rng, dt,
+            )
+            realization_steps += est.realizations_used * horizon_steps
+            proposed[j, i] = est.control
+            batches_used[j, i] = est.realizations_used // config.batch_size
+            solver_converged[j, i] = est.converged
+            floors[j, i] = est.phi_floored
+            if est.phi_floored:
+                rollbacks[j, i] = True
+                continue
+            v = sigma_t @ (est.grad_phi / est.phi)
+            if rollback_test(-0.5 * float(v @ v) * dt_sub, config):
+                rollbacks[j, i] = True
+                continue
+            sub_controls[i] = est.control
+            sub_v[i] = v
+        applied[j] = sub_controls
+        lo, hi = j * sub_steps, (j + 1) * sub_steps
+        sub_paths = [
+            BrownianPath(dt, p.increments[lo:hi], p.stream_id) for p in paths
+        ]
+        trajs, new_failures = advect_particles(
+            model, states, sub_controls, sub_paths, t_j
+        )
+        step_states[lo + 1 : hi + 1] = trajs[1:]
+        states = trajs[-1]
+        failed.update(new_failures)
+        for i in range(n):
+            if i in failed:
+                continue
+            dw = sub_paths[i].increments
+            numerator = np.linalg.norm(proposed[j, i]) * dt
+            denominator = np.linalg.norm(dw @ sigma_t, axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step_ratio[lo:hi, i] = np.where(
+                    denominator > 0.0, numerator / denominator, np.nan
+                )
+            if np.any(sub_controls[i]):
+                v = np.broadcast_to(sub_v[i], dw.shape)
+                log_rn[i] += float(
+                    -(v * dw).sum() - 0.5 * (v * v).sum() * dt
+                )
+    carried = _apply_failures(ensemble.weights, sorted(failed))
+    advected = ParticleEnsemble(states, carried, t_end)
+    log_rn = np.array(log_rn)
+    factors = np.exp(log_rn - log_rn.max())
+    terminal_obs = reweight_obs() if callable(reweight_obs) else reweight_obs
+    posterior, collapsed = bayes_reweight(
+        advected, terminal_obs, obs_model, factors
+    )
+    posterior_ness = effective_sample_size(posterior.weights)
+    resampled = False
+    if resample and posterior_ness < resample_threshold * n:
+        posterior = systematic_resample(posterior, resample_rng.random())
+        resampled = True
+    return posterior, CycleDiagnostics(
+        t_start=t_start,
+        t_end=t_end,
+        step_times=t_start + dt * np.arange(n_steps + 1),
+        step_states=step_states,
+        carried_weights=carried,
+        posterior=posterior,
+        prior_ness=effective_sample_size(carried),
+        posterior_ness=posterior_ness,
+        resampled=resampled,
+        collapsed=collapsed,
+        particle_failures=sorted(failed),
+        control_proposed=proposed,
+        control_applied=applied,
+        rollbacks=rollbacks,
+        phi_floored=floors,
+        batches_used=batches_used,
+        solver_converged=solver_converged,
+        log_rn=log_rn,
+        step_ratio=step_ratio,
+        realization_steps=realization_steps,
+    )
+
+
 class TestCycleOracle:
     """Both nudged cycles equal the one-particle-at-a-time subinterval loop.
 
@@ -714,23 +862,131 @@ class TestCycleOracle:
         self, monkeypatch, filter_name, batch_size, max_batches, operator
     ):
         # the short horizons ask for strong controls; a low threshold keeps
-        # most of them, so the change-of-measure weights are exercised too
+        # most of them, so the change-of-measure weights are exercised too;
+        # at -10 the cases range from none to every solve rolled back
+        for threshold in (-30.0, -10.0):
+            config = NudgingConfig(
+                batch_size=batch_size, max_batches=max_batches,
+                tolerance=0.03, rollback_log_threshold=threshold,
+            )
+            got = self._cycle(filter_name, config, operator)
+            with monkeypatch.context() as patched:
+                patched.setattr(nudging, "_nudged_sweep", _nudged_sweep_oracle)
+                patched.setattr(var_npf, "_nudged_sweep", _nudged_sweep_oracle)
+                want = self._cycle(filter_name, config, operator)
+            _assert_same_cycle(got, want)
+            diag = got[1]
+            assert diag.particle_failures == [4]
+            assert diag.phi_floored[0, 4]
+            assert not np.any(diag.batches_used[1:, 4])
+            live = [0, 1, 2, 3, 5]
+            assert np.all(diag.batches_used[:, live])
+            assert not np.any(diag.phi_floored[:, live])
+            if threshold == -30.0:
+                assert np.any(diag.control_applied)
+
+
+class TestCallsPerSolve:
+    """Each live solve returns through one adaptive_control call, and each
+    one that did not floor through one scalar rollback_test call."""
+
+    def test_one_control_and_one_rollback_call_per_solve(self, monkeypatch):
+        controls, rollback_calls = [], []
+        original_control = nudging.adaptive_control
+        original_rollback = nudging.rollback_test
+
+        def counted_control(*args, **kwargs):
+            assert kwargs["first_pass"] is not None
+            est = original_control(*args, **kwargs)
+            controls.append(est)
+            return est
+
+        def counted_rollback(candidate, config):
+            assert isinstance(candidate, float)
+            rolled_back = original_rollback(candidate, config)
+            rollback_calls.append(rolled_back)
+            return rolled_back
+
+        monkeypatch.setattr(nudging, "adaptive_control", counted_control)
+        monkeypatch.setattr(nudging, "rollback_test", counted_rollback)
         config = NudgingConfig(
-            batch_size=batch_size, max_batches=max_batches, tolerance=0.03,
-            rollback_log_threshold=-30.0,
+            batch_size=2, tolerance=0.03, rollback_log_threshold=-5.0
         )
-        got = self._cycle(filter_name, config, operator)
-        monkeypatch.setattr(nudging, "_solve_controls", _solve_controls_oracle)
-        want = self._cycle(filter_name, config, operator)
-        _assert_same_cycle(got, want)
-        diag = got[1]
-        assert diag.particle_failures == [4]
-        assert diag.phi_floored[0, 4]
-        assert not np.any(diag.batches_used[1:, 4])
-        live = [0, 1, 2, 3, 5]
-        assert np.all(diag.batches_used[:, live])
-        assert not np.any(diag.phi_floored[:, live])
-        assert np.any(diag.control_applied)
+        for filter_name in ("npf", "var_npf"):
+            controls.clear()
+            rollback_calls.clear()
+            _, diag = TestCycleOracle._cycle(filter_name, config, "identity")
+            solves = np.count_nonzero(diag.batches_used)
+            assert len(controls) == solves == 5 * 5 + 1
+            assert sum(est.phi_floored for est in controls) == 1
+            assert len(rollback_calls) == solves - 1
+            assert sum(rollback_calls) == np.sum(
+                diag.rollbacks & ~diag.phi_floored
+            )
+            if filter_name == "npf":  # some rejected, some kept
+                assert 0 < sum(rollback_calls) < len(rollback_calls)
+
+
+class TestStackedHelpers:
+    """The helpers the sweep applies to all particles at once round each
+    particle as they do for it alone."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 6, 9, 20, 41])
+    def test_combine_matches_one_solve_routine(self, rows):
+        rng = np.random.default_rng(rows)
+        diffusion = lorenz63().diffusion
+        g = rng.exponential(scale=5.0, size=(40, rows)) - 1.0
+        term = rng.normal(scale=3.0, size=(40, rows, 3))
+        g[1, 0] = np.inf  # one realization blown up
+        term[2, -1, 1] = np.nan
+        g[3] = np.nan  # every realization blown up
+        g[4] += 800.0  # phi underflows
+        g[5, :] = 800.0
+        g[5, -1] = 700.0  # underflow in all but one realization
+        phi, grad, control, floored = _combine_terms(g, term, diffusion)
+        for i in range(40):
+            want = _combine_terms_oracle(g[i], term[i], diffusion)
+            assert phi[i].tobytes() == np.float64(want[0]).tobytes()
+            assert grad[i].tobytes() == want[1].tobytes()
+            assert control[i].tobytes() == want[2].tobytes()
+            assert floored[i] == want[3]
+        assert floored[3] and floored[4] and not floored[0]
+
+    def test_rn_increments_match_per_particle(self):
+        rng = np.random.default_rng(5)
+        dt = 0.01
+        for steps in (1, 3, 10, 50):
+            v = rng.normal(size=(7, 3))
+            inc = rng.normal(0.0, 0.1, size=(7, steps, 3))
+            got = rn_log_increment(v, inc, dt)
+            assert got.shape == (7,)
+            for i in range(7):
+                want = rn_log_increment(v[i], inc[i], dt)
+                assert isinstance(want, float)
+                assert got[i] == want
+            schedule = rng.normal(size=(7, steps, 3))
+            got = rn_log_increment(schedule, inc, dt)
+            for i in range(7):
+                assert got[i] == rn_log_increment(schedule[i], inc[i], dt)
+
+    def test_bm_ratios_match_per_particle(self):
+        rng = np.random.default_rng(6)
+        disp = lorenz63().dispersion
+        u = rng.normal(scale=20.0, size=(9, 3))
+        u[2] = 0.0
+        dw = rng.normal(0.0, 0.1, size=(9, 10, 3))
+        dw[4, 3] = 0.0
+        got = nudging_bm_ratio(u, dw, 0.01, disp)
+        assert got.shape == (9, 10)
+        for i in range(9):
+            numerator = np.linalg.norm(u[i]) * 0.01
+            denominator = np.linalg.norm(dw[i] @ disp.T, axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.where(
+                    denominator > 0.0, numerator / denominator, np.nan
+                )
+            assert got[i].tobytes() == want.tobytes()
+        assert np.isnan(got[4, 3]) and not np.any(got[2])
 
 
 class TestGirsanov:

@@ -1,6 +1,7 @@
 """Variationally guided cycle: reductions, flags, recorded guidance."""
 
 import numpy as np
+import pytest
 
 from varnpf import var_npf
 from varnpf.ensemble import ObservationModel, ParticleEnsemble, empirical_moments
@@ -167,6 +168,56 @@ class TestAblationFlags:
         # one solve per subinterval costs more optimizer work
         assert refreshed.variational_iterations > once.variational_iterations
         assert np.isclose(refreshed.posterior.weights.sum(), 1.0)
+
+    @pytest.mark.parametrize("resolve", [False, True])
+    def test_pseudo_path_sampled_from_the_solve_flow(
+        self, monkeypatch, resolve
+    ):
+        # each pseudo path comes from its solve's own flow, bitwise equal
+        # to flowing x_opt afresh
+        results, paths_built = [], []
+
+        def recording_minimize(*args, **kwargs):
+            results.append(minimize_cost(*args, **kwargs))
+            return results[-1]
+
+        def checked_build(model, obs_model, x0, t0, t1, segments, dt, flow):
+            assert flow is results[-1].flow
+            assert np.array_equal(x0, results[-1].x_opt)
+            path = build_pseudo_path(
+                model, obs_model, x0, t0, t1, segments, dt, flow=flow
+            )
+            fresh = build_pseudo_path(
+                model, obs_model, x0, t0, t1, segments, dt
+            )
+            assert path.states.tobytes() == fresh.states.tobytes()
+            assert path.observations.tobytes() == fresh.observations.tobytes()
+            assert np.array_equal(path.times, fresh.times)
+            paths_built.append(path)
+            return path
+
+        monkeypatch.setattr(var_npf, "minimize_cost", recording_minimize)
+        monkeypatch.setattr(var_npf, "build_pseudo_path", checked_build)
+        model, obs_model, ens, paths, y = setup_cycle()
+        config = NudgingConfig()
+        _, diag = var_npf_assimilation_cycle(
+            ens, model, obs_model, y, 0.0, 0.5, config,
+            VarNpfSettings(resolve_per_subinterval=resolve), paths,
+            control_seqs(104, 2, ens.n_particles),
+            np.random.default_rng(105),
+        )
+        assert len(paths_built) == len(results) == (
+            config.subintervals if resolve else 1
+        )
+        if resolve:
+            # a solve from t_j flows to t_end; its segment takes one
+            # subinterval of that flow
+            assert all(len(r.flow) == 51 - 10 * j
+                       for j, r in enumerate(results))
+            targets = [p.observations[-1] for p in paths_built]
+        else:
+            targets = paths_built[0].observations[1:]
+        assert np.array_equal(diag.pseudo_targets, targets)
 
     def test_cycle_sums_optimizer_work_over_its_solves(self, monkeypatch):
         results = []

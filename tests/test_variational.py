@@ -22,6 +22,7 @@ from varnpf.variational import (
     _gauss_newton_direction,
     _projected_gradient,
     build_pseudo_path,
+    flow_path,
     flow_states,
     minimize_cost,
     regularize_covariance,
@@ -389,6 +390,12 @@ class TestBatchedLineSearch:
             assert got.cost_evals == want.cost_evals
             assert got.status == want.status
             assert repr(got.gradient_norm) == repr(want.gradient_norm)
+            # the best iterate's flow, taken from the start's flow or the
+            # accepted row of a line-search flow, is x_opt's own
+            fresh = flow_path(
+                problem.model, want.x_opt, problem.n_steps, problem.dt
+            )
+            assert got.flow.tobytes() == fresh.tobytes()
             seen["deep"] += any(k >= GRADIENT_LOOKAHEAD for k in depths)
             seen["stalled"] += got.status == "stalled"
             seen["pinned"] += bool(np.any(
@@ -396,6 +403,49 @@ class TestBatchedLineSearch:
             ))
         # the seeded set covers each path through the scan
         assert all(seen.values()), seen
+
+
+class TestSolveFlow:
+    def test_start_iterate_keeps_the_start_flow(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            problem = random_l63_problem(rng)
+            res = minimize_cost(problem, gradient_tol=np.inf)
+            assert res.status == "gradient" and res.iterations == 1
+            start = np.clip(problem.prior_mean, problem.lower, problem.upper)
+            assert np.array_equal(res.x_opt, start)
+            fresh = flow_path(
+                problem.model, start, problem.n_steps, problem.dt
+            )
+            assert res.flow.shape == (problem.n_steps + 1, 3)
+            assert res.flow.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("segments", [1, 2, 5])
+    def test_pseudo_path_samples_the_given_flow(self, segments):
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            problem = random_l63_problem(rng)
+            res = minimize_cost(problem)
+            total = problem.n_steps
+            args = (problem.model, problem.obs_model, res.x_opt,
+                    problem.t_start, problem.t_end, segments, problem.dt)
+            sampled = build_pseudo_path(*args, flow=res.flow)
+            fresh = build_pseudo_path(*args)
+            assert sampled.states.tobytes() == fresh.states.tobytes()
+            assert sampled.observations.tobytes() == (
+                fresh.observations.tobytes()
+            )
+            assert np.array_equal(
+                sampled.states, res.flow[:: total // segments]
+            )
+
+    def test_pseudo_path_rejects_a_short_flow(self):
+        model = lorenz63()
+        obs = ObservationModel(operator=np.eye(3), noise_cov=np.eye(3))
+        x0 = np.array([1.0, 1.0, 20.0])
+        flow = flow_path(model, x0, 49, 0.01)
+        with pytest.raises(ValueError):
+            build_pseudo_path(model, obs, x0, 0.0, 0.5, 5, 0.01, flow=flow)
 
 
 class TestRegularization:
