@@ -25,32 +25,32 @@ def advect_particles(
     model: SdeModel,
     states: Array,
     controls: Array,
-    paths: list[BrownianPath],
-    t_start: float,
+    increments: Array,
+    dt: float,
 ) -> tuple[Array, list[int]]:
-    """Propagate each particle along its own Brownian path.
+    """Propagate each particle along its own Wiener increments.
 
-    controls: (n, d), one constant control per particle.  All particles
-    advance together, one RK4 step over the (n, d) state array per time
-    step; every row gets exactly the bits a one-particle ``integrate_path``
+    controls: (n, d), one constant control per particle; increments:
+    (n, S, d), particle i's S steps in row i.  All particles advance
+    together, one RK4 step over the (n, d) state array per time step;
+    every row gets exactly the bits a one-particle ``integrate_path``
     would give it.  A particle whose trajectory leaves float64 is frozen at
     its start state and reported in the failure list; the caller zeroes its
     weight.  Returns trajectories of shape (S + 1, n, d).
     """
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
-    dt = paths[0].dt
-    dW = np.stack([p.increments for p in paths], axis=1)  # (S, n, d)
     # stacked row-by-row products: a plain (n, d) @ (d, d) product rounds
     # differently from the one-vector product of integrate_step
-    noise = (dW[..., None, :] @ model.dispersion.T)[..., 0, :]
-    out = np.empty((dW.shape[0] + 1,) + states.shape)
+    noise = (increments[..., None, :] @ model.dispersion.T)[..., 0, :]
+    n_steps = noise.shape[1]
+    out = np.empty((n_steps + 1,) + states.shape)
     out[0] = states
     failed = np.zeros(states.shape[0], dtype=bool)
     x = states
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(dW.shape[0]):
-            x = rk4_step(model.drift, x, controls, dt) + noise[s]
+        for s in range(n_steps):
+            x = rk4_step(model.drift, x, controls, dt) + noise[:, s]
             lost = ~np.all(np.isfinite(x), axis=1)
             if np.any(lost):
                 failed |= lost
@@ -102,7 +102,8 @@ def pf_assimilation_cycle(
 
     zero_controls = np.zeros_like(ensemble.states)
     trajs, failures = advect_particles(
-        model, ensemble.states, zero_controls, paths, t_start
+        model, ensemble.states, zero_controls,
+        np.stack([p.increments for p in paths]), dt,
     )
     carried = _apply_failures(ensemble.weights, failures)
     advected = ParticleEnsemble(trajs[-1], carried, t_end)

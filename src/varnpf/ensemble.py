@@ -54,6 +54,22 @@ class EnsembleMoments:
     cov: Array
 
 
+def quadratic_form(r: Array, matrix: Array) -> Array:
+    """<r, M r> for each vector along the last axis of ``r``, M = matrix.
+
+    One running sum over (i outer, j inner) of r_i M_ij r_j, so each row
+    rounds as it would alone, however many rows are stacked; a three-operand
+    einsum does not for every size.  Like an einsum, it stays silent when a
+    row overflows.
+    """
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(r.shape[-1]):
+            for j in range(r.shape[-1]):
+                total = total + r[..., i] * matrix[i, j] * r[..., j]
+    return total
+
+
 @dataclass(frozen=True)
 class ObservationModel:
     """Linear observation y = H x + noise, noise ~ N(0, noise_cov)."""
@@ -84,25 +100,34 @@ class ObservationModel:
         object.__setattr__(self, "_noise_prec", prec)
 
     def observe(self, state: Array) -> Array:
-        """Apply the observation operator; broadcasts over leading axes."""
-        return np.asarray(state, dtype=float) @ self.operator.T
+        """Apply the observation operator; broadcasts over leading axes.
+
+        A stacked one-vector product per state, so each row rounds as it
+        would alone, however many rows are stacked.
+        """
+        state = np.asarray(state, dtype=float)
+        return (state[..., None, :] @ self.operator.T)[..., 0, :]
 
     def log_likelihood(self, state: Array, observation: Array) -> Array:
         """log p(observation | state) up to an additive constant.
 
-        Maximized over observations exactly at observation = H state.
+        Maximized over observations exactly at observation = H state.  Each
+        row rounds as it would alone, however many rows are stacked (see
+        quadratic_form).
         """
         r = np.asarray(observation, dtype=float) - self.observe(state)
-        return -0.5 * np.einsum("...i,ij,...j->...", r, self._noise_prec, r)
+        return -0.5 * quadratic_form(r, self._noise_prec)
 
     def neg_log_likelihood(self, state: Array, observation: Array) -> Array:
         """Quadratic misfit 0.5 <r, C^-1 r>; nonnegative, zero at r = 0."""
         return -self.log_likelihood(state, observation)
 
     def nll_gradient(self, state: Array, observation: Array) -> Array:
-        """Gradient of neg_log_likelihood with respect to the state."""
+        """Gradient of neg_log_likelihood with respect to the state; a
+        stacked one-vector product per row, like observe."""
         r = np.asarray(observation, dtype=float) - self.observe(state)
-        return -(r @ self._noise_prec) @ self.operator
+        r = r[..., None, :]
+        return -((r @ self._noise_prec) @ self.operator)[..., 0, :]
 
 
 def effective_sample_size(weights: Array) -> float:

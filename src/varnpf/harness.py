@@ -699,14 +699,60 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
     )
 
 
+def _crashed_metrics(
+    config: ExperimentConfig, truth: TruthData, err: Exception, elapsed: float
+) -> RunMetrics:
+    """The failed row of a run that raised ``err`` after ``elapsed`` s."""
+    nan = float("nan")
+    return RunMetrics(
+        filter_name=config.filter_name,
+        ic_index=config.ic_index,
+        run_index=config.run_index,
+        seed=config.seed,
+        rmse=nan,
+        avg_ness=nan,
+        bm_ratio=nan,
+        runtime_total=elapsed,
+        runtime_control=0.0,
+        runtime_variational=0.0,
+        realization_steps=0,
+        variational_iterations=0,
+        variational_cost_evals=0,
+        rollback_fraction=0.0,
+        control_solves=0,
+        floored_solves=0,
+        threshold_rollbacks=0,
+        max_batches=0,
+        resampled_cycles=0,
+        collapsed_cycles=0,
+        variational_share=0.0,
+        failed=True,
+        failure_message=f"{type(err).__name__}: {err}",
+        truth_digest=truth.digest,
+    )
+
+
 def _run_pair(configs: tuple) -> list[RunMetrics]:
     """Sweep worker: one truth, then every filter of one (ic, run) pair.
 
     The configs differ only in the filter, so the first one keys the truth
-    for all of them.  Must stay picklable at module level.
+    for all of them.  A filter that raises anything run_experiment does
+    not record itself (that is, other than CycleFailure or
+    IntegrationError) gets a failed row with the message "TypeName:
+    message", and the other filters still run.  Must stay picklable at
+    module level.
     """
     truth = generate_truth_and_observations(configs[0])
-    return [run_metrics(run_experiment(cfg, truth=truth)) for cfg in configs]
+    rows = []
+    for cfg in configs:
+        tic = time.perf_counter()
+        try:
+            rows.append(run_metrics(run_experiment(cfg, truth=truth)))
+        except Exception as err:
+            rows.append(_crashed_metrics(
+                cfg, truth, err, time.perf_counter() - tic
+            ))
+    return rows
 
 
 @dataclass

@@ -151,22 +151,19 @@ def _misfit_terms(
 ) -> tuple[Array, Array]:
     """Per-realization (g, Psi grad g) pairs for the estimator.
 
-    x and increments (k, b, S, d) as for _propagate_with_sensitivity.
-    The observation products are formed batch by batch: the three-operand
-    einsum of the log-likelihood rounds differently once batches are
-    stacked, so this loop runs once per pass rather than once per step.
-    Returns g (k * b,) and terms (k * b, d), batch after batch.
+    x and increments (k, b, S, d) as for _propagate_with_sensitivity.  The
+    observation model's products round row by row, so one call covers all
+    k * b endpoints.  Returns g (k * b,) and terms (k * b, d), batch after
+    batch.
     """
     ends, fund = _propagate_with_sensitivity(model, x, increments, dt)
-    g = []
-    term = []
-    for ends_i, fund_i in zip(ends, fund):
-        g.append(np.atleast_1d(np.asarray(
-            obs_model.neg_log_likelihood(ends_i, target_obs), dtype=float
-        )))
-        gg = obs_model.nll_gradient(ends_i, target_obs)
-        term.append(np.einsum("nij,nj->ni", fund_i, gg))
-    return np.concatenate(g), np.concatenate(term)
+    d = ends.shape[-1]
+    ends = ends.reshape(-1, d)
+    # blown-up endpoints are dropped by _combine_terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = obs_model.neg_log_likelihood(ends, target_obs)
+        gg = obs_model.nll_gradient(ends, target_obs)
+        return g, np.einsum("nij,nj->ni", fund.reshape(-1, d, d), gg)
 
 
 def _combine_terms(
@@ -600,11 +597,8 @@ def _nudged_sweep(
 
         lo = j * sub_steps
         hi = (j + 1) * sub_steps
-        sub_paths = [
-            BrownianPath(dt, p.increments[lo:hi], p.stream_id) for p in paths
-        ]
         trajs, new_failures = advect_particles(
-            model, states, sub_controls, sub_paths, t_j
+            model, states, sub_controls, increments[:, lo:hi], dt
         )
         step_states[lo + 1 : hi + 1] = trajs[1:]
         states = trajs[-1]

@@ -10,25 +10,34 @@ with F the deterministic flow over the observation interval.  The minimizer
 seeds the pseudo observation path that guides the nudged filter.
 
 The solver is a box-constrained Gauss-Newton descent, the outer loop of
-incremental 4D-Var.  Each step solves (P + J^T H^T C^-1 H J) p = -g, with P
+incremental 4D-Var, that turns to Newton steps where Gauss-Newton crawls.
+Each Gauss-Newton step solves N p = -g, with N = P + J^T H^T C^-1 H J, P
 the regularized prior precision, H and C from the observation model and g
 the central-difference gradient.  Column i of the flow Jacobian J is
-(F(x + h_i e_i) - F(x - h_i e_i)) / 2 h_i, from the endpoints the gradient's
-own difference points already flowed.  The step is projected onto a box
-around the prior mean and shortened by Armijo backtracking.
+(F(x + h_i e_i) - F(x - h_i e_i)) / 2 h_i, from the endpoints the
+gradient's own difference points already flowed.  Gauss-Newton drops the
+misfit's second-order term, so with large residuals it converges only
+linearly; once an accepted step lowers the cost by less than NEWTON_SWITCH
+relative to it, each step solves (N + sum_k w_k Hess F_k) p = -g instead,
+with w = -H^T C^-1 (y - H F(x)) and the flow's Hessians from second
+differences of an 18-point stencil (for d = 3) that rides in the same
+flows.  The step is projected onto a box around the prior mean and
+shortened by Armijo backtracking; when the full step stays in the box and
+its predicted decrease is below the tolerance, the solve stops before
+flowing it.
 
-The flow costs about as much for one row as for fifty, so each iteration
+The flow costs about as much for one row as for ninety, so each iteration
 makes a single batched flow: the clipped candidate at every backtracking
-step length, plus the difference points of the leading candidates'
-gradients.  The step lengths are then scanned in order, as a sequential
-search would try them.  Each candidate's misfit is formed from its own
-endpoint alone, because a many-row product with a general observation
-operator rounds differently from a one-row product.  With a drift that
+step length, plus the difference points and stencils of the leading
+candidates.  The step lengths are then scanned in order, as a sequential
+search would try them.  The observation model's products round row by
+row, so all candidates' misfits come from one call; with a drift that
 acts row by row, as Lorenz-63's does, the iterates are then bit for bit
 those of the one-trial-at-a-time search.  Only an accepted step beyond
-the look-ahead needs a second flow, for its gradient.  The flow keeps
-every step, so the best iterate's trajectory, which the pseudo
-observation path samples, needs no flow of its own.
+the look-ahead needs a second flow, for its difference points.  The flow
+keeps every step of the candidates (not of the difference points), so the
+best iterate's trajectory, which the pseudo observation path samples,
+needs no flow of its own.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import ObservationModel
+from .ensemble import ObservationModel, quadratic_form
 from .sde import SdeModel, rk4_step, whole_steps
 
 Array = np.ndarray
@@ -61,19 +70,38 @@ def regularize_covariance(cov: Array, eps: float = 1e-6) -> Array:
     return cov
 
 
+def _flow(
+    model: SdeModel, x: Array, n_steps: int, dt: float,
+    path: Array | None = None,
+) -> Array:
+    """Drift-only RK4 endpoints of ``x`` after ``n_steps``; broadcasts
+    over rows.
+
+    ``path``, when given, is filled with the first len(path[0]) rows of x
+    at every step, start included (all of x for a path of shape
+    (n_steps + 1,) + x.shape); the other rows flow through unrecorded.  A
+    row that blows up comes back non-finite, without a warning.
+    """
+    y = np.asarray(x, dtype=float)
+    if path is None:
+        path = np.empty((n_steps + 1, 0) + y.shape[1:])
+    kept = len(path[0])
+    path[0] = y[:kept]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n_steps):
+            y = rk4_step(model.drift, y, None, dt)
+            path[s + 1] = y[:kept]
+    return y
+
+
 def flow_path(model: SdeModel, x: Array, n_steps: int, dt: float) -> Array:
     """Drift-only RK4 state at every step, start included.
 
     Broadcasts over rows: shape (n_steps + 1,) + x.shape.  A row that blows
     up comes back non-finite, without a warning.
     """
-    y = np.asarray(x, dtype=float)
-    path = np.empty((n_steps + 1,) + y.shape)
-    path[0] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(n_steps):
-            y = rk4_step(model.drift, y, None, dt)
-            path[s + 1] = y
+    path = np.empty((n_steps + 1,) + np.shape(x))
+    _flow(model, x, n_steps, dt, path)
     return path
 
 
@@ -82,7 +110,7 @@ def flow_states(model: SdeModel, x: Array, n_steps: int, dt: float) -> Array:
 
     A row that blows up comes back non-finite, without a warning.
     """
-    return flow_path(model, x, n_steps, dt)[-1]
+    return _flow(model, x, n_steps, dt)
 
 
 @dataclass(frozen=True)
@@ -121,21 +149,19 @@ class VariationalProblem:
         )
 
 
-def _flow_path(states: Array, problem: VariationalProblem) -> Array:
-    """Drift-only flow (S + 1, B, d) of (B, d) states over the interval;
-    blow-ups stay non-finite."""
-    return flow_path(problem.model, states, problem.n_steps, problem.dt)
-
-
-def _flow_ends(states: Array, problem: VariationalProblem) -> Array:
-    """Drift-only flow endpoints of (B, d) states; blow-ups stay non-finite."""
-    return flow_states(problem.model, states, problem.n_steps, problem.dt)
+def _flow_rows(
+    states: Array, problem: VariationalProblem, path: Array | None = None
+) -> Array:
+    """Endpoints of the drift-only flow of (B, d) states over the interval,
+    recording the first rows in ``path`` as _flow does; blow-ups stay
+    non-finite."""
+    return _flow(problem.model, states, problem.n_steps, problem.dt, path)
 
 
 def _costs_at(states: Array, ends: Array, problem: VariationalProblem) -> Array:
     """Cost of (B, d) states whose flow endpoints are ``ends``, shape (B,)."""
     dx = states - problem.prior_mean
-    prior_term = 0.5 * np.einsum("bi,ij,bj->b", dx, problem._prior_prec, dx)
+    prior_term = 0.5 * quadratic_form(dx, problem._prior_prec)
     with np.errstate(over="ignore", invalid="ignore"):
         misfit = np.asarray(
             problem.obs_model.neg_log_likelihood(ends, problem.observation)
@@ -147,7 +173,7 @@ def _costs_at(states: Array, ends: Array, problem: VariationalProblem) -> Array:
 def _cost_batch(states: Array, problem: VariationalProblem) -> Array:
     """Cost at a batch of candidate initial states, shape (B,)."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    return _costs_at(states, _flow_ends(states, problem), problem)
+    return _costs_at(states, _flow_rows(states, problem), problem)
 
 
 def variational_cost(x: Array, problem: VariationalProblem) -> float:
@@ -182,27 +208,90 @@ def _projected_gradient(x: Array, g: Array, lower: Array, upper: Array) -> Array
     return pg
 
 
-def _gauss_newton_direction(
-    g: Array, ends: Array, h: Array, problem: VariationalProblem
-) -> Array:
-    """Solve (P + J^T H^T C^-1 H J) p = -g; -g when p is unusable.
+def _difference_points(x: Array) -> tuple[Array, Array, Array]:
+    """The 2d gradient points around ``x``, then its 2d^2 second-difference
+    stencil, and the steps of each: (points, h, h2).
 
-    J is the central-difference flow Jacobian from the flow endpoints
-    ``ends`` of the 2d gradient points with steps ``h``.  A blown-up
-    endpoint makes J non-finite, which falls back to -g without a warning.
+    With h2 = 1e-3 max(1, |x_i|), the stencil is x +- h2_i e_i for every
+    axis, then x + s h2_i e_i + t h2_j e_j for i < j, with (s, t) = (+, +),
+    (+, -), (-, +) and (-, -) in turn.
+    """
+    points, h = _gradient_points(x)
+    h2 = 1e-3 * np.maximum(1.0, np.abs(x))
+    step = np.diag(h2)
+    i, j = np.triu_indices(x.shape[0], 1)
+    up, down = x + step[i], x - step[i]
+    stencil = [x + step, x - step, up + step[j], up - step[j],
+               down + step[j], down - step[j]]
+    return np.concatenate([points] + stencil), h, h2
+
+
+def _flow_curvature(
+    center: Array, stencil_ends: Array, h2: Array,
+    problem: VariationalProblem,
+) -> Array:
+    """sum_k w_k Hess F_k, the flow's own part of the misfit Hessian.
+
+    w = -H^T C^-1 (y - H F(x)) weighs the Hessians of the flow's components
+    F_k, each from second differences of the stencil endpoints
+    ``stencil_ends`` (see _difference_points) around ``center`` = F(x).  A
+    blown-up endpoint leaves it non-finite, without a warning.
+    """
+    d = h2.shape[0]
+    i, j = np.triu_indices(d, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = problem.obs_model.nll_gradient(center, problem.observation)
+        plus, minus = stencil_ends[:d], stencil_ends[d : 2 * d]
+        pp, pm, mp, mm = np.split(stencil_ends[2 * d :], 4)
+        axis = (plus - 2.0 * center + minus) / (h2 * h2)[:, None]
+        cross = (pp - pm - mp + mm) / (4.0 * h2[i] * h2[j])[:, None]
+        curvature = np.empty((d, d))
+        curvature[np.diag_indices(d)] = axis @ w
+        curvature[i, j] = curvature[j, i] = cross @ w
+    return curvature
+
+
+def _solve_step(matrix: Array, g: Array, definite: bool = False):
+    """p with matrix p = -g, or None when matrix is not finite (or, with
+    ``definite``, not positive definite) or p is no finite descent
+    direction."""
+    if not np.all(np.isfinite(matrix)):
+        return None
+    try:
+        if definite:
+            np.linalg.cholesky(matrix)
+        p = np.linalg.solve(matrix, -g)
+    except np.linalg.LinAlgError:
+        return None
+    return p if np.all(np.isfinite(p)) and p @ g < 0.0 else None
+
+
+def _step_direction(
+    g: Array, ends: Array, h: Array, problem: VariationalProblem,
+    curvature: Array | None = None,
+) -> Array:
+    """The Newton, else the Gauss-Newton, else the steepest descent step.
+
+    N = P + J^T H^T C^-1 H J is the Gauss-Newton normal matrix, with J the
+    central-difference flow Jacobian from the flow endpoints ``ends`` of
+    the 2d gradient points with steps ``h``.  Given ``curvature`` (see
+    _flow_curvature), the step solves (N + curvature) p = -g, unless that
+    matrix is not finite and positive definite or p is no descent
+    direction; then it solves N p = -g, and when that p is unusable too it
+    is -g.  A blown-up endpoint makes its matrix non-finite, which falls
+    back without a warning.
     """
     d = h.shape[0]
     obs = problem.obs_model
     with np.errstate(over="ignore", invalid="ignore"):
         hj = obs.operator @ ((ends[:d] - ends[d:]) / (2.0 * h)[:, None]).T
         normal = problem._prior_prec + hj.T @ obs._noise_prec @ hj
-        if not np.all(np.isfinite(normal)):
-            return -g
-        try:
-            p = np.linalg.solve(normal, -g)
-        except np.linalg.LinAlgError:  # singular normal matrix
-            return -g
-        return p if np.all(np.isfinite(p)) and p @ g < 0.0 else -g
+        p = None
+        if curvature is not None:
+            p = _solve_step(normal + curvature, g, definite=True)
+        if p is None:
+            p = _solve_step(normal, g)
+    return -g if p is None else p
 
 
 @dataclass(frozen=True)
@@ -220,8 +309,12 @@ class VariationalResult:
 # Armijo step lengths 1, 1/2, ..., 2**-39 (the last one >= 1e-12), tried
 # in this order
 STEP_LENGTHS = 0.5 ** np.arange(40)
-# leading step lengths whose gradient points share the trials' flow
+# leading step lengths whose gradient points and stencils share the
+# trials' flow
 GRADIENT_LOOKAHEAD = 2
+# Newton steps take over once an accepted step lowers the cost by less
+# than this relative amount
+NEWTON_SWITCH = 1e-4
 
 
 def minimize_cost(
@@ -233,13 +326,18 @@ def minimize_cost(
 ) -> VariationalResult:
     """Minimize the variational cost inside the coordinate box.
 
-    Steps along the Gauss-Newton direction, or along -g when that is not
-    a finite descent direction.  Terminates on a small projected gradient,
-    a relative cost decrease below ``cost_decrease_tol``, the iteration
-    cap, or a failed line search ("stalled"); the best iterate seen is
-    always returned and its cost never exceeds the cost at the starting
-    point.  ``cost_evals`` counts the evaluations a one-trial-at-a-time
-    line search would make, not the rows flowed ahead of need.
+    Steps along the Gauss-Newton direction until an accepted step lowers
+    the cost by less than NEWTON_SWITCH relative to it, and along the
+    Newton direction from then on (see _step_direction); either falls
+    back as that function says.  Terminates on a small projected gradient,
+    a relative cost decrease below ``cost_decrease_tol`` (measured, or
+    predicted: when the full step stays inside the box and its model
+    decrease 0.5 |g^T p| / max(|cost|, 1) is below the tolerance, the
+    solve stops before flowing it), the iteration cap, or a failed line
+    search ("stalled"); the best iterate seen is always returned and its
+    cost never exceeds the cost at the starting point.  ``cost_evals``
+    counts the evaluations a one-trial-at-a-time line search would make,
+    not the rows flowed ahead of need.
 
     ``flow`` of the result is the drift-only flow of ``x_opt`` at every
     step of the interval, taken without another flow: from the start's
@@ -257,19 +355,25 @@ def minimize_cost(
                 lower, upper)
     d = x.shape[0]
     n_trials = STEP_LENGTHS.shape[0]
+    block = 2 * d + 2 * d * d  # gradient points and stencil of one point
 
-    # the start's cost and gradient share one flow
+    # the trials' flow at every step, rewritten by each line search; one
+    # buffer per solve keeps the heap from growing
+    path = np.empty((problem.n_steps + 1, n_trials, d))
+
+    # the start's cost and gradient share one flow; no stencil, since the
+    # first step is never a Newton step
     points, h = _gradient_points(x)
     rows = np.concatenate([x[None, :], points])
-    path = _flow_path(rows, problem)
-    flow = path[:, 0]
-    ends = path[-1]
+    ends = _flow_rows(rows, problem, path[:, :1])
+    flow = path[:, 0].copy()
     current = float(_costs_at(rows[:1], ends[:1], problem)[0])
     point_ends = ends[1:]
     g = _central_difference(_costs_at(points, point_ends, problem), h)
     evals = 1 + 2 * d
     status = "max_iterations"
     iterations = 0
+    newton = False
 
     for iterations in range(1, max_iterations + 1):
         pg = _projected_gradient(x, g, lower, upper)
@@ -277,18 +381,30 @@ def minimize_cost(
             status = "gradient"
             break
 
-        direction = _gauss_newton_direction(g, point_ends, h, problem)
-
-        # one flow for every trial of the backtracking search, plus the
-        # gradient points of the leading trials; the scan below then takes
-        # the same decisions in the same order as trying them one by one
+        curvature = (
+            _flow_curvature(center, stencil_ends, h2, problem)
+            if newton else None
+        )
+        direction = _step_direction(g, point_ends, h, problem, curvature)
         candidates = np.clip(
             x + STEP_LENGTHS[:, None] * direction, lower, upper
         )
-        ahead = [_gradient_points(c) for c in candidates[:GRADIENT_LOOKAHEAD]]
-        rows = np.concatenate([candidates] + [p for p, _ in ahead])
-        path = _flow_path(rows, problem)
-        ends = path[-1]
+        predicted = 0.5 * abs(float(g @ direction)) / max(abs(current), 1.0)
+        if (np.array_equal(candidates[0], x + direction)
+                and predicted < cost_decrease_tol):
+            status = "cost_decrease"
+            break
+
+        # one flow for every trial of the backtracking search, plus the
+        # gradient points and stencils of the leading trials; the scan
+        # below then takes the same decisions in the same order as trying
+        # them one by one.  Only the trials' paths are kept.
+        ahead = [
+            _difference_points(c) for c in candidates[:GRADIENT_LOOKAHEAD]
+        ]
+        rows = np.concatenate([candidates] + [p for p, _, _ in ahead])
+        ends = _flow_rows(rows, problem, path)
+        costs = _costs_at(candidates, ends[:n_trials], problem)
 
         accepted = -1
         for k in range(n_trials):
@@ -296,10 +412,7 @@ def minimize_cost(
             if not np.any(step):
                 break  # projection swallowed the whole step
             evals += 1
-            trial = float(_costs_at(
-                candidates[k : k + 1], ends[k : k + 1], problem
-            )[0])
-            if trial <= current + 1e-4 * float(g @ step):
+            if costs[k] <= current + 1e-4 * float(g @ step):
                 accepted = k
                 break
         if accepted < 0:
@@ -307,23 +420,29 @@ def minimize_cost(
             break
 
         candidate = candidates[accepted]
+        trial = float(costs[accepted])
+        center = ends[accepted]
         evals += 2 * d
         if accepted < GRADIENT_LOOKAHEAD:
-            points, h = ahead[accepted]
-            lo = n_trials + 2 * d * accepted
-            point_ends = ends[lo : lo + 2 * d]
+            points, h, h2 = ahead[accepted]
+            lo = n_trials + block * accepted
+            near = ends[lo : lo + block]
         else:
-            points, h = _gradient_points(candidate)
-            point_ends = _flow_ends(points, problem)
-        new_g = _central_difference(_costs_at(points, point_ends, problem), h)
+            points, h, h2 = _difference_points(candidate)
+            near = _flow_rows(points, problem)
+        point_ends, stencil_ends = near[: 2 * d], near[2 * d :]
+        new_g = _central_difference(
+            _costs_at(points[: 2 * d], point_ends, problem), h
+        )
 
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)
         x, current, g = candidate, trial, new_g
-        flow = path[:, accepted]
+        flow = path[:, accepted].copy()
         if relative < cost_decrease_tol:
             status = "cost_decrease"
             break
+        newton = newton or relative < NEWTON_SWITCH
     else:
         iterations = max_iterations
 
@@ -335,7 +454,7 @@ def minimize_cost(
         iterations=iterations,
         cost_evals=evals,
         status=status,
-        flow=flow.copy(),
+        flow=flow,
     )
 
 

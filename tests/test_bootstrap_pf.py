@@ -151,11 +151,16 @@ class TestFailures:
         states = np.array([[1.0, 1.0, 20.0], [1e8, 1e8, 1e8]])
         paths = make_paths(rng, 2, steps=10)
         trajs, failures = advect_particles(
-            lorenz63(), states, np.zeros((2, 3)), paths, 0.0
+            lorenz63(), states, np.zeros((2, 3)), *stacked(paths)
         )
         assert failures == [1]
         assert np.array_equal(trajs[:, 1], np.tile(states[1], (11, 1)))
         assert np.all(np.isfinite(trajs[:, 0]))
+
+
+def stacked(paths):
+    """advect_particles' (increments, dt) arguments for these paths."""
+    return np.stack([p.increments for p in paths]), paths[0].dt
 
 
 def one_at_a_time(model, states, controls, paths):
@@ -180,7 +185,7 @@ class TestBatchedAdvection:
             states = spread_ensemble(rng, n).states * rng.uniform(0.5, 2.0)
             controls = rng.normal(scale=rng.uniform(0.0, 20.0), size=(n, 3))
             paths = make_paths(rng, n, steps=int(rng.integers(1, 60)))
-            got = advect_particles(model, states, controls, paths, 0.0)
+            got = advect_particles(model, states, controls, *stacked(paths))
             want = one_at_a_time(model, states, controls, paths)
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1] == []
@@ -194,7 +199,7 @@ class TestBatchedAdvection:
         controls = rng.normal(size=(6, 3))
         paths = make_paths(rng, 6, steps=30)
         trajs, failures = advect_particles(
-            model, states, controls, paths, 0.0
+            model, states, controls, *stacked(paths)
         )
         want, want_failures = one_at_a_time(model, states, controls, paths)
         assert failures == want_failures == [bad]
@@ -203,7 +208,7 @@ class TestBatchedAdvection:
         healthy = [i for i in range(6) if i != bad]
         alone, _ = advect_particles(
             model, states[healthy], controls[healthy],
-            [paths[i] for i in healthy], 0.0,
+            *stacked([paths[i] for i in healthy]),
         )
         assert np.array_equal(trajs[:, healthy], alone)
 
@@ -211,7 +216,7 @@ class TestBatchedAdvection:
         rng = np.random.default_rng(120)
         states = np.full((1, 3), 1e8)
         trajs, failures = advect_particles(
-            lorenz63(), states, np.zeros((1, 3)), make_paths(rng, 1), 0.0
+            lorenz63(), states, np.zeros((1, 3)), *stacked(make_paths(rng, 1))
         )
         assert failures == [0]
         assert np.array_equal(trajs, np.tile(states, (51, 1, 1)))

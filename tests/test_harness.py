@@ -397,3 +397,44 @@ class TestTruthReuse:
         assert [_untimed(row) for row in parallel.runs] == [
             _untimed(row) for row in serial.runs
         ]
+
+
+class TestCrashSafeSweep:
+    SWEEP = dict(
+        initial_conditions=BENCHMARK_ICS[:2], runs_per_ic=2,
+        filters=("pf", "npf", "var_npf"),
+    )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unexpected_exception_becomes_a_failed_row(
+        self, monkeypatch, jobs
+    ):
+        import varnpf.harness as harness
+
+        cfg = quick_config(seed=26, particles=3)
+        clean = run_monte_carlo(cfg, **self.SWEEP)
+        original = harness.run_experiment
+
+        def injected(config, **kwargs):
+            if (config.filter_name, config.ic_index, config.run_index) == (
+                "npf", 1, 0
+            ):
+                raise KeyError("injected")
+            return original(config, **kwargs)
+
+        # the sweep's workers are forked, so they see the patch too
+        monkeypatch.setattr(harness, "run_experiment", injected)
+        summary = run_monte_carlo(cfg, jobs=jobs, **self.SWEEP)
+        failed = [i for i, row in enumerate(summary.runs) if row.failed]
+        assert len(failed) == 1
+        row = summary.runs[failed[0]]
+        assert (row.filter_name, row.ic_index, row.run_index) == ("npf", 1, 0)
+        assert row.failure_message == "KeyError: 'injected'"
+        assert row.truth_digest == clean.runs[failed[0]].truth_digest
+        assert np.isnan(row.rmse) and row.control_solves == 0
+        others = [r for i, r in enumerate(summary.runs) if i != failed[0]]
+        expected = [r for i, r in enumerate(clean.runs) if i != failed[0]]
+        assert [_untimed(r) for r in others] == [
+            _untimed(r) for r in expected
+        ]
+        assert summary.aggregate()[4]["failures"] == 1

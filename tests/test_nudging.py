@@ -767,7 +767,8 @@ def _nudged_sweep_oracle(
             BrownianPath(dt, p.increments[lo:hi], p.stream_id) for p in paths
         ]
         trajs, new_failures = advect_particles(
-            model, states, sub_controls, sub_paths, t_j
+            model, states, sub_controls,
+            np.stack([p.increments for p in sub_paths]), dt,
         )
         step_states[lo + 1 : hi + 1] = trajs[1:]
         states = trajs[-1]

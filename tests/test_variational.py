@@ -12,15 +12,19 @@ import warnings
 import numpy as np
 import pytest
 
+from varnpf import variational
 from varnpf.ensemble import ObservationModel
 from varnpf.sde import BrownianPath, SdeModel, integrate_path, lorenz63
 from varnpf.variational import (
     BLOWUP_COST,
     GRADIENT_LOOKAHEAD,
+    NEWTON_SWITCH,
     VariationalProblem,
     VariationalResult,
-    _gauss_newton_direction,
+    _difference_points,
+    _flow_curvature,
     _projected_gradient,
+    _step_direction,
     build_pseudo_path,
     flow_path,
     flow_states,
@@ -167,7 +171,7 @@ class TestGaussNewtonDirection:
             ends[4, 2] = bad
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got = _gauss_newton_direction(g, ends, h, problem)
+                got = _step_direction(g, ends, h, problem)
             assert np.array_equal(got, -g)
 
     def test_blown_up_gradient_point_solves_without_warning(self):
@@ -188,6 +192,76 @@ class TestGaussNewtonDirection:
             res = minimize_cost(problem)
         assert res.cost_opt <= variational_cost(mu, problem)
         assert np.all(np.isfinite(res.x_opt))
+
+
+class TestNewtonSteps:
+    def test_blown_up_stencil_point_falls_back_to_gauss_newton(self):
+        # the drift is infinite right of 1.0005, so the stencil points of
+        # a start at x_0 = 1 that step right along axis 0 blow up, while
+        # the gradient points (steps of 1e-6) do not
+        cliff = SdeModel(
+            dimension=3,
+            drift=lambda x: np.where(x > 1.0005, np.inf, 0.0),
+            drift_jacobian=lambda x: np.zeros(x.shape[:-1] + (3, 3)),
+            dispersion=np.eye(3),
+            diffusion=np.eye(3),
+        )
+        obs = ObservationModel(operator=np.eye(3), noise_cov=np.eye(3))
+        x = np.array([1.0, 0.0, 0.0])
+        problem = make_problem(cliff, x, np.eye(3), obs, np.full(3, 0.5))
+        points, h, h2 = _difference_points(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ends = flow_states(cliff, points, problem.n_steps, problem.dt)
+            center = flow_states(cliff, x, problem.n_steps, problem.dt)
+            curvature = _flow_curvature(center, ends[6:], h2, problem)
+            g = variational_gradient(x, problem)
+            got = _step_direction(g, ends[:6], h, problem, curvature)
+            gauss_newton = _step_direction(g, ends[:6], h, problem)
+        assert np.all(np.isfinite(ends[:6]))
+        assert not np.all(np.isfinite(curvature))
+        assert np.array_equal(got, gauss_newton)
+        assert not np.array_equal(gauss_newton, -g)
+
+    def test_newton_step_needs_a_positive_definite_matrix(self):
+        obs = ObservationModel(operator=np.eye(3), noise_cov=np.eye(3))
+        problem = make_problem(
+            zero_drift_model(), np.zeros(3), np.eye(3), obs, np.ones(3)
+        )
+        h = np.full(3, 1e-6)
+        ends = np.concatenate([np.diag(h), -np.diag(h)])  # J = I
+        g = np.array([1.0, -2.0, 0.5])
+        normal = 2.0 * np.eye(3)
+        gauss_newton = _step_direction(g, ends, h, problem)
+        assert np.allclose(gauss_newton, np.linalg.solve(normal, -g))
+        curvature = np.diag([1.0, 2.0, 3.0])
+        newton = _step_direction(g, ends, h, problem, curvature)
+        assert np.array_equal(
+            newton, np.linalg.solve(normal + curvature, -g)
+        )
+        # indefinite: N + curvature has a negative eigenvalue
+        indefinite = np.diag([-3.0, 0.0, 0.0])
+        got = _step_direction(g, ends, h, problem, indefinite)
+        assert np.array_equal(got, gauss_newton)
+
+    def test_never_above_gauss_newton_and_fewer_flows(self, monkeypatch):
+        # a seeded set with crawling Gauss-Newton solves (tens of
+        # iterations on a large-residual fit)
+        rng = np.random.default_rng(7)
+        flows = counted_flows(monkeypatch)
+        newton_flows = gauss_newton_flows = 0
+        slowest = 0
+        for _ in range(30):
+            problem = random_l63_problem(rng)
+            flows.clear()
+            got = minimize_cost(problem)
+            newton_flows += len(flows)
+            want, log = sequential_minimize(problem, newton=False)
+            gauss_newton_flows += log["flows"]
+            slowest = max(slowest, want.iterations)
+            assert got.cost_opt <= want.cost_opt + 1e-7, (got, want)
+        assert slowest >= 40
+        assert newton_flows < gauss_newton_flows
 
 
 class TestGradientConsistency:
@@ -267,17 +341,30 @@ class TestSolverContract:
 
 
 def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
-                        cost_decrease_tol=1e-9):
-    """One-trial-at-a-time Gauss-Newton search, kept here only as an oracle.
+                        cost_decrease_tol=1e-9, newton=True):
+    """One-trial-at-a-time search, kept here only as an oracle.
 
-    Returns the result plus the accepted backtracking depth per iteration.
+    Gauss-Newton steps until an accepted step lowers the cost by less than
+    NEWTON_SWITCH relative to it, Newton steps from then on, and a stop
+    before the line search when the full step's predicted decrease is
+    below ``cost_decrease_tol``.  ``newton=False`` gives the plain
+    Gauss-Newton search: no switch and no predicted stop.  Returns the
+    result and a log: the accepted backtracking depth per iteration, the
+    flows a batched search would make (one at the start, one per line
+    search, one per step accepted beyond the look-ahead), the Newton steps
+    taken (and how many of them followed a step that lowered the cost by
+    NEWTON_SWITCH or more) and whether the predicted decrease stopped the
+    search.
     """
     lower, upper = problem.lower, problem.upper
-    H = problem.obs_model.operator
-    noise_prec = problem.obs_model._noise_prec
+    obs_model = problem.obs_model
+    H = obs_model.operator
+    noise_prec = obs_model._noise_prec
     x = np.clip(problem.prior_mean, lower, upper)
+    d = x.shape[0]
     evals = [0]
-    depths = []
+    log = {"depths": [], "flows": 1, "newton_steps": 0, "held": 0,
+           "predicted": False}
 
     def cost(y):
         evals[0] += 1
@@ -287,31 +374,57 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         evals[0] += 2 * y.shape[0]
         return variational_gradient(y, problem)
 
+    def end(y):
+        return flow_states(problem.model, y, problem.n_steps, problem.dt)
+
     def jacobian(y):
         # flow Jacobian from variational_gradient's own difference points
-        d = y.shape[0]
         h = np.maximum(1e-6, 1e-8 * np.abs(y))
         points = np.concatenate([y + np.diag(h), y - np.diag(h)])
         ends = flow_states(problem.model, points, problem.n_steps, problem.dt)
         with np.errstate(over="ignore", invalid="ignore"):
             return ((ends[:d] - ends[d:]) / (2.0 * h)[:, None]).T
 
-    def gauss_newton(g, jac):
+    def curvature(y):
+        # sum_k w_k Hess F_k, each Hessian entry a second difference
+        h = 1e-3 * np.maximum(1.0, np.abs(y))
+        center = end(y)
+        hess = np.empty((d, d, d))
         with np.errstate(over="ignore", invalid="ignore"):
-            hj = H @ jac
-            normal = problem._prior_prec + hj.T @ noise_prec @ hj
-            if not np.all(np.isfinite(normal)):
-                return -g
+            w = obs_model.nll_gradient(center, problem.observation)
+            for i in range(d):
+                e_i = np.zeros(d)
+                e_i[i] = h[i]
+                hess[i, i] = (
+                    end(y + e_i) - 2.0 * center + end(y - e_i)
+                ) / (h[i] * h[i])
+                for j in range(i + 1, d):
+                    e_j = np.zeros(d)
+                    e_j[j] = h[j]
+                    hess[i, j] = hess[j, i] = (
+                        end(y + e_i + e_j) - end(y + e_i - e_j)
+                        - end(y - e_i + e_j) + end(y - e_i - e_j)
+                    ) / (4.0 * h[i] * h[j])
+            return hess @ w
+
+    def solve(matrix, g, definite=False):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(matrix)):
+                return None
             try:
-                p = np.linalg.solve(normal, -g)
+                if definite:
+                    np.linalg.cholesky(matrix)
+                p = np.linalg.solve(matrix, -g)
             except np.linalg.LinAlgError:
-                return -g
+                return None
             if not np.all(np.isfinite(p)) or float(p @ g) >= 0.0:
-                return -g
+                return None
             return p
 
     current = cost(x)
     g = grad(x)
+    switched = False
+    relative = 0.0
     status = "max_iterations"
     iterations = 0
     for iterations in range(1, max_iterations + 1):
@@ -319,7 +432,28 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         if np.max(np.abs(pg)) < gradient_tol:
             status = "gradient"
             break
-        direction = gauss_newton(g, jacobian(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            hj = H @ jacobian(x)
+            normal = problem._prior_prec + hj.T @ noise_prec @ hj
+        direction = None
+        if switched:
+            direction = solve(normal + curvature(x), g, definite=True)
+            log["newton_steps"] += direction is not None
+            log["held"] += direction is not None and (
+                relative >= NEWTON_SWITCH
+            )
+        if direction is None:
+            direction = solve(normal, g)
+        if direction is None:
+            direction = -g
+        full = x + direction
+        inside = np.all((lower <= full) & (full <= upper))
+        predicted = 0.5 * abs(float(g @ direction)) / max(abs(current), 1.0)
+        if newton and inside and predicted < cost_decrease_tol:
+            status = "cost_decrease"
+            log["predicted"] = True
+            break
+        log["flows"] += 1
         alpha = 1.0
         depth = 0
         accepted = False
@@ -337,7 +471,8 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         if not accepted:
             status = "stalled"
             break
-        depths.append(depth)
+        log["depths"].append(depth)
+        log["flows"] += depth >= GRADIENT_LOOKAHEAD
         new_g = grad(candidate)
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)
@@ -345,6 +480,7 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         if relative < cost_decrease_tol:
             status = "cost_decrease"
             break
+        switched = newton and (switched or relative < NEWTON_SWITCH)
     else:
         iterations = max_iterations
     pg = _projected_gradient(x, g, lower, upper)
@@ -352,7 +488,20 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         x_opt=x, cost_opt=current, gradient_norm=float(np.max(np.abs(pg))),
         iterations=iterations, cost_evals=evals[0], status=status,
     )
-    return result, depths
+    return result, log
+
+
+def counted_flows(monkeypatch):
+    """Count the flows minimize_cost makes from here on."""
+    calls = []
+    flow_rows = variational._flow_rows
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return flow_rows(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "_flow_rows", counting)
+    return calls
 
 
 def random_l63_problem(rng):
@@ -375,34 +524,57 @@ def random_l63_problem(rng):
     )
 
 
+def assert_same_solve(got, want, problem):
+    assert np.array_equal(got.x_opt, want.x_opt)
+    assert repr(got.cost_opt) == repr(want.cost_opt)
+    assert got.iterations == want.iterations
+    assert got.cost_evals == want.cost_evals
+    assert got.status == want.status
+    assert repr(got.gradient_norm) == repr(want.gradient_norm)
+    # the best iterate's flow, taken from the start's flow or the
+    # accepted row of a line-search flow, is x_opt's own
+    fresh = flow_path(problem.model, want.x_opt, problem.n_steps, problem.dt)
+    assert got.flow.tobytes() == fresh.tobytes()
+
+
 class TestBatchedLineSearch:
-    def test_bitwise_equal_to_sequential_search(self):
+    def test_bitwise_equal_to_sequential_search(self, monkeypatch):
         rng = np.random.default_rng(2024)
-        seen = {"deep": 0, "stalled": 0, "pinned": 0}
+        seen = {"deep": 0, "stalled": 0, "pinned": 0, "newton": 0,
+                "predicted": 0}
+        flows = counted_flows(monkeypatch)
         for _ in range(40):
             problem = random_l63_problem(rng)
             cap = int(rng.choice([5, 200]))
+            flows.clear()
             got = minimize_cost(problem, max_iterations=cap)
-            want, depths = sequential_minimize(problem, max_iterations=cap)
-            assert np.array_equal(got.x_opt, want.x_opt)
-            assert repr(got.cost_opt) == repr(want.cost_opt)
-            assert got.iterations == want.iterations
-            assert got.cost_evals == want.cost_evals
-            assert got.status == want.status
-            assert repr(got.gradient_norm) == repr(want.gradient_norm)
-            # the best iterate's flow, taken from the start's flow or the
-            # accepted row of a line-search flow, is x_opt's own
-            fresh = flow_path(
-                problem.model, want.x_opt, problem.n_steps, problem.dt
+            n_flows = len(flows)
+            want, log = sequential_minimize(problem, max_iterations=cap)
+            assert_same_solve(got, want, problem)
+            assert n_flows == log["flows"]
+            seen["deep"] += any(
+                k >= GRADIENT_LOOKAHEAD for k in log["depths"]
             )
-            assert got.flow.tobytes() == fresh.tobytes()
-            seen["deep"] += any(k >= GRADIENT_LOOKAHEAD for k in depths)
             seen["stalled"] += got.status == "stalled"
             seen["pinned"] += bool(np.any(
                 (got.x_opt == problem.lower) | (got.x_opt == problem.upper)
             ))
+            seen["newton"] += log["newton_steps"] > 0
+            seen["predicted"] += log["predicted"]
         # the seeded set covers each path through the scan
         assert all(seen.values()), seen
+
+    def test_newton_steps_stay_on_after_the_switch(self):
+        # a Newton step can lower the cost by NEWTON_SWITCH or more again;
+        # the solver keeps taking Newton steps all the same
+        rng = np.random.default_rng(7)
+        held = 0
+        for _ in range(8):
+            problem = random_l63_problem(rng)
+            want, log = sequential_minimize(problem)
+            assert_same_solve(minimize_cost(problem), want, problem)
+            held += log["held"]
+        assert held
 
 
 class TestSolveFlow:
