@@ -9,7 +9,7 @@ a variationally fitted state instead.
 
 __version__ = "0.1.0"
 
-from .bootstrap_pf import advect_particles, pf_assimilation_cycle
+from .bootstrap_pf import pf_assimilation_cycle
 from .diagnostics import CycleDiagnostics, CycleFailure
 from .ensemble import (
     EnsembleMoments,
@@ -49,12 +49,11 @@ from .nudging import (
     rn_log_increment,
 )
 from .sde import (
-    BrownianPath,
     IntegrationError,
     L63Params,
     SdeModel,
+    advect_particles,
     integrate_path,
-    integrate_step,
     l63_drift,
     l63_jacobian,
     lorenz63,

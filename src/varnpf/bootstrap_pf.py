@@ -14,50 +14,35 @@ from .ensemble import (
     effective_sample_size,
     systematic_resample,
 )
-# integrate_path is the one-particle loop that advect_particles reproduces
-# bit for bit; perfbench/layertrace.py still looks it up in this module
-from .sde import BrownianPath, SdeModel, integrate_path, rk4_step  # noqa: F401
+# perfbench/layertrace.py still looks integrate_path up in this module
+from .sde import (  # noqa: F401
+    SdeModel,
+    advect_particles,
+    integrate_path,
+    whole_steps,
+)
 
 Array = np.ndarray
 
 
-def advect_particles(
-    model: SdeModel,
-    states: Array,
-    controls: Array,
-    increments: Array,
-    dt: float,
-) -> tuple[Array, list[int]]:
-    """Propagate each particle along its own Wiener increments.
+def _interval_steps(
+    increments: Array, ensemble: ParticleEnsemble, t_start: float,
+    t_end: float, dt: float,
+) -> int:
+    """Steps of size ``dt`` in [t_start, t_end].
 
-    controls: (n, d), one constant control per particle; increments:
-    (n, S, d), particle i's S steps in row i.  All particles advance
-    together, one RK4 step over the (n, d) state array per time step;
-    every row gets exactly the bits a one-particle ``integrate_path``
-    would give it.  A particle whose trajectory leaves float64 is frozen at
-    its start state and reported in the failure list; the caller zeroes its
-    weight.  Returns trajectories of shape (S + 1, n, d).
+    Raises ValueError unless ``increments`` is (n, steps, d), one row of
+    Wiener increments per particle of the ensemble.
     """
-    states = np.asarray(states, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    # stacked row-by-row products: a plain (n, d) @ (d, d) product rounds
-    # differently from the one-vector product of integrate_step
-    noise = (increments[..., None, :] @ model.dispersion.T)[..., 0, :]
-    n_steps = noise.shape[1]
-    out = np.empty((n_steps + 1,) + states.shape)
-    out[0] = states
-    failed = np.zeros(states.shape[0], dtype=bool)
-    x = states
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(n_steps):
-            x = rk4_step(model.drift, x, controls, dt) + noise[:, s]
-            lost = ~np.all(np.isfinite(x), axis=1)
-            if np.any(lost):
-                failed |= lost
-                x[lost] = states[lost]  # keep failed rows finite
-            out[s + 1] = x
-    out[:, failed] = states[failed]
-    return out, np.flatnonzero(failed).tolist()
+    n, d = ensemble.states.shape
+    n_steps = whole_steps(t_start, t_end, dt)
+    if np.shape(increments) != (n, n_steps, d):
+        raise ValueError(
+            f"increments must be (particles, steps, dimension) = "
+            f"({n}, {n_steps}, {d}) for [{t_start}, {t_end}], "
+            f"got {np.shape(increments)}"
+        )
+    return n_steps
 
 
 def _apply_failures(weights: Array, failures: list[int]) -> Array:
@@ -79,7 +64,8 @@ def pf_assimilation_cycle(
     observation: Array,
     t_start: float,
     t_end: float,
-    paths: list[BrownianPath],
+    increments: Array,
+    dt: float,
     resample_rng: np.random.Generator,
     resample: bool = True,
     resample_threshold: float = 0.5,
@@ -87,23 +73,19 @@ def pf_assimilation_cycle(
     """One observation interval of the bootstrap filter.
 
     The posterior weights from the previous cycle stay in force during
-    advection; the Bayes update happens only at ``t_end``.  Resampling is
+    advection; the Bayes update happens only at ``t_end``.  ``increments``
+    holds each particle's Wiener increments over the interval, shape
+    (n, S, d) with S steps of size ``dt``.  Resampling is
     systematic and fires when ESS < threshold * n (one uniform draw, taken
     from ``resample_rng`` only when it fires).
     """
     tic = time.perf_counter()
     n = ensemble.n_particles
-    if len(paths) != n:
-        raise ValueError("need one Brownian path per particle")
-    dt = paths[0].dt
-    n_steps = paths[0].n_steps
-    if abs((t_end - t_start) / dt - n_steps) > 1e-9:
-        raise ValueError("paths must cover exactly [t_start, t_end]")
+    n_steps = _interval_steps(increments, ensemble, t_start, t_end, dt)
 
     zero_controls = np.zeros_like(ensemble.states)
     trajs, failures = advect_particles(
-        model, ensemble.states, zero_controls,
-        np.stack([p.increments for p in paths]), dt,
+        model, ensemble.states, zero_controls, increments, dt
     )
     carried = _apply_failures(ensemble.weights, failures)
     advected = ParticleEnsemble(trajs[-1], carried, t_end)

@@ -264,14 +264,11 @@ def generate_truth_and_observations(
     rng = stream_generator(
         stream_sequence(seed, TRUTH, config.ic_index, config.run_index)
     )
-    path = sample_brownian_path(
-        rng, total, model.dimension, config.dt, "truth"
-    )
     trajectory = integrate_path(
         model,
         np.asarray(config.truth_init, dtype=float),
-        np.zeros(model.dimension),
-        path,
+        sample_brownian_path(rng, total, model.dimension, config.dt),
+        config.dt,
     )
     times = np.arange(total + 1) * config.dt
     obs_times = times[span::span]
@@ -495,18 +492,17 @@ def run_experiment(
     for k in range(n_cycles):
         t0k = truth.times[k * span]
         t1k = truth.times[(k + 1) * span]
-        paths = [
-            sample_brownian_path(
-                prop_rngs[i], span, d, config.dt, f"prop-{i}-{k}"
-            )
-            for i in range(n)
-        ]
+        # (n, span, d): particle i's increments from its own stream
+        increments = np.stack([
+            sample_brownian_path(rng, span, d, config.dt) for rng in prop_rngs
+        ])
         y_k = truth.observations[k]
         try:
             if config.filter_name == "pf":
                 ens, diag = pf_assimilation_cycle(
-                    ens, model, obs_model, y_k, t0k, t1k, paths,
-                    resample_rng, config.resample, config.resample_threshold,
+                    ens, model, obs_model, y_k, t0k, t1k, increments,
+                    config.dt, resample_rng,
+                    config.resample, config.resample_threshold,
                 )
             else:
                 control_seqs = [
@@ -518,17 +514,18 @@ def run_experiment(
                 if config.filter_name == "npf":
                     ens, diag = npf_assimilation_cycle(
                         ens, model, obs_model, y_k, t0k, t1k,
-                        config.nudging, paths, control_seqs, resample_rng,
+                        config.nudging, increments, config.dt,
+                        control_seqs, resample_rng,
                         config.resample, config.resample_threshold,
                     )
                 else:
                     ens, diag = var_npf_assimilation_cycle(
                         ens, model, obs_model, y_k, t0k, t1k,
-                        config.nudging, config.variational, paths,
-                        control_seqs, resample_rng,
+                        config.nudging, config.variational, increments,
+                        config.dt, control_seqs, resample_rng,
                         config.resample, config.resample_threshold,
                     )
-        except (CycleFailure, IntegrationError) as err:
+        except CycleFailure as err:
             failed = True
             failure_message = f"cycle {k}: {err}"
             for attr, value in getattr(err, "bookkeeping", {}).items():
@@ -700,9 +697,13 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
 
 
 def _crashed_metrics(
-    config: ExperimentConfig, truth: TruthData, err: Exception, elapsed: float
+    config: ExperimentConfig, truth_digest: str, err: Exception,
+    elapsed: float,
 ) -> RunMetrics:
-    """The failed row of a run that raised ``err`` after ``elapsed`` s."""
+    """The failed row of a run that raised ``err`` after ``elapsed`` s.
+
+    ``truth_digest`` is "" when generating the truth itself raised.
+    """
     nan = float("nan")
     return RunMetrics(
         filter_name=config.filter_name,
@@ -728,7 +729,7 @@ def _crashed_metrics(
         variational_share=0.0,
         failed=True,
         failure_message=f"{type(err).__name__}: {err}",
-        truth_digest=truth.digest,
+        truth_digest=truth_digest,
     )
 
 
@@ -736,13 +737,16 @@ def _run_pair(configs: tuple) -> list[RunMetrics]:
     """Sweep worker: one truth, then every filter of one (ic, run) pair.
 
     The configs differ only in the filter, so the first one keys the truth
-    for all of them.  A filter that raises anything run_experiment does
-    not record itself (that is, other than CycleFailure or
-    IntegrationError) gets a failed row with the message "TypeName:
-    message", and the other filters still run.  Must stay picklable at
-    module level.
+    for all of them.  A truth that leaves float64 gives every filter a
+    failed row with an empty truth digest.  A filter that raises anything
+    run_experiment does not record itself (that is, other than
+    CycleFailure) gets a failed row with the message "TypeName: message",
+    and the other filters still run.  Must stay picklable at module level.
     """
-    truth = generate_truth_and_observations(configs[0])
+    try:
+        truth = generate_truth_and_observations(configs[0])
+    except IntegrationError as err:
+        return [_crashed_metrics(cfg, "", err, 0.0) for cfg in configs]
     rows = []
     for cfg in configs:
         tic = time.perf_counter()
@@ -750,7 +754,7 @@ def _run_pair(configs: tuple) -> list[RunMetrics]:
             rows.append(run_metrics(run_experiment(cfg, truth=truth)))
         except Exception as err:
             rows.append(_crashed_metrics(
-                cfg, truth, err, time.perf_counter() - tic
+                cfg, truth.digest, err, time.perf_counter() - tic
             ))
     return rows
 

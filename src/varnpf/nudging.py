@@ -31,8 +31,8 @@ from .ensemble import (
     effective_sample_size,
     systematic_resample,
 )
-from .bootstrap_pf import _apply_failures, advect_particles
-from .sde import BrownianPath, SdeModel, rk4_step, whole_steps
+from .bootstrap_pf import _apply_failures, _interval_steps
+from .sde import SdeModel, advect_particles, rk4_step, whole_steps
 from .seeding import child_sequence, stream_generator
 
 Array = np.ndarray
@@ -500,7 +500,8 @@ def _nudged_sweep(
     t_start: float,
     t_end: float,
     config: NudgingConfig,
-    paths: Sequence[BrownianPath],
+    increments: Array,
+    dt: float,
     control_seqs: Sequence[np.random.SeedSequence],
     resample_rng: np.random.Generator,
     resample: bool = True,
@@ -508,6 +509,9 @@ def _nudged_sweep(
 ) -> tuple[ParticleEnsemble, CycleDiagnostics]:
     """Subinterval loop shared by the nudged cycles.
 
+    ``increments`` holds each particle's Wiener increments over the
+    interval, shape (n, S, d) with S steps of size ``dt``; subinterval j
+    advects along its slice of them.
     ``target_fn(j, states, weights) -> (target_obs, horizon_end)`` is
     consulted once per subinterval before the control solves, so a guided
     cycle can refresh its target mid-interval.  Each live particle then
@@ -524,12 +528,9 @@ def _nudged_sweep(
     tic = time.perf_counter()
     n = ensemble.n_particles
     d = ensemble.dimension
-    if len(paths) != n or len(control_seqs) != n:
-        raise ValueError("need one path and one control stream per particle")
-    dt = paths[0].dt
-    n_steps = paths[0].n_steps
-    if abs((t_end - t_start) / dt - n_steps) > 1e-9:
-        raise ValueError("paths must cover exactly [t_start, t_end]")
+    n_steps = _interval_steps(increments, ensemble, t_start, t_end, dt)
+    if len(control_seqs) != n:
+        raise ValueError("need one control stream per particle")
     m_sub = config.subintervals
     if n_steps % m_sub:
         raise ValueError("steps per interval must divide into subintervals")
@@ -539,7 +540,6 @@ def _nudged_sweep(
     states = np.array(ensemble.states)
     step_states = np.empty((n_steps + 1, n, d))
     step_states[0] = states
-    increments = np.stack([p.increments for p in paths])  # (n, S, d)
     log_rn = np.zeros(n)
     proposed = np.zeros((m_sub, n, d))
     applied = np.zeros((m_sub, n, d))
@@ -678,7 +678,8 @@ def npf_assimilation_cycle(
     t_start: float,
     t_end: float,
     config: NudgingConfig,
-    paths: Sequence[BrownianPath],
+    increments: Array,
+    dt: float,
     control_seqs: Sequence[np.random.SeedSequence],
     resample_rng: np.random.Generator,
     resample: bool = True,
@@ -688,7 +689,8 @@ def npf_assimilation_cycle(
 
     Every subinterval solves for a feedback control toward the upcoming
     observation over the whole remaining horizon, so early subintervals
-    integrate long realization bundles.
+    integrate long realization bundles.  ``increments`` (n, S, d) and
+    ``dt`` are the particles' Wiener increments, as in the bootstrap cycle.
     """
 
     def target_fn(j, states, weights):
@@ -696,6 +698,6 @@ def npf_assimilation_cycle(
 
     return _nudged_sweep(
         ensemble, model, obs_model, target_fn, observation,
-        t_start, t_end, config, paths, control_seqs, resample_rng,
+        t_start, t_end, config, increments, dt, control_seqs, resample_rng,
         resample, resample_threshold,
     )

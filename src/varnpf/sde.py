@@ -1,9 +1,12 @@
-"""Diffusion models and path integration.
+"""Diffusion models, Wiener increments and path integration.
 
-The integrator advances the drift (plus any frozen control) with a classical
-RK4 stage and adds the Brownian contribution once at the end of the step, so
-it collapses to plain RK4 when the dispersion vanishes.  Strong order is 1/2,
-which is all the additive noise allows anyway.
+Propagation noise is a plain array of pre-drawn Wiener increments, (S, d)
+for one path or (n, S, d) for n particles.  :func:`advect_particles` is the
+one stochastic integrator: it advances the drift (plus any frozen control)
+with a classical RK4 stage over every row at once and adds the Brownian
+contribution once at the end of the step, so it collapses to plain RK4
+when the dispersion vanishes.  Strong order is 1/2, which is all the
+additive noise allows anyway.  The truth runs through it on one row.
 """
 
 from __future__ import annotations
@@ -141,47 +144,15 @@ def lorenz63(
     )
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """Pre-drawn Wiener increments on a uniform grid.
-
-    Keeping paths explicit (rather than drawing inside the integrator) is
-    what makes runs repeatable and lets two filters share the same noise.
-    """
-
-    dt: float
-    increments: Array  # (n_steps, dim), each row ~ N(0, dt I)
-    stream_id: str = ""
-
-    def __post_init__(self):
-        inc = np.array(self.increments, dtype=float)
-        inc.flags.writeable = False
-        object.__setattr__(self, "increments", inc)
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if inc.ndim != 2:
-            raise ValueError("increments must be (n_steps, dim)")
-        if not np.all(np.isfinite(inc)):
-            raise ValueError("increments must be finite")
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.increments.shape[1]
-
-
 def sample_brownian_path(
-    rng: np.random.Generator,
-    n_steps: int,
-    dim: int,
-    dt: float,
-    stream_id: str = "",
-) -> BrownianPath:
-    inc = rng.normal(0.0, np.sqrt(dt), size=(n_steps, dim))
-    return BrownianPath(dt=dt, increments=inc, stream_id=stream_id)
+    rng: np.random.Generator, n_steps: int, dim: int, dt: float
+) -> Array:
+    """Wiener increments on a uniform grid, shape (n_steps, dim).
+
+    Each row is N(0, dt I).  Drawing the increments ahead of the
+    integrator is what makes runs repeatable and lets filters share noise.
+    """
+    return rng.normal(0.0, np.sqrt(dt), size=(n_steps, dim))
 
 
 def whole_steps(t0: float, t1: float, dt: float) -> int:
@@ -212,63 +183,63 @@ def rk4_step(drift: Callable[[Array], Array], x: Array,
     return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def integrate_step(
-    model: SdeModel, state: Array, control: Array, dt: float, dW: Array
-) -> Array:
-    """One step of the stochastic integrator.
+def advect_particles(
+    model: SdeModel,
+    states: Array,
+    controls: Array,
+    increments: Array,
+    dt: float,
+) -> tuple[Array, list[int]]:
+    """Propagate each particle along its own Wiener increments.
 
-    The control is held constant over the step, so the deterministic part is
-    the standard fourth-order update for f(x) + u; the Brownian increment is
-    added once at the end.  Raises IntegrationError on non-finite output.
+    controls: (n, d), one constant control per particle; increments:
+    (n, S, d), particle i's S steps in row i.  All particles advance
+    together, one RK4 step over the (n, d) state array per time step, and
+    the Brownian contribution sigma dW is added once at the end of each
+    step; a row's bits do not depend on the other rows.  A particle whose
+    trajectory leaves float64 is frozen at its start state and reported in
+    the failure list; the caller zeroes its weight.  Returns trajectories
+    of shape (S + 1, n, d).
     """
-    x = np.asarray(state, dtype=float)
-    u = np.asarray(control, dtype=float)
-    # overflow surfaces as the IntegrationError below, not as a warning
+    states = np.asarray(states, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    # stacked one-vector products: a plain (n, d) @ (d, d) product rounds
+    # differently depending on the row count
+    noise = (increments[..., None, :] @ model.dispersion.T)[..., 0, :]
+    n_steps = noise.shape[1]
+    out = np.empty((n_steps + 1,) + states.shape)
+    out[0] = states
+    failed = np.zeros(states.shape[0], dtype=bool)
+    x = states
     with np.errstate(over="ignore", invalid="ignore"):
-        out = rk4_step(model.drift, x, u, dt) + dW @ model.dispersion.T
-    if not np.all(np.isfinite(out)):
-        raise IntegrationError(
-            f"non-finite state after step of size {dt} from {x}"
-        )
-    return out
+        for s in range(n_steps):
+            x = rk4_step(model.drift, x, controls, dt) + noise[:, s]
+            # one reduction per step; the per-row test only after a loss
+            if not np.isfinite(x).all():
+                lost = ~np.all(np.isfinite(x), axis=1)
+                failed |= lost
+                x[lost] = states[lost]  # keep failed rows finite
+            out[s + 1] = x
+    out[:, failed] = states[failed]
+    return out, np.flatnonzero(failed).tolist()
 
 
 def integrate_path(
-    model: SdeModel,
-    x0: Array,
-    controls: Array,
-    path: BrownianPath,
-    t0: float = 0.0,
-    t1: float | None = None,
+    model: SdeModel, x0: Array, increments: Array, dt: float
 ) -> Array:
-    """Advance ``x0`` through every increment of ``path``.
+    """Uncontrolled trajectory of ``x0`` through (S, d) ``increments``.
 
-    controls may be a single (d,) vector (constant in time) or an
-    (n_steps, d) schedule, piecewise constant over the steps.  If ``t1`` is
-    given, (t1 - t0) / dt must match the number of increments.  Returns the
-    full trajectory, shape (n_steps + 1, d).  Two calls with the same path
-    and arguments produce bit-identical trajectories.
+    One row of :func:`advect_particles`, shape (S + 1, d).  Raises
+    IntegrationError when the trajectory leaves float64.
     """
-    n_steps = path.n_steps
-    if t1 is not None:
-        ratio = (t1 - t0) / path.dt
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) != n_steps:
-            raise ValueError(
-                "(t1 - t0) / dt must be an integer matching the path length"
-            )
     x0 = np.asarray(x0, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    if controls.ndim == 1:
-        controls = np.broadcast_to(controls, (n_steps, x0.shape[-1]))
-    elif controls.shape[0] != n_steps:
-        raise ValueError("control schedule must have one row per step")
-    out = np.empty((n_steps + 1,) + x0.shape)
-    out[0] = x0
-    x = x0
-    for s in range(n_steps):
-        try:
-            x = integrate_step(model, x, controls[s], path.dt, path.increments[s])
-        except IntegrationError as err:
-            raise IntegrationError(f"step {s}: {err}") from None
-        out[s + 1] = x
-    return out
+    trajs, failed = advect_particles(
+        model, x0[None], np.zeros((1,) + x0.shape),
+        np.asarray(increments, dtype=float)[None], dt,
+    )
+    if failed:
+        raise IntegrationError(
+            f"non-finite state within {len(trajs) - 1} steps of size {dt} "
+            f"from {x0}"
+        )
+    return trajs[:, 0]

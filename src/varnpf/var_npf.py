@@ -23,7 +23,7 @@ from .ensemble import (
     empirical_moments,
 )
 from .nudging import NudgingConfig, _nudged_sweep, npf_assimilation_cycle
-from .sde import BrownianPath, SdeModel
+from .sde import SdeModel
 from .variational import (
     VariationalProblem,
     build_pseudo_path,
@@ -60,7 +60,8 @@ def var_npf_assimilation_cycle(
     t_end: float,
     config: NudgingConfig,
     settings: VarNpfSettings,
-    paths: Sequence[BrownianPath],
+    increments: Array,
+    dt: float,
     control_seqs: Sequence[np.random.SeedSequence],
     resample_rng: np.random.Generator,
     resample: bool = True,
@@ -72,17 +73,18 @@ def var_npf_assimilation_cycle(
     -> per-subinterval one-step-ahead control solves -> terminal Bayes
     reweight with the change-of-measure factors -> optional resample.  A
     stalled variational solve is recorded and its best iterate used; the
-    guidance does not have to be optimal to be useful.
+    guidance does not have to be optimal to be useful.  ``increments``
+    (n, S, d) and ``dt`` are the particles' Wiener increments, as in the
+    bootstrap cycle.
     """
     observation = np.asarray(observation, dtype=float)
     m_sub = config.subintervals
-    dt = paths[0].dt
     dt_sub = (t_end - t_start) / m_sub
 
     if settings.skip_variational:
         posterior, diag = npf_assimilation_cycle(
             ensemble, model, obs_model, observation, t_start, t_end,
-            config, paths, control_seqs, resample_rng,
+            config, increments, dt, control_seqs, resample_rng,
             resample, resample_threshold,
         )
         diag.variational_status = "skipped"
@@ -159,7 +161,7 @@ def var_npf_assimilation_cycle(
 
     posterior, diag = _nudged_sweep(
         ensemble, model, obs_model, target_fn, reweight_obs,
-        t_start, t_end, config, paths, control_seqs, resample_rng,
+        t_start, t_end, config, increments, dt, control_seqs, resample_rng,
         resample, resample_threshold,
     )
     diag.pseudo_targets = np.array(targets)

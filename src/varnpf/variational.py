@@ -105,14 +105,6 @@ def flow_path(model: SdeModel, x: Array, n_steps: int, dt: float) -> Array:
     return path
 
 
-def flow_states(model: SdeModel, x: Array, n_steps: int, dt: float) -> Array:
-    """Drift-only RK4 endpoint after ``n_steps``; broadcasts over rows.
-
-    A row that blows up comes back non-finite, without a warning.
-    """
-    return _flow(model, x, n_steps, dt)
-
-
 @dataclass(frozen=True)
 class VariationalProblem:
     """One initial-state fitting problem over an observation interval."""

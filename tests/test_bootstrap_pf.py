@@ -6,13 +6,12 @@ import pytest
 from varnpf.diagnostics import CycleFailure
 from varnpf.bootstrap_pf import advect_particles, pf_assimilation_cycle
 from varnpf.ensemble import ObservationModel, ParticleEnsemble
-from varnpf.sde import (
-    IntegrationError,
-    integrate_path,
-    lorenz63,
-    sample_brownian_path,
-)
+from varnpf.sde import IntegrationError, lorenz63, sample_brownian_path
 from varnpf.seeding import stream_generator, stream_sequence
+
+from oracle import one_row_path
+
+DT = 0.01
 
 
 def make_obs(scale=2.0):
@@ -21,8 +20,11 @@ def make_obs(scale=2.0):
     )
 
 
-def make_paths(rng, n, steps=50, dt=0.01):
-    return [sample_brownian_path(rng, steps, 3, dt) for _ in range(n)]
+def make_increments(rng, n, steps=50):
+    """(n, steps, 3) Wiener increments on the DT grid, a draw per particle."""
+    return np.stack(
+        [sample_brownian_path(rng, steps, 3, DT) for _ in range(n)]
+    )
 
 
 def spread_ensemble(rng, n, center=(1.508870, -1.531271, 25.46091)):
@@ -34,10 +36,10 @@ class TestCycle:
     def test_single_particle_posterior_weight_one(self):
         rng = np.random.default_rng(0)
         ens = spread_ensemble(rng, 1)
-        paths = make_paths(rng, 1)
+        incs = make_increments(rng, 1)
         post, diag = pf_assimilation_cycle(
             ens, lorenz63(), make_obs(), np.array([0.0, 0.0, 25.0]),
-            0.0, 0.5, paths, np.random.default_rng(1),
+            0.0, 0.5, incs, DT, np.random.default_rng(1),
         )
         assert np.array_equal(post.weights, [1.0])
         assert diag.posterior_ness == 1.0
@@ -48,10 +50,10 @@ class TestCycle:
         states = rng.normal(size=(5, 3))
         w = rng.dirichlet(np.ones(5))
         ens = ParticleEnsemble(states, w)
-        paths = make_paths(rng, 5)
+        incs = make_increments(rng, 5)
         post, diag = pf_assimilation_cycle(
             ens, lorenz63(), make_obs(scale=1e8), np.zeros(3),
-            0.0, 0.5, paths, np.random.default_rng(3),
+            0.0, 0.5, incs, DT, np.random.default_rng(3),
             resample=False,
         )
         assert np.allclose(post.weights, w, atol=1e-6)
@@ -61,16 +63,16 @@ class TestCycle:
         ens = spread_ensemble(rng, 8)
         model, obs = lorenz63(), make_obs()
         resample_rng = np.random.default_rng(5)
-        paths1 = make_paths(rng, 8)
+        incs1 = make_increments(rng, 8)
         post1, diag1 = pf_assimilation_cycle(
             ens, model, obs, np.array([0.0, 0.0, 25.0]),
-            0.0, 0.5, paths1, resample_rng,
+            0.0, 0.5, incs1, DT, resample_rng,
         )
         assert np.array_equal(diag1.carried_weights, ens.weights)
-        paths2 = make_paths(rng, 8)
+        incs2 = make_increments(rng, 8)
         post2, diag2 = pf_assimilation_cycle(
             post1, model, obs, np.array([1.0, 1.0, 24.0]),
-            0.5, 1.0, paths2, resample_rng,
+            0.5, 1.0, incs2, DT, resample_rng,
         )
         assert np.array_equal(diag2.carried_weights, post1.weights)
         assert np.isclose(
@@ -81,12 +83,12 @@ class TestCycle:
     def test_fixed_paths_make_cycle_deterministic(self):
         rng = np.random.default_rng(6)
         ens = spread_ensemble(rng, 6)
-        paths = make_paths(rng, 6)
+        incs = make_increments(rng, 6)
         y = np.array([2.0, -1.0, 24.0])
         out = []
         for _ in range(2):
             post, diag = pf_assimilation_cycle(
-                ens, lorenz63(), make_obs(), y, 0.0, 0.5, paths,
+                ens, lorenz63(), make_obs(), y, 0.0, 0.5, incs, DT,
                 np.random.default_rng(7),
             )
             out.append((post.states, post.weights, diag.step_states))
@@ -102,15 +104,13 @@ class TestCycle:
         for seed in range(20):
             rng = stream_generator(stream_sequence(seed, 0))
             truth = spread_ensemble(rng, 1).states[0]
-            path_t = sample_brownian_path(rng, 50, 3, 0.01)
-            from varnpf.sde import integrate_path
-
-            y = integrate_path(model, truth, np.zeros(3), path_t)[-1]
+            inc_t = sample_brownian_path(rng, 50, 3, DT)
+            y = one_row_path(model, truth, np.zeros(3), inc_t, DT)[-1]
             y = y + rng.multivariate_normal(np.zeros(3), obs.noise_cov)
             ens = spread_ensemble(rng, 10, center=truth)
-            paths = make_paths(rng, 10)
+            incs = make_increments(rng, 10)
             post, diag = pf_assimilation_cycle(
-                ens, model, obs, y, 0.0, 0.5, paths,
+                ens, model, obs, y, 0.0, 0.5, incs, DT,
                 np.random.default_rng(8), resample=False,
             )
             assert diag.prior_ness == 10.0
@@ -126,10 +126,10 @@ class TestFailures:
         states = ens.states.copy()
         states[2] = [1e8, 1e8, 1e8]  # blows up inside one step
         ens = ParticleEnsemble(states, np.full(4, 0.25))
-        paths = make_paths(rng, 4)
+        incs = make_increments(rng, 4)
         post, diag = pf_assimilation_cycle(
             ens, lorenz63(), make_obs(), np.array([0.0, 0.0, 25.0]),
-            0.0, 0.5, paths, np.random.default_rng(10), resample=False,
+            0.0, 0.5, incs, DT, np.random.default_rng(10), resample=False,
         )
         assert diag.particle_failures == [2]
         assert post.weights[2] == 0.0
@@ -139,37 +139,34 @@ class TestFailures:
         states = np.full((3, 3), 1e8)
         ens = ParticleEnsemble(states, np.full(3, 1.0 / 3.0))
         rng = np.random.default_rng(11)
-        paths = make_paths(rng, 3)
+        incs = make_increments(rng, 3)
         with pytest.raises(CycleFailure):
             pf_assimilation_cycle(
                 ens, lorenz63(), make_obs(), np.zeros(3),
-                0.0, 0.5, paths, np.random.default_rng(12),
+                0.0, 0.5, incs, DT, np.random.default_rng(12),
             )
 
     def test_advect_freezes_failed_particles(self):
         rng = np.random.default_rng(13)
         states = np.array([[1.0, 1.0, 20.0], [1e8, 1e8, 1e8]])
-        paths = make_paths(rng, 2, steps=10)
+        incs = make_increments(rng, 2, steps=10)
         trajs, failures = advect_particles(
-            lorenz63(), states, np.zeros((2, 3)), *stacked(paths)
+            lorenz63(), states, np.zeros((2, 3)), incs, DT
         )
         assert failures == [1]
         assert np.array_equal(trajs[:, 1], np.tile(states[1], (11, 1)))
         assert np.all(np.isfinite(trajs[:, 0]))
 
 
-def stacked(paths):
-    """advect_particles' (increments, dt) arguments for these paths."""
-    return np.stack([p.increments for p in paths]), paths[0].dt
-
-
-def one_at_a_time(model, states, controls, paths):
+def one_at_a_time(model, states, controls, incs):
     """The per-particle loop that batched advection must reproduce."""
-    out = np.empty((paths[0].n_steps + 1,) + states.shape)
+    out = np.empty((incs.shape[1] + 1,) + states.shape)
     failures = []
     for i in range(states.shape[0]):
         try:
-            out[:, i] = integrate_path(model, states[i], controls[i], paths[i])
+            out[:, i] = one_row_path(
+                model, states[i], controls[i], incs[i], DT
+            )
         except IntegrationError:
             out[:, i] = states[i]
             failures.append(i)
@@ -184,9 +181,9 @@ class TestBatchedAdvection:
         for _ in range(5):
             states = spread_ensemble(rng, n).states * rng.uniform(0.5, 2.0)
             controls = rng.normal(scale=rng.uniform(0.0, 20.0), size=(n, 3))
-            paths = make_paths(rng, n, steps=int(rng.integers(1, 60)))
-            got = advect_particles(model, states, controls, *stacked(paths))
-            want = one_at_a_time(model, states, controls, paths)
+            incs = make_increments(rng, n, steps=int(rng.integers(1, 60)))
+            got = advect_particles(model, states, controls, incs, DT)
+            want = one_at_a_time(model, states, controls, incs)
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1] == []
 
@@ -197,18 +194,18 @@ class TestBatchedAdvection:
         states = spread_ensemble(rng, 6).states.copy()
         states[bad] = 1e8
         controls = rng.normal(size=(6, 3))
-        paths = make_paths(rng, 6, steps=30)
+        incs = make_increments(rng, 6, steps=30)
         trajs, failures = advect_particles(
-            model, states, controls, *stacked(paths)
+            model, states, controls, incs, DT
         )
-        want, want_failures = one_at_a_time(model, states, controls, paths)
+        want, want_failures = one_at_a_time(model, states, controls, incs)
         assert failures == want_failures == [bad]
         assert np.array_equal(trajs, want)
         assert np.array_equal(trajs[:, bad], np.tile(states[bad], (31, 1)))
         healthy = [i for i in range(6) if i != bad]
         alone, _ = advect_particles(
             model, states[healthy], controls[healthy],
-            *stacked([paths[i] for i in healthy]),
+            incs[healthy], DT,
         )
         assert np.array_equal(trajs[:, healthy], alone)
 
@@ -216,7 +213,7 @@ class TestBatchedAdvection:
         rng = np.random.default_rng(120)
         states = np.full((1, 3), 1e8)
         trajs, failures = advect_particles(
-            lorenz63(), states, np.zeros((1, 3)), *stacked(make_paths(rng, 1))
+            lorenz63(), states, np.zeros((1, 3)), make_increments(rng, 1), DT
         )
         assert failures == [0]
         assert np.array_equal(trajs, np.tile(states, (51, 1, 1)))
@@ -231,7 +228,7 @@ class TestResampling:
         y_far = np.array([40.0, 40.0, 80.0])
         r1 = np.random.default_rng(15)
         post, diag = pf_assimilation_cycle(
-            ens, model, obs, y_far, 0.0, 0.5, make_paths(rng, 10), r1
+            ens, model, obs, y_far, 0.0, 0.5, make_increments(rng, 10), DT, r1
         )
         assert diag.posterior_ness < 5.0
         assert diag.resampled
@@ -244,7 +241,7 @@ class TestResampling:
         r_ref = np.random.default_rng(99)
         post, diag = pf_assimilation_cycle(
             ens, lorenz63(), make_obs(scale=1e8), np.zeros(3),
-            0.0, 0.5, make_paths(rng, 10), r_used,
+            0.0, 0.5, make_increments(rng, 10), DT, r_used,
         )
         assert not diag.resampled
         assert r_used.random() == r_ref.random()
@@ -254,7 +251,7 @@ class TestResampling:
         ens = spread_ensemble(rng, 10)
         post, diag = pf_assimilation_cycle(
             ens, lorenz63(), make_obs(), np.array([40.0, 40.0, 80.0]),
-            0.0, 0.5, make_paths(rng, 10), np.random.default_rng(18),
+            0.0, 0.5, make_increments(rng, 10), DT, np.random.default_rng(18),
             resample=False,
         )
         assert not diag.resampled

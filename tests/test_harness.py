@@ -22,7 +22,11 @@ from varnpf.harness import (
     summary_from_rows,
 )
 from varnpf.nudging import NudgingConfig
+from varnpf.sde import sample_brownian_path
+from varnpf.seeding import TRUTH, stream_generator, stream_sequence
 from varnpf.var_npf import VarNpfSettings
+
+from oracle import one_row_path
 
 ZERO3 = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -105,6 +109,24 @@ class TestTruth:
         )
         truth = generate_truth_and_observations(cfg)
         assert np.array_equal(truth.observations, truth.trajectory[50::50])
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(seed=0),
+        ExperimentConfig(seed=1),
+        ExperimentConfig(seed=2),
+        ExperimentConfig(seed=7, ic_index=5, run_index=3,
+                         truth_init=BENCHMARK_ICS[5]),
+    ])
+    def test_trajectory_equals_one_row_oracle(self, cfg):
+        rng = stream_generator(
+            stream_sequence(cfg.seed, TRUTH, cfg.ic_index, cfg.run_index)
+        )
+        increments = sample_brownian_path(rng, cfg.n_steps, 3, cfg.dt)
+        want = one_row_path(
+            cfg.build_model(), cfg.truth_init, np.zeros(3), increments, cfg.dt
+        )
+        got = generate_truth_and_observations(cfg).trajectory
+        assert got.tobytes() == want.tobytes()
 
     def test_filter_choice_never_touches_the_truth(self):
         digests = set()
@@ -438,3 +460,24 @@ class TestCrashSafeSweep:
             _untimed(r) for r in expected
         ]
         assert summary.aggregate()[4]["failures"] == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_blown_up_truth_fails_its_pair_only(self, jobs):
+        cfg = quick_config(particles=3)
+        ics = [(1.0, 1.0, 20.0), (1e8, 1e8, 1e8)]
+        clean = run_monte_carlo(
+            cfg, initial_conditions=ics[:1], filters=self.SWEEP["filters"]
+        )
+        summary = run_monte_carlo(
+            cfg, initial_conditions=ics, filters=self.SWEEP["filters"],
+            jobs=jobs,
+        )
+        assert [_untimed(r) for r in summary.runs[:3]] == [
+            _untimed(r) for r in clean.runs
+        ]
+        for row, name in zip(summary.runs[3:], self.SWEEP["filters"]):
+            assert (row.filter_name, row.ic_index) == (name, 1)
+            assert row.failed and np.isnan(row.rmse)
+            assert row.failure_message.startswith("IntegrationError: ")
+            assert row.truth_digest == ""
+        assert len(summary.runs) == 6

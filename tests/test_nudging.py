@@ -41,7 +41,6 @@ from varnpf.nudging import (
     rollback_test,
 )
 from varnpf.sde import (
-    BrownianPath,
     SdeModel,
     lorenz63,
     rk4_step,
@@ -708,15 +707,14 @@ def _assert_same_cycle(got, want):
 
 def _nudged_sweep_oracle(
     ensemble, model, obs_model, target_fn, reweight_obs, t_start, t_end,
-    config, paths, control_seqs, resample_rng, resample=True,
+    config, increments, dt, control_seqs, resample_rng, resample=True,
     resample_threshold=0.5,
 ):
     """The subinterval loop one particle at a time: each solve, its
     rollback test, its step ratios and its change-of-measure increment on
     their own, with the norms and sums written for one vector."""
     n, d = ensemble.states.shape
-    dt = paths[0].dt
-    n_steps = paths[0].n_steps
+    n_steps = increments.shape[1]
     m_sub = config.subintervals
     sub_steps = n_steps // m_sub
     dt_sub = sub_steps * dt
@@ -763,12 +761,8 @@ def _nudged_sweep_oracle(
             sub_v[i] = v
         applied[j] = sub_controls
         lo, hi = j * sub_steps, (j + 1) * sub_steps
-        sub_paths = [
-            BrownianPath(dt, p.increments[lo:hi], p.stream_id) for p in paths
-        ]
         trajs, new_failures = advect_particles(
-            model, states, sub_controls,
-            np.stack([p.increments for p in sub_paths]), dt,
+            model, states, sub_controls, increments[:, lo:hi], dt
         )
         step_states[lo + 1 : hi + 1] = trajs[1:]
         states = trajs[-1]
@@ -776,7 +770,7 @@ def _nudged_sweep_oracle(
         for i in range(n):
             if i in failed:
                 continue
-            dw = sub_paths[i].increments
+            dw = increments[i, lo:hi]
             numerator = np.linalg.norm(proposed[j, i]) * dt
             denominator = np.linalg.norm(dw @ sigma_t, axis=-1)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -846,11 +840,13 @@ class TestCycleOracle:
         weights = np.full(6, 0.2)
         weights[4] = 1e-20
         ens = ParticleEnsemble(states, weights)
-        paths = [sample_brownian_path(rng, 25, 3, 0.01) for _ in range(6)]
+        incs = np.stack(
+            [sample_brownian_path(rng, 25, 3, 0.01) for _ in range(6)]
+        )
         y = obs.observe(center + np.array([2.0, -1.0, 1.5]))
         seqs = [stream_sequence(13, 4, i) for i in range(6)]
         args = (ens, model, obs, y, 0.0, 0.25, config)
-        tail = (paths, seqs, np.random.default_rng(14))
+        tail = (incs, 0.01, seqs, np.random.default_rng(14))
         if filter_name == "npf":
             return npf_assimilation_cycle(*args, *tail)
         return var_npf_assimilation_cycle(*args, VarNpfSettings(), *tail)
@@ -1109,6 +1105,45 @@ class TestConfigValidation:
             NudgingConfig(max_batches=0)
 
 
+class TestIncrementCheck:
+    """Every cycle checks its (n, S, d) increments against the steps of
+    size dt that [t_start, t_end] holds."""
+
+    @pytest.mark.parametrize("filter_name", ["pf", "npf", "var_npf"])
+    @pytest.mark.parametrize("shape, t_end", [
+        ((4, 50, 3), 0.5),  # one particle short
+        ((5, 40, 3), 0.5),  # too few steps
+        ((5, 50, 2), 0.5),  # wrong dimension
+        ((5, 50, 3), 0.505),  # not a whole number of steps
+    ])
+    def test_rejects_increments_off_the_interval(
+        self, filter_name, shape, t_end
+    ):
+        rng = np.random.default_rng(42)
+        states = np.array([1.508870, -1.531271, 25.46091]) + rng.normal(
+            size=(5, 3)
+        )
+        ens = ParticleEnsemble(states, np.full(5, 0.2))
+        obs = ObservationModel(operator=np.eye(3), noise_cov=2.0 * np.eye(3))
+        args = (ens, lorenz63(), obs, np.array([0.0, 0.0, 25.0]), 0.0, t_end)
+        incs = rng.normal(0.0, 0.1, size=shape)
+        seqs = [stream_sequence(43, 4, i) for i in range(5)]
+        resample_rng = np.random.default_rng(44)
+        message = "increments must be|whole number of steps"
+        with pytest.raises(ValueError, match=message):
+            if filter_name == "pf":
+                pf_assimilation_cycle(*args, incs, 0.01, resample_rng)
+            elif filter_name == "npf":
+                npf_assimilation_cycle(
+                    *args, NudgingConfig(), incs, 0.01, seqs, resample_rng
+                )
+            else:
+                var_npf_assimilation_cycle(
+                    *args, NudgingConfig(), VarNpfSettings(), incs, 0.01,
+                    seqs, resample_rng,
+                )
+
+
 class TestCycleReduction:
     def test_forced_rollback_reduces_to_bootstrap_bitwise(self):
         model = lorenz63()
@@ -1118,17 +1153,19 @@ class TestCycleReduction:
             scale=np.sqrt(2.0), size=(5, 3)
         )
         ens = ParticleEnsemble(states, np.full(5, 0.2))
-        paths = [sample_brownian_path(rng, 50, 3, 0.01) for _ in range(5)]
+        incs = np.stack(
+            [sample_brownian_path(rng, 50, 3, 0.01) for _ in range(5)]
+        )
         y = np.array([0.0, 0.0, 25.0])
         config = NudgingConfig(rollback_log_threshold=np.inf)
         seqs = [stream_sequence(40, 4, i) for i in range(5)]
 
         post_pf, diag_pf = pf_assimilation_cycle(
-            ens, model, obs, y, 0.0, 0.5, paths,
+            ens, model, obs, y, 0.0, 0.5, incs, 0.01,
             np.random.default_rng(41),
         )
         post_npf, diag_npf = npf_assimilation_cycle(
-            ens, model, obs, y, 0.0, 0.5, config, paths, seqs,
+            ens, model, obs, y, 0.0, 0.5, config, incs, 0.01, seqs,
             np.random.default_rng(41),
         )
         assert np.array_equal(post_pf.states, post_npf.states)

@@ -1,15 +1,14 @@
-"""Dynamics, Brownian paths, and the integrator."""
+"""Dynamics, Wiener increments, and the integrator."""
 
 import numpy as np
 import pytest
 
 from varnpf.sde import (
-    BrownianPath,
     IntegrationError,
     L63Params,
     SdeModel,
+    advect_particles,
     integrate_path,
-    integrate_step,
     l63_drift,
     l63_fixed_points,
     l63_jacobian,
@@ -159,19 +158,12 @@ class TestBrownianPath:
     def test_increment_statistics(self):
         rng = np.random.default_rng(4)
         n, dt = 20000, 0.01
-        path = sample_brownian_path(rng, n, 3, dt)
-        inc = path.increments
+        inc = sample_brownian_path(rng, n, 3, dt)
         assert inc.shape == (n, 3)
         # 4 sigma bands around the exact moments
         assert np.abs(inc.mean(axis=0)).max() < 4.0 * np.sqrt(dt / n)
         var = inc.var(axis=0)
         assert np.abs(var - dt).max() < 4.0 * dt * np.sqrt(2.0 / n)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BrownianPath(dt=-0.01, increments=np.zeros((5, 3)))
-        with pytest.raises(ValueError):
-            BrownianPath(dt=0.01, increments=np.zeros(5))
 
     def test_whole_steps(self):
         assert whole_steps(0.0, 0.5, 0.01) == 50
@@ -182,13 +174,22 @@ class TestBrownianPath:
             whole_steps(0.0, 0.0, 0.01)
 
 
+def one_step(model, x, u, dw, dt=0.01):
+    """One integrator step of a single particle."""
+    trajs, failures = advect_particles(
+        model, x[None], u[None], dw[None, None], dt
+    )
+    assert failures == []
+    return trajs[-1, 0]
+
+
 class TestIntegrator:
     def test_zero_noise_step_is_classical_rk4(self):
         model = lorenz63(diffusion=np.zeros((3, 3)))
         rng = np.random.default_rng(5)
         for _ in range(5):
             x = rng.uniform(-15.0, 15.0, size=3)
-            out = integrate_step(model, x, np.zeros(3), 0.01, np.zeros(3))
+            out = one_step(model, x, np.zeros(3), np.zeros(3))
             ref = _reference_rk4(l63_drift, x, 0.01)
             assert np.allclose(out, ref, rtol=0.0, atol=1e-12)
 
@@ -196,7 +197,7 @@ class TestIntegrator:
         model = lorenz63(diffusion=np.zeros((3, 3)))
         x = np.array([1.0, 2.0, 3.0])
         u = np.array([0.5, -1.0, 2.0])
-        out = integrate_step(model, x, u, 0.01, np.zeros(3))
+        out = one_step(model, x, u, np.zeros(3))
         ref = _reference_rk4(lambda s: l63_drift(s) + u, x, 0.01)
         assert np.allclose(out, ref, rtol=0.0, atol=1e-12)
 
@@ -204,8 +205,8 @@ class TestIntegrator:
         model = lorenz63()
         x = np.array([1.0, 2.0, 3.0])
         dw = np.array([0.1, -0.2, 0.05])
-        with_kick = integrate_step(model, x, np.zeros(3), 0.01, dw)
-        without = integrate_step(model, x, np.zeros(3), 0.01, np.zeros(3))
+        with_kick = one_step(model, x, np.zeros(3), dw)
+        without = one_step(model, x, np.zeros(3), np.zeros(3))
         assert np.allclose(
             with_kick - without, model.dispersion @ dw, atol=1e-14
         )
@@ -213,36 +214,24 @@ class TestIntegrator:
     def test_shared_path_bitwise_reproducible(self):
         model = lorenz63()
         rng = np.random.default_rng(6)
-        path = sample_brownian_path(rng, 50, 3, 0.01)
+        inc = sample_brownian_path(rng, 50, 3, 0.01)
         x0 = np.array([1.508870, -1.531271, 25.46091])
-        a = integrate_path(model, x0, np.zeros(3), path)
-        b = integrate_path(model, x0, np.zeros(3), path)
+        a = integrate_path(model, x0, inc, 0.01)
+        b = integrate_path(model, x0, inc, 0.01)
         assert np.array_equal(a, b)
         assert a.shape == (51, 3)
 
-    def test_control_schedule_matches_constant(self):
-        model = lorenz63()
-        rng = np.random.default_rng(7)
-        path = sample_brownian_path(rng, 20, 3, 0.01)
-        x0 = np.array([0.5, 1.0, 20.0])
-        u = np.array([1.0, -2.0, 0.5])
-        const = integrate_path(model, x0, u, path)
-        sched = integrate_path(model, x0, np.tile(u, (20, 1)), path)
-        assert np.array_equal(const, sched)
-
     def test_deterministic_attractor_containment(self):
         model = lorenz63(diffusion=np.zeros((3, 3)))
-        path = BrownianPath(dt=0.01, increments=np.zeros((350, 3)))
         x0 = np.array([1.508870, -1.531271, 25.46091])
-        traj = integrate_path(model, x0, np.zeros(3), path)
+        traj = integrate_path(model, x0, np.zeros((350, 3)), 0.01)
         assert np.abs(traj).max() < 100.0
 
     def test_nonfinite_state_aborts(self):
         model = lorenz63()
-        path = BrownianPath(dt=0.01, increments=np.zeros((10, 3)))
         with pytest.raises(IntegrationError):
             integrate_path(model, np.array([1e8, 1e8, 1e8]),
-                           np.zeros(3), path)
+                           np.zeros((10, 3)), 0.01)
 
     def test_strong_convergence_under_halving(self):
         # coarse grids share the fine grid's Brownian increments, so the
@@ -258,8 +247,7 @@ class TestIntegrator:
         x0 = np.array([1.0])
 
         def endpoint(increments, dt):
-            path = BrownianPath(dt=dt, increments=increments)
-            return integrate_path(model, x0, np.zeros(1), path)[-1, 0]
+            return integrate_path(model, x0, increments, dt)[-1, 0]
 
         fine_ends = np.array(
             [endpoint(fine_inc[p], dt_fine) for p in range(n_paths)]
@@ -274,11 +262,3 @@ class TestIntegrator:
             )
             errors.append(np.mean(np.abs(ends - fine_ends)))
         assert errors[0] > errors[1] > errors[2] > errors[3]
-
-    def test_integrate_path_span_validation(self):
-        model = lorenz63()
-        path = BrownianPath(dt=0.01, increments=np.zeros((10, 3)))
-        with pytest.raises(ValueError):
-            integrate_path(
-                model, np.zeros(3), np.zeros(3), path, t0=0.0, t1=0.5
-            )

@@ -15,6 +15,8 @@ from varnpf.variational import (
     minimize_cost,
 )
 
+DT = 0.01
+
 
 def setup_cycle(seed=11, n=8):
     model = lorenz63()
@@ -25,9 +27,11 @@ def setup_cycle(seed=11, n=8):
     center = np.array([1.508870, -1.531271, 25.46091])
     states = center + rng.normal(scale=np.sqrt(2.0), size=(n, 3))
     ensemble = ParticleEnsemble(states, np.full(n, 1.0 / n))
-    paths = [sample_brownian_path(rng, 50, 3, 0.01) for _ in range(n)]
+    incs = np.stack(
+        [sample_brownian_path(rng, 50, 3, DT) for _ in range(n)]
+    )
     observation = center + np.array([2.0, -1.0, 1.5])
-    return model, obs_model, ensemble, paths, observation
+    return model, obs_model, ensemble, incs, observation
 
 
 def control_seqs(seed, filter_code, n):
@@ -37,17 +41,17 @@ def control_seqs(seed, filter_code, n):
 
 class TestSkipVariationalReduction:
     def test_bitwise_equal_to_nudged_cycle(self):
-        model, obs_model, ens, paths, y = setup_cycle()
+        model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
         seqs = control_seqs(90, 1, ens.n_particles)
 
         post_npf, diag_npf = npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config, paths, seqs,
+            ens, model, obs_model, y, 0.0, 0.5, config, incs, DT, seqs,
             np.random.default_rng(91),
         )
         post_var, diag_var = var_npf_assimilation_cycle(
             ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(skip_variational=True), paths, seqs,
+            VarNpfSettings(skip_variational=True), incs, DT, seqs,
             np.random.default_rng(91),
         )
         assert np.array_equal(post_npf.states, post_var.states)
@@ -61,29 +65,29 @@ class TestSkipVariationalReduction:
 
 class TestGuidedCycle:
     def test_short_horizons_cut_realization_steps(self):
-        model, obs_model, ens, paths, y = setup_cycle()
+        model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
 
         _, diag_npf = npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config, paths,
+            ens, model, obs_model, y, 0.0, 0.5, config, incs, DT,
             control_seqs(92, 1, ens.n_particles),
             np.random.default_rng(93),
         )
         _, diag_var = var_npf_assimilation_cycle(
             ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(), paths,
+            VarNpfSettings(), incs, DT,
             control_seqs(92, 2, ens.n_particles),
             np.random.default_rng(93),
         )
         assert 0 < diag_var.realization_steps < diag_npf.realization_steps
 
     def test_pseudo_targets_are_flow_samples_of_the_fit(self):
-        model, obs_model, ens, paths, y = setup_cycle()
+        model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
         settings = VarNpfSettings()
 
         _, diag = var_npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config, settings, paths,
+            ens, model, obs_model, y, 0.0, 0.5, config, settings, incs, DT,
             control_seqs(94, 2, ens.n_particles),
             np.random.default_rng(95),
         )
@@ -112,10 +116,10 @@ class TestGuidedCycle:
         assert diag.timings["variational"] > 0.0
 
     def test_posterior_tracks_weighted_answer(self):
-        model, obs_model, ens, paths, y = setup_cycle()
+        model, obs_model, ens, incs, y = setup_cycle()
         post, diag = var_npf_assimilation_cycle(
             ens, model, obs_model, y, 0.0, 0.5, NudgingConfig(),
-            VarNpfSettings(), paths,
+            VarNpfSettings(), incs, DT,
             control_seqs(96, 2, ens.n_particles),
             np.random.default_rng(97),
         )
@@ -126,13 +130,13 @@ class TestGuidedCycle:
 
 class TestAblationFlags:
     def test_pseudo_reweight_changes_weights_not_paths(self):
-        model, obs_model, ens, paths, y = setup_cycle()
+        model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
         outputs = []
         for flag in (False, True):
             _, diag = var_npf_assimilation_cycle(
                 ens, model, obs_model, y, 0.0, 0.5, config,
-                VarNpfSettings(reweight_with_pseudo=flag), paths,
+                VarNpfSettings(reweight_with_pseudo=flag), incs, DT,
                 control_seqs(98, 2, ens.n_particles),
                 np.random.default_rng(99), resample=False,
             )
@@ -147,17 +151,17 @@ class TestAblationFlags:
         )
 
     def test_per_subinterval_resolve_refreshes_targets(self):
-        model, obs_model, ens, paths, y = setup_cycle()
+        model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
         _, once = var_npf_assimilation_cycle(
             ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(), paths,
+            VarNpfSettings(), incs, DT,
             control_seqs(100, 2, ens.n_particles),
             np.random.default_rng(101),
         )
         _, refreshed = var_npf_assimilation_cycle(
             ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(resolve_per_subinterval=True), paths,
+            VarNpfSettings(resolve_per_subinterval=True), incs, DT,
             control_seqs(100, 2, ens.n_particles),
             np.random.default_rng(101),
         )
@@ -198,11 +202,11 @@ class TestAblationFlags:
 
         monkeypatch.setattr(var_npf, "minimize_cost", recording_minimize)
         monkeypatch.setattr(var_npf, "build_pseudo_path", checked_build)
-        model, obs_model, ens, paths, y = setup_cycle()
+        model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
         _, diag = var_npf_assimilation_cycle(
             ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(resolve_per_subinterval=resolve), paths,
+            VarNpfSettings(resolve_per_subinterval=resolve), incs, DT,
             control_seqs(104, 2, ens.n_particles),
             np.random.default_rng(105),
         )
@@ -227,11 +231,11 @@ class TestAblationFlags:
             return results[-1]
 
         monkeypatch.setattr(var_npf, "minimize_cost", recording_minimize)
-        model, obs_model, ens, paths, y = setup_cycle()
+        model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
         _, diag = var_npf_assimilation_cycle(
             ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(resolve_per_subinterval=True), paths,
+            VarNpfSettings(resolve_per_subinterval=True), incs, DT,
             control_seqs(102, 2, ens.n_particles),
             np.random.default_rng(103),
         )

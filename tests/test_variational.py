@@ -14,7 +14,7 @@ import pytest
 
 from varnpf import variational
 from varnpf.ensemble import ObservationModel
-from varnpf.sde import BrownianPath, SdeModel, integrate_path, lorenz63
+from varnpf.sde import SdeModel, lorenz63
 from varnpf.variational import (
     BLOWUP_COST,
     GRADIENT_LOOKAHEAD,
@@ -27,12 +27,13 @@ from varnpf.variational import (
     _step_direction,
     build_pseudo_path,
     flow_path,
-    flow_states,
     minimize_cost,
     regularize_covariance,
     variational_cost,
     variational_gradient,
 )
+
+from oracle import one_row_path
 
 
 def zero_drift_model():
@@ -212,8 +213,8 @@ class TestNewtonSteps:
         points, h, h2 = _difference_points(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ends = flow_states(cliff, points, problem.n_steps, problem.dt)
-            center = flow_states(cliff, x, problem.n_steps, problem.dt)
+            ends = flow_path(cliff, points, problem.n_steps, problem.dt)[-1]
+            center = flow_path(cliff, x, problem.n_steps, problem.dt)[-1]
             curvature = _flow_curvature(center, ends[6:], h2, problem)
             g = variational_gradient(x, problem)
             got = _step_direction(g, ends[:6], h, problem, curvature)
@@ -375,13 +376,15 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         return variational_gradient(y, problem)
 
     def end(y):
-        return flow_states(problem.model, y, problem.n_steps, problem.dt)
+        return flow_path(problem.model, y, problem.n_steps, problem.dt)[-1]
 
     def jacobian(y):
         # flow Jacobian from variational_gradient's own difference points
         h = np.maximum(1e-6, 1e-8 * np.abs(y))
         points = np.concatenate([y + np.diag(h), y - np.diag(h)])
-        ends = flow_states(problem.model, points, problem.n_steps, problem.dt)
+        ends = flow_path(
+            problem.model, points, problem.n_steps, problem.dt
+        )[-1]
         with np.errstate(over="ignore", invalid="ignore"):
             return ((ends[:d] - ends[d:]) / (2.0 * h)[:, None]).T
 
@@ -684,8 +687,8 @@ class TestPseudoPath:
         assert np.allclose(
             path.times, np.linspace(0.0, 0.5, 6), atol=1e-12
         )
-        silent = BrownianPath(dt=0.01, increments=np.zeros((50, 3)))
-        traj = integrate_path(model, x0, np.zeros(3), silent, 0.0)
+        silent = np.zeros((50, 3))
+        traj = one_row_path(model, x0, np.zeros(3), silent, 0.01)
         for seg in range(6):
             assert np.allclose(
                 path.states[seg], traj[seg * 10], atol=1e-10
@@ -720,8 +723,8 @@ class TestPseudoPath:
     def test_flow_matches_stepwise_integration(self):
         model = lorenz63()
         x = np.array([[0.5, -0.5, 22.0], [2.0, 1.0, 18.0]])
-        out = flow_states(model, x, 30, 0.01)
-        silent = BrownianPath(dt=0.01, increments=np.zeros((30, 3)))
+        out = flow_path(model, x, 30, 0.01)[-1]
+        silent = np.zeros((30, 3))
         for row in range(2):
-            traj = integrate_path(model, x[row], np.zeros(3), silent, 0.0)
+            traj = one_row_path(model, x[row], np.zeros(3), silent, 0.01)
             assert np.allclose(out[row], traj[-1], atol=1e-12)
