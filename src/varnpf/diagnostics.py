@@ -16,8 +16,8 @@ class CycleFailure(RuntimeError):
 
     ``bookkeeping`` maps CycleDiagnostics attributes of a per-cycle series
     to the values the failing cycle had reached (a nudged cycle's control
-    solves, floors, rollbacks and realization steps), so the run record
-    still counts that cycle's work.
+    solves, floors, rollbacks, realization steps and propagation passes),
+    so the run record still counts that cycle's work.
     """
 
     def __init__(self, message: str, bookkeeping: dict | None = None):
@@ -56,6 +56,7 @@ class CycleDiagnostics:
     log_rn: Array | None = None  # (n,)
     step_ratio: Array | None = None  # (S, n), nudging / Brownian magnitude
     realization_steps: int = 0
+    control_passes: int = 0  # propagation passes of the control solves
 
     # variationally guided cycles only
     variational_status: str | None = None

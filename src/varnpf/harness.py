@@ -317,6 +317,7 @@ class ExperimentRecord:
     batches_used: Array | None = None
     log_rn: Array | None = None
     realization_steps: Array | None = None
+    control_passes: Array | None = None
     variational_status: list | None = None  # length L
     variational_cost: Array | None = None
     variational_iterations: Array | None = None
@@ -404,6 +405,7 @@ RECORD_SERIES: tuple[Series, ...] = (
     Series("batches_used", "batches_used", _SUBS, int, _NUDGED),
     Series("log_rn", "log_rn", ("cycle", "particle"), float, _NUDGED),
     Series("realization_steps", "realization_steps", ("cycle",), int, _NUDGED),
+    Series("control_passes", "control_passes", ("cycle",), int, _NUDGED),
     Series("variational_cost", "variational_cost", ("cycle",), float, _GUIDED),
     Series("variational_iterations", "variational_iterations", ("cycle",),
            int, _GUIDED),
@@ -625,6 +627,7 @@ class RunMetrics:
     runtime_control: float
     runtime_variational: float
     realization_steps: int
+    control_passes: int
     variational_iterations: int
     variational_cost_evals: int
     rollback_fraction: float
@@ -652,11 +655,12 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
         )
         max_batches = int(record.batches_used.max())
         realization_steps = int(record.realization_steps.sum())
+        control_passes = int(record.control_passes.sum())
     else:
         rollback_fraction = 0.0
         control_solves = floored_solves = threshold_rollbacks = 0
         max_batches = 0
-        realization_steps = 0
+        realization_steps = control_passes = 0
     if record.variational_iterations is not None:
         variational_iterations = int(record.variational_iterations.sum())
         variational_cost_evals = int(record.variational_cost_evals.sum())
@@ -680,6 +684,7 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
         runtime_control=record.runtime["control"],
         runtime_variational=record.runtime["variational"],
         realization_steps=realization_steps,
+        control_passes=control_passes,
         variational_iterations=variational_iterations,
         variational_cost_evals=variational_cost_evals,
         rollback_fraction=rollback_fraction,
@@ -717,6 +722,7 @@ def _crashed_metrics(
         runtime_control=0.0,
         runtime_variational=0.0,
         realization_steps=0,
+        control_passes=0,
         variational_iterations=0,
         variational_cost_evals=0,
         rollback_fraction=0.0,
@@ -814,6 +820,7 @@ class McSummary:
                     "avg_realization_steps": stat(
                         np.mean, "realization_steps"
                     ),
+                    "avg_control_passes": stat(np.mean, "control_passes"),
                     "max_batches": int(
                         max((r.max_batches for r in done), default=0)
                     ),

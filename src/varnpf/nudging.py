@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -238,93 +238,6 @@ def feedback_control(phi: float, grad_phi: Array, diffusion: Array) -> Array:
     )
 
 
-class FirstPass(NamedTuple):
-    """One solve's state after its first pass (see _first_pass).
-
-    ``g`` (r,) and ``term`` (r, d) hold every realization drawn so far,
-    r = k * batch_size for the first pass's k batches.  ``denom`` is the
-    drift magnitude that normalizes the control; phi, grad, control and
-    floored combine all r realizations (see _combine_terms);
-    ``normalized`` is control / denom and ``history`` the normalized
-    variations so far (one entry when k is 2, none when it is 1).
-    """
-
-    g: Array
-    term: Array
-    denom: float
-    phi: float
-    grad: Array
-    control: Array
-    floored: bool
-    normalized: Array
-    history: tuple
-
-
-def _first_pass(
-    model: SdeModel,
-    obs_model: ObservationModel,
-    t: float,
-    x: Array,
-    horizon_end: float,
-    target_obs: Array,
-    config: NudgingConfig,
-    rngs: Sequence[np.random.Generator],
-    dt: float,
-) -> list[FirstPass]:
-    """The first min(2, max_batches) batches of several solves, in one pass.
-
-    Since convergence compares two estimates, no solve stops before its
-    second batch (unless ``max_batches`` is 1), so those batches are drawn
-    and propagated before any convergence test.  x: (n, d), one solve
-    point per generator in ``rngs``; each generator draws its solve's
-    batches in one call, and all n * k batches propagate together, each
-    row from its own solve point.  The drift norms, the batch-1 and
-    batch-2 estimates and the normalized variation between them are then
-    formed for all n solves as arrays.  One draw of two batches gives the
-    same numbers as two draws, each batch propagates bitwise as if alone,
-    and every reduction runs along one solve's own axis, so each solve's
-    state and generator do not depend on how the solves are grouped
-    (given a drift that acts row by row, as Lorenz-63's does).
-    """
-    x = np.asarray(x, dtype=float)
-    n, d = x.shape
-    b = config.batch_size
-    k = min(2, config.max_batches)
-    n_steps = whole_steps(t, horizon_end, dt)
-    increments = np.concatenate([
-        rng.normal(0.0, np.sqrt(dt), size=(k, b, n_steps, d))
-        for rng in rngs
-    ])
-    g, term = _misfit_terms(
-        model, obs_model, np.repeat(x, k * b, axis=0), target_obs,
-        increments, dt,
-    )
-    g = g.reshape(n, k * b)
-    term = term.reshape(n, k * b, d)
-    denom = np.sqrt(_squared_norms(model.drift(x)))
-    # a solve at an equilibrium falls back to the raw control magnitude
-    denom = np.where(denom < 1e-12, 1.0, denom)[:, None]
-    phi, grad, control, floored = _combine_terms(
-        g[:, :b], term[:, :b], model.diffusion
-    )
-    normalized = control / denom
-    history = [()] * n
-    if k == 2:
-        phi, grad, control, floored = _combine_terms(
-            g, term, model.diffusion
-        )
-        first, normalized = normalized, control / denom
-        deltas = np.sqrt(_squared_norms(normalized - first))
-        history = [(delta,) for delta in deltas.tolist()]
-    return [
-        FirstPass(*row)
-        for row in zip(
-            g, term, denom[:, 0].tolist(), phi.tolist(), grad, control,
-            floored.tolist(), normalized, history,
-        )
-    ]
-
-
 def adaptive_control(
     model: SdeModel,
     obs_model: ObservationModel,
@@ -335,7 +248,7 @@ def adaptive_control(
     config: NudgingConfig,
     rng: np.random.Generator,
     dt: float,
-    first_pass: FirstPass | None = None,
+    first_pass: ControlEstimate | None = None,
 ) -> ControlEstimate:
     """Grow the realization set batch by batch until the control settles.
 
@@ -347,53 +260,18 @@ def adaptive_control(
     normalization keeps one tolerance meaningful across regions where the
     drift varies by orders of magnitude.
 
-    The solve resumes from its first pass (see _first_pass), its first
-    min(2, max_batches) batches already combined and compared, which
-    settles most solves.  ``first_pass`` holds it when the caller has
-    already drawn it from ``rng`` (the nudged sweep forms every particle's
-    first pass together); when None the solve forms its own.  Either way
-    later batches are drawn from ``rng`` and propagated one at a time.
+    A standalone call is a one-row call of _solve_controls, drawing every
+    batch from ``rng``.  ``first_pass`` is the solve's settled estimate
+    when a caller has already formed it together with other solves:
+    _solve_controls returns each of its solves through this call, which
+    then hands the estimate back unchanged.
     """
-    x = np.asarray(x, dtype=float)
-    if first_pass is None:
-        first_pass = _first_pass(
-            model, obs_model, t, x[None], horizon_end, target_obs, config,
-            [rng], dt,
-        )[0]
-    g_all, term_all, denom, phi, grad, control, floored, prev, history = (
-        first_pass
-    )
-    history = list(history)
-    n_steps = whole_steps(t, horizon_end, dt)
-    d = x.shape[-1]
-    b = config.batch_size
-    batches = len(g_all) // b
-    converged = bool(history) and history[-1] <= config.tolerance
-    while batches < config.max_batches and not converged:
-        increments = rng.normal(0.0, np.sqrt(dt), size=(1, b, n_steps, d))
-        g_new, term_new = _misfit_terms(
-            model, obs_model, x, target_obs, increments, dt
-        )
-        g_all = np.concatenate([g_all, g_new])
-        term_all = np.concatenate([term_all, term_new])
-        batches += 1
-        phi, grad, control, floored = _combine_terms(
-            g_all, term_all, model.diffusion
-        )
-        normalized = control / denom
-        delta = float(np.linalg.norm(normalized - prev))
-        history.append(delta)
-        converged = delta <= config.tolerance
-        prev = normalized
-    return ControlEstimate(
-        control=control,
-        phi=float(phi),
-        grad_phi=grad,
-        realizations_used=batches * b,
-        converged=converged,
-        normalized_variation_history=tuple(history),
-        phi_floored=bool(floored),
-    )
+    if first_pass is not None:
+        return first_pass
+    return _solve_controls(
+        model, obs_model, t, np.asarray(x, dtype=float)[None], horizon_end,
+        target_obs, config, [rng], dt,
+    )[0]
 
 
 def _solve_controls(
@@ -408,27 +286,107 @@ def _solve_controls(
     dt: float,
 ) -> list[ControlEstimate]:
     """One adaptive_control solve per row of ``states``, each drawing from
-    its own generator in ``rngs``.
+    its own generator in ``rngs``, all of them in lockstep rounds.
 
-    One array pass settles every solve's first pass: it propagates all of
-    their first batches together and forms the batch-1 and batch-2
-    estimates, drift norms and normalized variations as arrays (see
-    _first_pass).  Each solve then returns through its own adaptive_control
-    call, which only the few solves left unsettled go on in, one batch at
-    a time from their own generator.
+    Since convergence compares two estimates, no solve stops before its
+    second batch (unless ``max_batches`` is 1), so round 0 draws
+    min(2, max_batches) batches per solve; every later round draws one
+    batch for each solve that has not yet settled.  Each round's batches
+    propagate in one pass, each row from its own solve point.  The active
+    solves then hold the same number of batches, so their estimates, the
+    normalized controls and the variations from the previous batch count
+    are formed as arrays (the first batch's estimate is round 0's
+    reference).  A solve drops out once its variation is within
+    ``tolerance`` or its batch budget is spent; the rounds end when every
+    solve has.  A call therefore makes 1 + max(batches) - min(2,
+    max_batches) propagation passes.
+
+    Each generator draws its solve's batches in the order a lone solve
+    would, each batch propagates bitwise as if alone, and every reduction
+    runs along one solve's own axis (the variation's root of
+    _squared_norms rounds as np.linalg.norm), so each solve's estimate
+    and generator state do not depend on which solves share its rounds
+    (given a drift that acts row by row, as Lorenz-63's does).  Each
+    estimate returns through its own adaptive_control call.
     """
     if not rngs:
         return []
-    passes = _first_pass(
-        model, obs_model, t, states, horizon_end, target_obs, config, rngs,
-        dt,
-    )
+    x = np.asarray(states, dtype=float)
+    n, d = x.shape
+    b = config.batch_size
+    n_steps = whole_steps(t, horizon_end, dt)
+    denom = np.sqrt(_squared_norms(model.drift(x)))
+    # a solve at an equilibrium falls back to the raw control magnitude
+    denom = np.where(denom < 1e-12, 1.0, denom)[:, None]
+    phi = np.empty(n)
+    grad = np.empty((n, d))
+    control = np.empty((n, d))
+    floored = np.empty(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    batches = np.empty(n, dtype=int)
+    variations = []  # one (n,) column per comparison, nan where settled
+
+    active = np.arange(n)
+    g = np.empty((n, 0))
+    term = np.empty((n, 0, d))
+    drawn = 0
+    k = min(2, config.max_batches)
+    prev = None
+    while active.size:
+        increments = np.concatenate([
+            rngs[i].normal(0.0, np.sqrt(dt), size=(k, b, n_steps, d))
+            for i in active.tolist()
+        ])
+        g_new, term_new = _misfit_terms(
+            model, obs_model, np.repeat(x[active], k * b, axis=0),
+            target_obs, increments, dt,
+        )
+        g = np.concatenate([g, g_new.reshape(-1, k * b)], axis=1)
+        term = np.concatenate([term, term_new.reshape(-1, k * b, d)], axis=1)
+        drawn += k
+        if k == 2:  # round 0: compare with the first batch alone
+            prev = _combine_terms(
+                g[:, :b], term[:, :b], model.diffusion
+            )[2] / denom[active]
+        est = _combine_terms(g, term, model.diffusion)
+        normalized = est[2] / denom[active]
+        settled = np.full(active.size, drawn >= config.max_batches)
+        if prev is not None:
+            deltas = np.sqrt(_squared_norms(normalized - prev))
+            variations.append(np.full(n, np.nan))
+            variations[-1][active] = deltas
+            converged[active] = deltas <= config.tolerance
+            settled |= converged[active]
+        done = active[settled]
+        phi[done], grad[done], control[done], floored[done] = (
+            part[settled] for part in est
+        )
+        batches[done] = drawn
+        keep = ~settled
+        active, g, term = active[keep], g[keep], term[keep]
+        prev = normalized[keep]
+        k = 1
+
+    # a solve's variations are its first batches - 1 columns
+    history = np.array(variations).T.reshape(n, -1)
+
     return [
         adaptive_control(
-            model, obs_model, t, x, horizon_end, target_obs, config, rng, dt,
-            first_pass=first,
+            model, obs_model, t, x[i], horizon_end, target_obs, config,
+            rngs[i], dt,
+            first_pass=ControlEstimate(
+                control=control[i],
+                phi=float(phi[i]),
+                grad_phi=grad[i],
+                realizations_used=int(batches[i]) * b,
+                converged=bool(converged[i]),
+                normalized_variation_history=tuple(
+                    history[i, : batches[i] - 1].tolist()
+                ),
+                phi_floored=bool(floored[i]),
+            ),
         )
-        for x, rng, first in zip(states, rngs, passes)
+        for i in range(n)
     ]
 
 
@@ -516,8 +474,9 @@ def _nudged_sweep(
     consulted once per subinterval before the control solves, so a guided
     cycle can refresh its target mid-interval.  Each live particle then
     solves for its control with adaptive_control, drawing from its own
-    ``child_sequence(control_seqs[i], j)`` generator; one array pass
-    settles all of a subinterval's solves (see _solve_controls).  The
+    ``child_sequence(control_seqs[i], j)`` generator; a subinterval's
+    solves advance together, one propagation pass per round (see
+    _solve_controls), and ``control_passes`` counts those passes.  The
     rollback candidates -0.5 |sigma^T grad phi / phi|^2 dt_sub, step ratios
     and change-of-measure increments of all live particles are arrays too,
     each particle rounding as it would alone; each solve that did not floor
@@ -549,6 +508,7 @@ def _nudged_sweep(
     solver_converged = np.zeros((m_sub, n), dtype=bool)
     step_ratio = np.full((n_steps, n), np.nan)
     realization_steps = 0
+    control_passes = 0
     alive = np.ones(n, dtype=bool)
     control_time = 0.0
 
@@ -573,6 +533,10 @@ def _nudged_sweep(
             realization_steps += int(used.sum()) * horizon_steps
             proposed[j, live] = [est.control for est in estimates]
             batches_used[j, live] = used // config.batch_size
+            # round 0 draws min(2, max_batches) batches, later rounds one
+            control_passes += 1 + int(batches_used[j].max()) - min(
+                2, config.max_batches
+            )
             solver_converged[j, live] = [est.converged for est in estimates]
             floors[j, live] = [est.phi_floored for est in estimates]
         rollbacks[j] = floors[j]  # an underflowed value function: no nudge
@@ -624,6 +588,7 @@ def _nudged_sweep(
             "phi_floored": floors,
             "rollbacks": rollbacks,
             "realization_steps": realization_steps,
+            "control_passes": control_passes,
         }) from None
     advected = ParticleEnsemble(states, carried, t_end)
     prior_ness = effective_sample_size(carried)
@@ -662,6 +627,7 @@ def _nudged_sweep(
         log_rn=log_rn,
         step_ratio=step_ratio,
         realization_steps=realization_steps,
+        control_passes=control_passes,
         timings={
             "total": time.perf_counter() - tic,
             "control": control_time,

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bootstrap_pf import _interval_steps
 from .diagnostics import CycleDiagnostics
 from .ensemble import (
     ObservationModel,
@@ -77,6 +78,8 @@ def var_npf_assimilation_cycle(
     (n, S, d) and ``dt`` are the particles' Wiener increments, as in the
     bootstrap cycle.
     """
+    # a malformed increments array fails before the variational solve
+    _interval_steps(increments, ensemble, t_start, t_end, dt)
     observation = np.asarray(observation, dtype=float)
     m_sub = config.subintervals
     dt_sub = (t_end - t_start) / m_sub

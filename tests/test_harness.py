@@ -274,6 +274,9 @@ class TestFailureHandling:
         assert row.threshold_rollbacks == 0
         assert row.max_batches == batches
         assert row.realization_steps == record.realization_steps[0]
+        # every solve floors in round 0, so no later round runs
+        assert record.control_passes[0] == 1
+        assert row.control_passes == 1
 
     def test_sweep_keeps_failed_rows_out_of_averages(self):
         cfg = quick_config(seed=19, ensemble_mean=(1e8, 1e8, 1e8))

@@ -473,16 +473,20 @@ class TestMeta:
         metrics = json.loads(path.read_text())["metrics"]
         counters = (
             metrics["control_solves"], metrics["floored_solves"],
-            metrics["threshold_rollbacks"],
+            metrics["threshold_rollbacks"], metrics["control_passes"],
         )
         if record.rollbacks is None:
-            assert counters == (0, 0, 0)
+            assert counters == (0, 0, 0, 0)
             return
         assert counters == (
             np.count_nonzero(record.batches_used),
             np.sum(record.phi_floored),
             np.sum(record.rollbacks & ~record.phi_floored),
+            np.sum(record.control_passes),
         )
+        # at least one pass per subinterval of every cycle
+        cycles, subintervals = record.batches_used.shape[:2]
+        assert metrics["control_passes"] >= cycles * subintervals
         assert metrics["control_solves"] == record.batches_used.size
 
     def test_mc_meta_carries_aggregate(self, tmp_path):

@@ -611,21 +611,34 @@ _EACH_MAX_BATCHES = pytest.mark.parametrize("max_batches", [1, 2, 50])
 _EACH_BATCH_SIZE = pytest.mark.parametrize("batch_size", [1, 2, 3])
 
 
+def _counting_passes(monkeypatch):
+    """Count the control solves' propagation passes (_misfit_terms calls)."""
+    calls = []
+    original = nudging._misfit_terms
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nudging, "_misfit_terms", counted)
+    return calls
+
+
 class TestStackedSolves:
-    """A subinterval's solves, first passes propagated together, equal
+    """A subinterval's solves, propagated together round by round, equal
     one-at-a-time solves bit for bit, generator states included.
 
     Sixty solves per case on twelve Lorenz-63 points, one of them at 1e8
     (its realizations blow up, so its value function floors), toward five
-    targets with tolerances tight enough that some solves go on past the
-    first pass.
+    targets with tolerances tight enough that some solves go on past
+    round 0.
     """
 
     @_EACH_OPERATOR
     @_EACH_MAX_BATCHES
     @_EACH_BATCH_SIZE
     def test_matches_per_particle_solves(
-        self, batch_size, max_batches, operator
+        self, monkeypatch, batch_size, max_batches, operator
     ):
         model = lorenz63()
         obs = _OPERATORS[operator]
@@ -651,9 +664,15 @@ class TestStackedSolves:
                         for i in range(len(states))]
 
             rngs, rngs_oracle = generators(), generators()
-            got = _solve_controls(
-                model, obs, 0.0, states, horizon, target, config, rngs, dt
-            )
+            with monkeypatch.context() as patched:
+                passes = _counting_passes(patched)
+                got = _solve_controls(
+                    model, obs, 0.0, states, horizon, target, config, rngs,
+                    dt,
+                )
+            # one pass for round 0's first batches, then one per round
+            most = max(est.realizations_used for est in got) // batch_size
+            assert len(passes) == 1 + most - min(2, max_batches)
             want = _solve_controls_oracle(
                 model, obs, 0.0, states, horizon, target, config,
                 rngs_oracle, dt,
@@ -683,6 +702,79 @@ class TestStackedSolves:
             lorenz63(), _OPERATORS["identity"], 0.0, np.empty((0, 3)), 0.05,
             np.zeros(3), config, [], 0.01,
         ) == []
+
+    @staticmethod
+    def _company_case(max_batches, batch_size):
+        """Twelve solve points: one at 1e8 (it floors) and one at the
+        origin, an equilibrium, where the drift norm falls back to 1."""
+        model = lorenz63()
+        setup = np.random.default_rng(2001)
+        states = np.array([1.5, -1.5, 25.0]) + setup.normal(
+            scale=4.0, size=(12, 3)
+        )
+        states[5] = 1e8
+        states[8] = 0.0
+        assert not np.any(model.drift(states[8]))
+        obs = _OPERATORS["2x3"]
+        # near enough to the origin and to the others that only the 1e8
+        # solve floors
+        target = obs.observe(np.array([1.0, -1.0, 12.0]))
+        config = NudgingConfig(
+            batch_size=batch_size, max_batches=max_batches, tolerance=0.01
+        )
+        return model, obs, states, target, config
+
+    @_EACH_MAX_BATCHES
+    @_EACH_BATCH_SIZE
+    def test_solve_does_not_depend_on_its_company(
+        self, batch_size, max_batches
+    ):
+        # each solve alike whichever solves share its rounds, and in
+        # whatever order: all twelve, a permutation of them, and subsets
+        model, obs, states, target, config = self._company_case(
+            max_batches, batch_size
+        )
+        dt, horizon = 0.01, 0.1
+
+        def solve(rows):
+            rngs = [stream_generator(stream_sequence(79, i)) for i in rows]
+            ests = _solve_controls(
+                model, obs, 0.0, states[rows], horizon, target, config,
+                rngs, dt,
+            )
+            return {
+                i: (est, rng.bit_generator.state)
+                for i, est, rng in zip(rows, ests, rngs)
+            }
+
+        together = solve(list(range(12)))
+        perm = np.random.default_rng(2002).permutation(12).tolist()
+        for rows in (perm, perm[:5], perm[5:], [5, 8], [8], [5], [3]):
+            for i, (est, state) in solve(rows).items():
+                _assert_same_estimate(est, together[i][0])
+                assert _same_state(state, together[i][1])
+        assert together[5][0].phi_floored
+        assert not together[8][0].phi_floored
+        used = {est.realizations_used for est, _ in together.values()}
+        if max_batches == 50:  # the solves settle in different rounds
+            assert len(used) >= 2
+
+    def test_adaptive_control_is_a_one_row_solve(self):
+        model, obs, states, target, config = self._company_case(50, 2)
+        for i in (0, 3, 5, 8):
+            rng = stream_generator(stream_sequence(80, i))
+            rng_rows = stream_generator(stream_sequence(80, i))
+            est = adaptive_control(
+                model, obs, 0.0, states[i], 0.1, target, config, rng, 0.01
+            )
+            [want] = _solve_controls(
+                model, obs, 0.0, states[i : i + 1], 0.1, target, config,
+                [rng_rows], 0.01,
+            )
+            _assert_same_estimate(est, want)
+            assert _same_state(
+                rng.bit_generator.state, rng_rows.bit_generator.state
+            )
 
 
 def _assert_same_cycle(got, want):
@@ -730,6 +822,7 @@ def _nudged_sweep_oracle(
     solver_converged = np.zeros((m_sub, n), dtype=bool)
     step_ratio = np.full((n_steps, n), np.nan)
     realization_steps = 0
+    control_passes = 0
     failed = set()
     sigma_t = model.dispersion.T
     for j in range(m_sub):
@@ -759,6 +852,10 @@ def _nudged_sweep_oracle(
                 continue
             sub_controls[i] = est.control
             sub_v[i] = v
+        if live:  # a pass for the first batches, then one per later batch
+            control_passes += 1 + int(max(batches_used[j])) - min(
+                2, config.max_batches
+            )
         applied[j] = sub_controls
         lo, hi = j * sub_steps, (j + 1) * sub_steps
         trajs, new_failures = advect_particles(
@@ -816,6 +913,7 @@ def _nudged_sweep_oracle(
         log_rn=log_rn,
         step_ratio=step_ratio,
         realization_steps=realization_steps,
+        control_passes=control_passes,
     )
 
 
@@ -922,6 +1020,27 @@ class TestCallsPerSolve:
             )
             if filter_name == "npf":  # some rejected, some kept
                 assert 0 < sum(rollback_calls) < len(rollback_calls)
+
+
+class TestControlPasses:
+    """A cycle's control_passes counts its solves' propagation passes."""
+
+    @pytest.mark.parametrize("filter_name", ["npf", "var_npf"])
+    @_EACH_MAX_BATCHES
+    def test_counts_every_propagation_pass(
+        self, monkeypatch, filter_name, max_batches
+    ):
+        passes = _counting_passes(monkeypatch)
+        config = NudgingConfig(max_batches=max_batches, tolerance=0.01)
+        _, diag = TestCycleOracle._cycle(filter_name, config, "identity")
+        # every subinterval has live solves; the 1e8 particle fails in the
+        # first one
+        per_subinterval = (
+            1 + diag.batches_used.max(axis=1) - min(2, max_batches)
+        )
+        assert diag.control_passes == len(passes) == per_subinterval.sum()
+        if max_batches == 50:
+            assert diag.control_passes > config.subintervals
 
 
 class TestStackedHelpers:
@@ -1142,6 +1261,29 @@ class TestIncrementCheck:
                     *args, NudgingConfig(), VarNpfSettings(), incs, 0.01,
                     seqs, resample_rng,
                 )
+
+    @pytest.mark.parametrize("resolve", [False, True])
+    def test_var_npf_checks_before_the_variational_solve(
+        self, monkeypatch, resolve
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("minimize_cost ran before the check")
+
+        monkeypatch.setattr(var_npf, "minimize_cost", no_solve)
+        rng = np.random.default_rng(45)
+        states = np.array([1.508870, -1.531271, 25.46091]) + rng.normal(
+            size=(5, 3)
+        )
+        ens = ParticleEnsemble(states, np.full(5, 0.2))
+        obs = ObservationModel(operator=np.eye(3), noise_cov=2.0 * np.eye(3))
+        settings = VarNpfSettings(resolve_per_subinterval=resolve)
+        with pytest.raises(ValueError, match="increments must be"):
+            var_npf_assimilation_cycle(
+                ens, lorenz63(), obs, np.array([0.0, 0.0, 25.0]), 0.0, 0.5,
+                NudgingConfig(), settings, rng.normal(size=(4, 50, 3)),
+                0.01, [stream_sequence(46, i) for i in range(5)],
+                np.random.default_rng(47),
+            )
 
 
 class TestCycleReduction:
