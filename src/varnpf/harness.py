@@ -612,9 +612,13 @@ def average_bm_ratio(record: ExperimentRecord) -> float:
     return float(np.mean(finite))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunMetrics:
-    """Slim per-run summary row for sweeps and reports."""
+    """Slim per-run summary row for sweeps and reports.
+
+    Counters, shares and the control and variational times default to
+    zero, so a row names only what its run produced.
+    """
 
     filter_name: str
     ic_index: int
@@ -624,48 +628,44 @@ class RunMetrics:
     avg_ness: float
     bm_ratio: float
     runtime_total: float
-    runtime_control: float
-    runtime_variational: float
-    realization_steps: int
-    control_passes: int
-    variational_iterations: int
-    variational_cost_evals: int
-    rollback_fraction: float
-    control_solves: int
-    floored_solves: int
-    threshold_rollbacks: int
-    max_batches: int
-    resampled_cycles: int
-    collapsed_cycles: int
-    variational_share: float
-    failed: bool
-    failure_message: str  # "" for a completed run
+    runtime_control: float = 0.0
+    runtime_variational: float = 0.0
+    realization_steps: int = 0
+    control_passes: int = 0
+    variational_iterations: int = 0
+    variational_cost_evals: int = 0
+    rollback_fraction: float = 0.0
+    control_solves: int = 0
+    floored_solves: int = 0
+    threshold_rollbacks: int = 0
+    max_batches: int = 0
+    resampled_cycles: int = 0
+    collapsed_cycles: int = 0
+    variational_share: float = 0.0
+    failed: bool = False
+    failure_message: str = ""
     truth_digest: str
+
+
+def _total(series: Array | None) -> int:
+    """Sum of a count series; a series the filter never produces is 0."""
+    return 0 if series is None else int(series.sum())
 
 
 def run_metrics(record: ExperimentRecord) -> RunMetrics:
     cfg = record.config
+    solves = {}
     if record.rollbacks is not None and record.rollbacks.size:
-        rollback_fraction = float(np.mean(record.rollbacks))
-        # a cell with no batches is a particle that had failed before it
-        control_solves = int(np.count_nonzero(record.batches_used))
-        floored_solves = int(np.sum(record.phi_floored))
-        threshold_rollbacks = int(
-            np.sum(record.rollbacks & ~record.phi_floored)
+        solves = dict(
+            rollback_fraction=float(np.mean(record.rollbacks)),
+            # a cell with no batches is a particle that had failed before it
+            control_solves=int(np.count_nonzero(record.batches_used)),
+            floored_solves=int(np.sum(record.phi_floored)),
+            threshold_rollbacks=int(
+                np.sum(record.rollbacks & ~record.phi_floored)
+            ),
+            max_batches=int(record.batches_used.max()),
         )
-        max_batches = int(record.batches_used.max())
-        realization_steps = int(record.realization_steps.sum())
-        control_passes = int(record.control_passes.sum())
-    else:
-        rollback_fraction = 0.0
-        control_solves = floored_solves = threshold_rollbacks = 0
-        max_batches = 0
-        realization_steps = control_passes = 0
-    if record.variational_iterations is not None:
-        variational_iterations = int(record.variational_iterations.sum())
-        variational_cost_evals = int(record.variational_cost_evals.sum())
-    else:
-        variational_iterations = variational_cost_evals = 0
     total = record.runtime["total"]
     share = (
         record.runtime["variational"] / total
@@ -683,21 +683,17 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
         runtime_total=total,
         runtime_control=record.runtime["control"],
         runtime_variational=record.runtime["variational"],
-        realization_steps=realization_steps,
-        control_passes=control_passes,
-        variational_iterations=variational_iterations,
-        variational_cost_evals=variational_cost_evals,
-        rollback_fraction=rollback_fraction,
-        control_solves=control_solves,
-        floored_solves=floored_solves,
-        threshold_rollbacks=threshold_rollbacks,
-        max_batches=max_batches,
+        realization_steps=_total(record.realization_steps),
+        control_passes=_total(record.control_passes),
+        variational_iterations=_total(record.variational_iterations),
+        variational_cost_evals=_total(record.variational_cost_evals),
         resampled_cycles=int(np.sum(record.resampled)),
         collapsed_cycles=int(np.sum(record.collapsed)),
         variational_share=share,
         failed=record.failed,
         failure_message=record.failure_message or "",
         truth_digest=record.truth_digest,
+        **solves,
     )
 
 
@@ -719,20 +715,6 @@ def _crashed_metrics(
         avg_ness=nan,
         bm_ratio=nan,
         runtime_total=elapsed,
-        runtime_control=0.0,
-        runtime_variational=0.0,
-        realization_steps=0,
-        control_passes=0,
-        variational_iterations=0,
-        variational_cost_evals=0,
-        rollback_fraction=0.0,
-        control_solves=0,
-        floored_solves=0,
-        threshold_rollbacks=0,
-        max_batches=0,
-        resampled_cycles=0,
-        collapsed_cycles=0,
-        variational_share=0.0,
         failed=True,
         failure_message=f"{type(err).__name__}: {err}",
         truth_digest=truth_digest,

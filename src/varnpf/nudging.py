@@ -472,11 +472,14 @@ def _nudged_sweep(
     advects along its slice of them.
     ``target_fn(j, states, weights) -> (target_obs, horizon_end)`` is
     consulted once per subinterval before the control solves, so a guided
-    cycle can refresh its target mid-interval.  Each live particle then
-    solves for its control with adaptive_control, drawing from its own
-    ``child_sequence(control_seqs[i], j)`` generator; a subinterval's
-    solves advance together, one propagation pass per round (see
-    _solve_controls), and ``control_passes`` counts those passes.  The
+    cycle can refresh its target mid-interval; the increments and
+    ``control_seqs`` are checked before its first call.  ``reweight_obs``
+    is read only at the terminal reweight, after the last target_fn call,
+    so it may be a view of a target that target_fn fills.  Each live
+    particle then solves for its control with adaptive_control, drawing
+    from its own ``child_sequence(control_seqs[i], j)`` generator; a
+    subinterval's solves advance together, one propagation pass per round
+    (see _solve_controls), and ``control_passes`` counts those passes.  The
     rollback candidates -0.5 |sigma^T grad phi / phi|^2 dt_sub, step ratios
     and change-of-measure increments of all live particles are arrays too,
     each particle rounding as it would alone; each solve that did not floor
@@ -595,9 +598,8 @@ def _nudged_sweep(
 
     # uniform shift before exponentiation; the reweight normalizes it away
     factors = np.exp(log_rn - log_rn.max())
-    terminal_obs = reweight_obs() if callable(reweight_obs) else reweight_obs
     posterior, collapsed = bayes_reweight(
-        advected, terminal_obs, obs_model, factors
+        advected, reweight_obs, obs_model, factors
     )
     posterior_ness = effective_sample_size(posterior.weights)
 

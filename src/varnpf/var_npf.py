@@ -1,11 +1,15 @@
 """Nudged filter guided by a variational pseudo observation path.
 
 Instead of pulling every subinterval toward the far-away terminal
-observation, the cycle first fits an initial state to the ensemble and the
-observation, flows it deterministically across the interval, and hands the
-flow samples to the control solver as near-horizon targets.  Controls then
-only ever look one subinterval ahead, which keeps realization bundles short
-and the change-of-measure cost small.
+observation, the cycle fits an initial state to the ensemble and the
+observation, flows it deterministically to the end of the interval, and
+hands the flow samples to the control solver as near-horizon targets.
+Controls then only ever look one subinterval ahead, which keeps
+realization bundles short and the change-of-measure cost small.
+
+One guidance path serves both modes: a fit at the start of the interval,
+and optionally a refit from the mid-flight ensemble at every later
+subinterval, each over the rest of the interval.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bootstrap_pf import _interval_steps
 from .diagnostics import CycleDiagnostics
 from .ensemble import (
     ObservationModel,
@@ -27,6 +30,7 @@ from .nudging import NudgingConfig, _nudged_sweep, npf_assimilation_cycle
 from .sde import SdeModel
 from .variational import (
     VariationalProblem,
+    VariationalResult,
     build_pseudo_path,
     minimize_cost,
 )
@@ -51,6 +55,14 @@ class VarNpfSettings:
     # observation, which reduces the cycle to the plain nudged filter
     skip_variational: bool = False
 
+    def __post_init__(self):
+        if not self.regularization_eps > 0.0:
+            raise ValueError("regularization_eps must be positive")
+        if not self.bound_sigmas > 0.0:
+            raise ValueError("bound_sigmas must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+
 
 def var_npf_assimilation_cycle(
     ensemble: ParticleEnsemble,
@@ -70,16 +82,19 @@ def var_npf_assimilation_cycle(
 ) -> tuple[ParticleEnsemble, CycleDiagnostics]:
     """One observation interval of the variationally guided nudged filter.
 
-    Steps: ensemble moments -> variational fit -> pseudo observation path
-    -> per-subinterval one-step-ahead control solves -> terminal Bayes
-    reweight with the change-of-measure factors -> optional resample.  A
-    stalled variational solve is recorded and its best iterate used; the
-    guidance does not have to be optimal to be useful.  ``increments``
-    (n, S, d) and ``dt`` are the particles' Wiener increments, as in the
-    bootstrap cycle.
+    Steps: pseudo observation targets -> per-subinterval one-step-ahead
+    control solves -> terminal Bayes reweight with the change-of-measure
+    factors -> optional resample.  The sweep's ``target_fn`` makes the
+    targets: at subinterval 0, and at every later j with
+    ``resolve_per_subinterval``, it fits an initial state over [t_j, t_end]
+    to the moments of the ensemble it is handed and fills ``targets[j:]``
+    from the fit's flow.  The recorded status and cost are the last fit's;
+    iterations and cost evaluations are summed over the fits.  A stalled
+    variational solve is recorded and its best iterate used; the guidance
+    does not have to be optimal to be useful.  ``increments`` (n, S, d)
+    and ``dt`` are the particles' Wiener increments, as in the bootstrap
+    cycle.
     """
-    # a malformed increments array fails before the variational solve
-    _interval_steps(increments, ensemble, t_start, t_end, dt)
     observation = np.asarray(observation, dtype=float)
     m_sub = config.subintervals
     dt_sub = (t_end - t_start) / m_sub
@@ -94,83 +109,51 @@ def var_npf_assimilation_cycle(
         diag.timings["variational"] = 0.0
         return posterior, diag
 
-    var_time = [0.0]
-    statuses: list[str] = []
-    costs: list[float] = []
-    iteration_total = [0]
-    cost_eval_total = [0]
+    targets = np.empty((m_sub, observation.shape[-1]))
+    fits: list[VariationalResult] = []
+    var_time = 0.0
 
-    def solve(mean, cov, t_from):
-        tic = time.perf_counter()
-        problem = VariationalProblem(
-            model=model,
-            obs_model=obs_model,
-            prior_mean=mean,
-            prior_cov=cov,
-            observation=observation,
-            t_start=t_from,
-            t_end=t_end,
-            dt=dt,
-            eps=settings.regularization_eps,
-            bound_sigmas=settings.bound_sigmas,
-        )
-        result = minimize_cost(
-            problem, max_iterations=settings.max_iterations
-        )
-        var_time[0] += time.perf_counter() - tic
-        statuses.append(result.status)
-        costs.append(result.cost_opt)
-        iteration_total[0] += result.iterations
-        cost_eval_total[0] += result.cost_evals
-        return result
-
-    if not settings.resolve_per_subinterval:
-        moments = empirical_moments(ensemble)
-        result = solve(moments.mean, moments.cov, t_start)
-        pseudo = build_pseudo_path(
-            model, obs_model, result.x_opt, t_start, t_end, m_sub, dt,
-            flow=result.flow,
-        )
-        targets = pseudo.observations[1:]
-
-        def target_fn(j, states, weights):
-            return targets[j], t_start + (j + 1) * dt_sub
-
-        reweight_obs = (
-            pseudo.observations[-1]
-            if settings.reweight_with_pseudo
-            else observation
-        )
-    else:
-        targets = np.zeros((m_sub, observation.shape[-1]))
-
-        def target_fn(j, states, weights):
-            snapshot = ParticleEnsemble(states, weights, t_start + j * dt_sub)
-            moments = empirical_moments(snapshot)
-            t_j = t_start + j * dt_sub
-            result = solve(moments.mean, moments.cov, t_j)
-            segment = build_pseudo_path(
-                model, obs_model, result.x_opt, t_j, t_j + dt_sub, 1, dt,
+    def target_fn(j, states, weights):
+        nonlocal var_time
+        t_j = t_start + j * dt_sub
+        if j == 0 or settings.resolve_per_subinterval:
+            moments = empirical_moments(ParticleEnsemble(states, weights, t_j))
+            tic = time.perf_counter()
+            problem = VariationalProblem(
+                model=model,
+                obs_model=obs_model,
+                prior_mean=moments.mean,
+                prior_cov=moments.cov,
+                observation=observation,
+                t_start=t_j,
+                t_end=t_end,
+                dt=dt,
+                eps=settings.regularization_eps,
+                bound_sigmas=settings.bound_sigmas,
+            )
+            result = minimize_cost(
+                problem, max_iterations=settings.max_iterations
+            )
+            var_time += time.perf_counter() - tic
+            fits.append(result)
+            pseudo = build_pseudo_path(
+                model, obs_model, result.x_opt, t_j, t_end, m_sub - j, dt,
                 flow=result.flow,
             )
-            targets[j] = segment.observations[-1]
-            return targets[j], t_j + dt_sub
+            targets[j:] = pseudo.observations[1:]
+        return targets[j], t_j + dt_sub
 
-        reweight_obs = (
-            (lambda: targets[-1])
-            if settings.reweight_with_pseudo
-            else observation
-        )
-
+    # a view: the reweight reads the last target as the sweep left it
+    reweight_obs = targets[-1] if settings.reweight_with_pseudo else observation
     posterior, diag = _nudged_sweep(
         ensemble, model, obs_model, target_fn, reweight_obs,
         t_start, t_end, config, increments, dt, control_seqs, resample_rng,
         resample, resample_threshold,
     )
-    diag.pseudo_targets = np.array(targets)
-    diag.variational_status = statuses[-1]
-    diag.variational_cost = costs[-1]
-    diag.variational_iterations = iteration_total[0]
-    diag.variational_cost_evals = cost_eval_total[0]
-    diag.timings["variational"] = var_time[0]
+    diag.pseudo_targets = targets
+    diag.variational_status = fits[-1].status
+    diag.variational_cost = fits[-1].cost_opt
+    diag.variational_iterations = sum(r.iterations for r in fits)
+    diag.variational_cost_evals = sum(r.cost_evals for r in fits)
+    diag.timings["variational"] = var_time
     return posterior, diag

@@ -144,6 +144,25 @@ class TestErrorPaths:
         assert code == 1
         assert "bogus_key" in captured.err
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_iterations", -5),
+        ("regularization_eps", 0.0),
+        ("bound_sigmas", -1.0),
+    ])
+    def test_bad_variational_setting_exits_one(
+        self, tmp_path, capsys, key, value
+    ):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            f"filter_name: var_npf\nt_final: 0.5\nvariational:\n"
+            f"  {key}: {value}\n"
+        )
+        code = main(["run", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "config error" in captured.err
+        assert key in captured.err
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["run"]) == 1
         capsys.readouterr()

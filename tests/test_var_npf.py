@@ -1,5 +1,7 @@
 """Variationally guided cycle: reductions, flags, recorded guidance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,7 +152,14 @@ class TestAblationFlags:
             base.posterior.weights, ablated.posterior.weights
         )
 
-    def test_per_subinterval_resolve_refreshes_targets(self):
+    def test_per_subinterval_resolve_refreshes_targets(self, monkeypatch):
+        results = []
+
+        def recording_minimize(*args, **kwargs):
+            results.append(minimize_cost(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(var_npf, "minimize_cost", recording_minimize)
         model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
         _, once = var_npf_assimilation_cycle(
@@ -165,6 +174,15 @@ class TestAblationFlags:
             control_seqs(100, 2, ens.n_particles),
             np.random.default_rng(101),
         )
+        # the first refit starts from the same moments over the same
+        # interval as the single fit, so both agree bit for bit
+        assert len(results) == 1 + config.subintervals
+        single, first = results[0], results[1]
+        for f in dataclasses.fields(single):
+            assert (np.asarray(getattr(first, f.name)).tobytes()
+                    == np.asarray(getattr(single, f.name)).tobytes()), f.name
+        assert (refreshed.pseudo_targets[0].tobytes()
+                == once.pseudo_targets[0].tobytes())
         assert refreshed.pseudo_targets.shape == once.pseudo_targets.shape
         assert not np.array_equal(
             refreshed.pseudo_targets, once.pseudo_targets
@@ -214,11 +232,11 @@ class TestAblationFlags:
             config.subintervals if resolve else 1
         )
         if resolve:
-            # a solve from t_j flows to t_end; its segment takes one
-            # subinterval of that flow
+            # a solve from t_j flows to t_end and its path runs to t_end;
+            # subinterval j's target is the path's first sample after t_j
             assert all(len(r.flow) == 51 - 10 * j
                        for j, r in enumerate(results))
-            targets = [p.observations[-1] for p in paths_built]
+            targets = [p.observations[1] for p in paths_built]
         else:
             targets = paths_built[0].observations[1:]
         assert np.array_equal(diag.pseudo_targets, targets)
