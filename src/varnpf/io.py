@@ -6,9 +6,22 @@ particle, component, value; every numeric series of a run lands there.
 ``harness.RECORD_AXES`` the index column of each axis.  Values are
 written with 17 significant digits, which round-trips IEEE doubles
 exactly, so parse(write(record)) reproduces every number bit for bit.
-The writer streams rows in blocks of ``WRITE_BLOCK_ROWS``, so the text of
-a whole record is never held at once; the reader keeps one float64 per
-cell.  Strings and provenance go to ``meta.json`` instead.
+Strings and provenance go to ``meta.json`` instead.
+
+The writer emits a series in blocks of whole axis-0 rows, about
+``WRITE_BLOCK_ROWS`` rows each.  A row's text is an outer part (series
+name to axis-0 label, one string per axis-0 index), an inner part (the
+other index cells, one string per inner index) and the value, so a block
+is one ``%`` format of a repeated row template.  The reader takes
+``csv.reader`` rows ``WRITE_BLOCK_ROWS`` at a time, checks their widths
+at once, parses the block column by column (each distinct index text
+once per file) and splits it where the series column changes.  Neither
+holds the text of a whole record or series; the reader keeps one float64
+per cell.
+
+Every artifact is written to a temporary file beside its destination and
+moved into place, so a write cut short leaves the old file, not a
+truncated one that would read back without error.
 """
 
 from __future__ import annotations
@@ -16,10 +29,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import sys
-from array import array
+from contextlib import contextmanager
 from datetime import datetime, timezone
-from itertools import islice, product, repeat, starmap
+from itertools import chain, groupby, islice, product, repeat, starmap
+from pathlib import Path
+from secrets import token_hex
 
 import numpy as np
 import yaml
@@ -61,11 +77,29 @@ def _package_version() -> str:
     return __version__
 
 
+@contextmanager
+def _replacing(path, **kwargs):
+    """Open a sibling temporary file for writing and move it onto ``path``
+    once the body succeeds; on any exception remove it, so ``path`` holds
+    either its old contents or the whole new file.  ``kwargs`` go to
+    ``open``, whose exclusive create keeps the umask's permissions."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_record_csv(record: ExperimentRecord, path) -> None:
     """Write every series of ``RECORD_SERIES`` the record holds, one row
-    per value in row-major order, ``WRITE_BLOCK_ROWS`` rows at a time."""
+    per value in row-major order.  A write takes as many whole axis-0 rows
+    as fit in ``WRITE_BLOCK_ROWS`` rows, and at least one."""
     times = [_fmt(t) for t in record.times]
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         fh.write(",".join(SCHEMA) + _EOL)
         for series in RECORD_SERIES:
             values = getattr(record, series.attr)
@@ -82,18 +116,28 @@ def write_record_csv(record: ExperimentRecord, path) -> None:
                 else [str(i) for i in range(size)]
                 for column, size in zip(columns, values.shape)
             ]
-            # the row's index cells, {k} standing for the label on axis k
-            prefix = ",".join([series.name] + [
-                f"{{{columns.index(column)}}}" if column in columns else ""
-                for column in SCHEMA[1:-1]
-            ] + [""]).format
-            rows = map(
-                str.__add__,
-                starmap(prefix, product(*labels)),
-                map(format, values.ravel().tolist(), repeat(".17g")),
-            )
-            while block := list(islice(rows, WRITE_BLOCK_ROWS)):
-                fh.write(_EOL.join(block) + _EOL)
+            # axis 0's column leads the series' columns in SCHEMA, so a row
+            # is outer[i] (name to axis-0 cell) + inner[j] (the other index
+            # cells, {k} standing for the label on axis k + 1) + value
+            split = SCHEMA.index(columns[0])
+            outer = [series.name + "," * split + label for label in labels[0]]
+            template = ",".join([""] + [
+                f"{{{columns.index(column) - 1}}}" if column in columns
+                else "" for column in SCHEMA[split + 1:-1]
+            ] + [""])
+            inner = list(starmap(template.format, product(*labels[1:])))
+            values = values.reshape(len(outer), len(inner))
+            per_block = max(1, WRITE_BLOCK_ROWS // len(inner))
+            for start in range(0, len(outer), per_block):
+                heads = outer[start:start + per_block]
+                rows = len(heads) * len(inner)
+                args = [None] * (3 * rows)
+                args[0::3] = chain.from_iterable(
+                    map(repeat, heads, repeat(len(inner)))
+                )
+                args[1::3] = inner * len(heads)
+                args[2::3] = values[start:start + per_block].ravel().tolist()
+                fh.write(("%s%s%.17g" + _EOL) * rows % tuple(args))
 
 
 def _bad_row(path, reader, problem) -> ConfigError:
@@ -108,6 +152,59 @@ def _check_width(row, header, path, reader) -> None:
         )
 
 
+def _cell(text: str) -> float:
+    return float(text) if text else np.nan
+
+
+class _IndexCells(dict):
+    """Index cell text to float, parsing each distinct text once."""
+
+    def __missing__(self, text):
+        value = self[text] = _cell(text)
+        return value
+
+
+def _parse_block(block, index: _IndexCells):
+    """(names, five float64 columns) of a block of record rows; ValueError
+    if a row has the wrong width or a cell is not a number."""
+    width, rows = len(SCHEMA), len(block)
+    if set(map(len, block)) != {width}:
+        raise ValueError("row width")
+    # column k of the block is every width-th cell from k: a strided
+    # slice of the flat cells costs a third of zip(*block)
+    cells = list(chain.from_iterable(block))
+    columns = [
+        np.fromiter(map(index.__getitem__, cells[k::width]), float, rows)
+        for k in range(1, width - 1)
+    ]
+    values = cells[width - 1::width]
+    try:
+        columns.append(np.fromiter(map(float, values), float, rows))
+    except ValueError:  # empty cells read as nan
+        columns.append(np.fromiter(map(_cell, values), float, rows))
+    return cells[0::width], columns
+
+
+def _first_bad_row(path, skipped: int, block) -> ConfigError:
+    """The error of the first bad row of ``block``, which follows
+    ``skipped`` data rows, naming the line csv.reader counts for it."""
+    for k, row in enumerate(block):
+        if len(row) != len(SCHEMA):
+            problem = f"{len(row)} cells, expected {len(SCHEMA)}"
+            break
+        try:
+            list(map(_cell, row[1:]))
+        except ValueError as err:
+            problem = err
+            break
+    # walk the file again: quoted cells may span lines
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, skipped + k + 2):  # header and rows to k
+            pass
+        return _bad_row(path, reader, problem)
+
+
 def read_record_csv(path) -> dict:
     """Load a tidy record file as {series: {column: float64 array}}.
 
@@ -115,30 +212,30 @@ def read_record_csv(path) -> dict:
     the cell empty; values preserve the written doubles exactly.  A row
     of the wrong width or with a non-numeric cell raises ConfigError.
     """
-    out: dict = {}
+    chunks: dict = {}  # series -> per-block lists of its column slices
+    index = _IndexCells()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
         if header != SCHEMA:
             raise ConfigError(f"unexpected record header {header!r}")
-        for row in reader:
-            _check_width(row, SCHEMA, path, reader)
-            name, t, cycle, particle, component, value = row
-            buffers = out.get(name)
-            if buffers is None:
-                buffers = out[name] = [array("d") for _ in SCHEMA[1:]]
-            # one line per column: a loop over the cells costs a third more
+        skipped = 0
+        while block := list(islice(reader, WRITE_BLOCK_ROWS)):
             try:
-                buffers[0].append(float(t) if t else np.nan)
-                buffers[1].append(float(cycle) if cycle else np.nan)
-                buffers[2].append(float(particle) if particle else np.nan)
-                buffers[3].append(float(component) if component else np.nan)
-                buffers[4].append(float(value) if value else np.nan)
-            except ValueError as err:
-                raise _bad_row(path, reader, err) from err
+                names, columns = _parse_block(block, index)
+            except ValueError:
+                raise _first_bad_row(path, skipped, block) from None
+            start = 0
+            for name, run in groupby(names):
+                stop = start + len(list(run))
+                chunks.setdefault(name, []).append(
+                    [column[start:stop] for column in columns]
+                )
+                start = stop
+            skipped += len(block)
     return {
-        name: {col: np.array(buf) for col, buf in zip(SCHEMA[1:], buffers)}
-        for name, buffers in out.items()
+        name: dict(zip(SCHEMA[1:], map(np.concatenate, zip(*parts))))
+        for name, parts in chunks.items()
     }
 
 
@@ -148,7 +245,7 @@ _SUMMARY_TYPES = {f.name: f.type for f in dataclasses.fields(RunMetrics)}
 
 def write_summary_csv(rows, path) -> None:
     """Per-run metric rows; floats at full precision, bools as 0/1."""
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SUMMARY_FIELDS)
         for row in rows:
@@ -163,6 +260,12 @@ def write_summary_csv(rows, path) -> None:
                 else:
                     out.append(str(value))
             writer.writerow(out)
+
+
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag cell {cell!r} is not 0 or 1")
+    return cell == "1"
 
 
 def read_summary_csv(path) -> list:
@@ -183,7 +286,7 @@ def read_summary_csv(path) -> list:
                     elif kind == "int":
                         kwargs[name] = int(cell)
                     elif kind == "bool":
-                        kwargs[name] = cell == "1"
+                        kwargs[name] = _flag(cell)
                     else:
                         kwargs[name] = cell
             except ValueError as err:
@@ -228,7 +331,7 @@ def build_mc_meta(
 
 
 def write_meta(meta: dict, path) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(_plain(meta), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -252,5 +355,5 @@ def load_config_file(path) -> ExperimentConfig:
 
 
 def write_config_file(config: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         yaml.safe_dump(_plain(config.to_dict()), fh, sort_keys=False)

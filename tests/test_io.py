@@ -4,10 +4,14 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import stat
 from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 
 from varnpf.harness import (
     RECORD_AXES,
@@ -295,6 +299,8 @@ ORACLE_CONFIGS = {
     "failed_var_npf": small_config(
         filter_name="var_npf", seed=84, ensemble_mean=(1e8, 1e8, 1e8)
     ),
+    # the shape of a pf_wide benchmark record: 142,563 rows, about 7 MB
+    "pf_wide": small_config(particles=100, t_final=3.5, seed=85),
 }
 
 
@@ -325,7 +331,9 @@ class TestRecordCsvOracle:
         "a,0,,,0,\r\na,0,,,1,4.5\r\n",
         # quoted cells, one with an embedded separator in the series name
         '"a",0,,"2",0,"1.5"\r\n"x,y",,,,,7\r\n',
-    ], ids=["interleaved", "empty_value", "quoted"])
+        # a quoted series name spanning two lines
+        '"a\nb",0,,,0,1.5\r\na,,1,,,2\r\n',
+    ], ids=["interleaved", "empty_value", "quoted", "embedded_newline"])
     def test_reader_matches_reference_on_hand_made_files(self, tmp_path, body):
         path = tmp_path / "record.csv"
         path.write_bytes((",".join(SCHEMA) + "\r\n" + body).encode())
@@ -344,6 +352,137 @@ class TestRecordCsvOracle:
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(ConfigError, match=f"line {line}:"):
             read_record_csv(path)
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r"], ids=["lf", "cr"])
+    def test_reader_matches_reference_on_other_line_endings(
+        self, written_pair, tmp_path, eol
+    ):
+        new, _ = written_pair
+        path = tmp_path / "record.csv"
+        path.write_bytes(new.read_bytes().replace(b"\r\n", eol))
+        got = read_record_csv(path)
+        assert_same_read(got, oracle_read_record_csv(path))
+        assert_same_read(got, read_record_csv(new))
+
+    def test_series_interleaving_across_block_edge(self, tmp_path):
+        # a, then b and a alternating over the first block's last rows and
+        # the second block's first rows, then a series new in block two
+        names = ["a"] * (WRITE_BLOCK_ROWS - 3) + ["b", "a"] * 3 + ["c"] * 5
+        body = "".join(
+            f"{name},{k / 8},,{k % 7},{k % 3},{k * 1.5e-3!r}\r\n"
+            for k, name in enumerate(names)
+        )
+        path = tmp_path / "record.csv"
+        path.write_bytes((",".join(SCHEMA) + "\r\n" + body).encode())
+        got = read_record_csv(path)
+        assert list(got) == ["a", "b", "c"]
+        assert_same_read(got, oracle_read_record_csv(path))
+
+    # physical lines of the first and last rows of the first two blocks
+    @pytest.mark.parametrize("line", [
+        2, WRITE_BLOCK_ROWS + 1,
+        WRITE_BLOCK_ROWS + 2, 2 * WRITE_BLOCK_ROWS + 1,
+    ], ids=["first_of_first", "last_of_first", "first_of_second",
+            "last_of_second"])
+    @pytest.mark.parametrize("bad, problem", [
+        ("step_state,0.01,,1,2", "5 cells, expected 6"),
+        ("step_state,0.01,,1,2,x1.5",
+         "could not convert string to float: 'x1.5'"),
+        ("step_state,0.01,,one,2,1.5",
+         "could not convert string to float: 'one'"),
+    ], ids=["short_row", "bad_value", "bad_index"])
+    def test_bad_row_at_block_edge_names_its_line(
+        self, pf_100_lines, tmp_path, line, bad, problem
+    ):
+        lines = list(pf_100_lines)
+        lines[line - 1] = bad.encode()
+        # a later bad row must not be the one reported
+        lines[line + 5] = b"step_state,0.01,,1,2,nope"
+        path = tmp_path / "record.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ConfigError) as caught:
+            read_record_csv(path)
+        assert str(caught.value) == f"{path}, line {line}: {problem}"
+
+    @pytest.mark.parametrize("row", [5, WRITE_BLOCK_ROWS + 40])
+    def test_quoted_newline_before_bad_row(self, pf_100_lines, tmp_path, row):
+        # data row 2 holds a quoted name spanning two physical lines, so
+        # data row ``row`` (0-based) sits on physical line row + 3
+        lines = list(pf_100_lines)
+        lines[3] = b'"step\nstate",0.01,,1,2,1.5'
+        lines[row + 1] = b"step_state,0.01,,1,2,x1.5"
+        path = tmp_path / "record.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ConfigError) as caught:
+            read_record_csv(path)
+        assert str(caught.value) == (
+            f"{path}, line {row + 3}: "
+            "could not convert string to float: 'x1.5'"
+        )
+
+
+@pytest.fixture(scope="module")
+def pf_100_lines(tmp_path_factory):
+    """The lines of the pf_100 record file, several read blocks long."""
+    record = run_experiment(ORACLE_CONFIGS["pf_100"])
+    path = tmp_path_factory.mktemp("pf_100") / "record.csv"
+    write_record_csv(record, path)
+    lines = path.read_bytes().split(b"\r\n")
+    assert len(lines) > 2 * WRITE_BLOCK_ROWS + 10
+    return tuple(lines)
+
+
+class _Unwritable:
+    """A series whose values cannot be read, ending a write part way."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise RuntimeError("cut")
+
+
+def _cut_record(path):
+    # truth, ensemble_mean and the blocks of step_state go out first
+    record = run_experiment(ORACLE_CONFIGS["pf_100"])
+    cut = SimpleNamespace(**vars(record))
+    cut.step_weights = _Unwritable()
+    write_record_csv(cut, path)
+
+
+def _cut_summary(path):
+    done = run_metrics(run_experiment(small_config(seed=76)))
+    write_summary_csv([done, done, object()], path)
+
+
+def _cut_meta(path):
+    write_meta({"a": list(range(5000)), "z": object()}, path)
+
+
+def _cut_config(path):
+    dump = {"seed": 1, "z": object()}
+    write_config_file(SimpleNamespace(to_dict=lambda: dump), path)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("cut", [
+        _cut_record, _cut_summary, _cut_meta, _cut_config,
+    ], ids=["record", "summary", "meta", "config"])
+    def test_failed_write_leaves_old_file(self, tmp_path, cut):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old contents\r\n")
+        with pytest.raises((RuntimeError, AttributeError, TypeError,
+                            yaml.YAMLError)):
+            cut(path)
+        assert path.read_bytes() == b"old contents\r\n"
+        assert os.listdir(tmp_path) == ["artifact"]
+
+    def test_new_files_keep_umask_permissions(self, tmp_path):
+        mask = os.umask(0o022)
+        try:
+            path = tmp_path / "meta.json"
+            write_meta({"a": 1}, path)
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+        assert os.listdir(tmp_path) == ["meta.json"]
 
 
 def rows_equal(a, b):
@@ -409,6 +548,19 @@ class TestSummaryCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ConfigError):
+            read_summary_csv(path)
+
+    @pytest.mark.parametrize("cell", ["True", "2", "", "01", " 1"])
+    def test_rejects_flag_cells_other_than_0_or_1(self, tmp_path, cell):
+        done = run_metrics(run_experiment(small_config(seed=76)))
+        path = tmp_path / "summary.csv"
+        write_summary_csv([done, done], path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][rows[0].index("failed")] = cell
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(ConfigError, match=f"line 3: flag cell {cell!r}"):
             read_summary_csv(path)
 
     @pytest.mark.parametrize("cut", [
