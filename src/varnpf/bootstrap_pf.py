@@ -16,6 +16,7 @@ from .ensemble import (
 )
 # perfbench/layertrace.py still looks integrate_path up in this module
 from .sde import (  # noqa: F401
+    RK4_STAGES,
     SdeModel,
     advect_particles,
     integrate_path,
@@ -87,7 +88,13 @@ def pf_assimilation_cycle(
     trajs, failures = advect_particles(
         model, ensemble.states, zero_controls, increments, dt
     )
-    carried = _apply_failures(ensemble.weights, failures)
+    drift_evals = RK4_STAGES * n * n_steps
+    try:
+        carried = _apply_failures(ensemble.weights, failures)
+    except CycleFailure as err:
+        raise CycleFailure(
+            str(err), bookkeeping={"drift_evals": drift_evals}
+        ) from None
     advected = ParticleEnsemble(trajs[-1], carried, t_end)
     prior_ness = effective_sample_size(carried)
 
@@ -111,6 +118,7 @@ def pf_assimilation_cycle(
         resampled=resampled,
         collapsed=collapsed,
         particle_failures=failures,
+        drift_evals=drift_evals,
         timings={"total": time.perf_counter() - tic},
     )
     return posterior, diag

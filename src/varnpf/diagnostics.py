@@ -15,9 +15,10 @@ class CycleFailure(RuntimeError):
     """Every particle in a cycle blew up; the run cannot continue.
 
     ``bookkeeping`` maps CycleDiagnostics attributes of a per-cycle series
-    to the values the failing cycle had reached (a nudged cycle's control
-    solves, floors, rollbacks, realization steps and propagation passes),
-    so the run record still counts that cycle's work.
+    to the values the failing cycle had reached (its drift evaluations,
+    and a nudged cycle's control solves, floors, rollbacks, realization
+    steps and propagation passes), so the run record still counts that
+    cycle's work.
     """
 
     def __init__(self, message: str, bookkeeping: dict | None = None):
@@ -45,6 +46,10 @@ class CycleDiagnostics:
     resampled: bool
     collapsed: bool
     particle_failures: list[int] = field(default_factory=list)
+    # rows x drift evaluations of the cycle's integrators: RK4 stages of
+    # advection, control realizations and variational flows, plus the
+    # control solves' drift-norm denominators
+    drift_evals: int = 0
 
     # nudged cycles only
     control_proposed: Array | None = None  # (M, n, d)

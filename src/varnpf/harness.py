@@ -309,6 +309,7 @@ class ExperimentRecord:
     posterior_ness: Array
     resampled: Array
     collapsed: Array
+    drift_evals: Array | None = None
     step_ratio: Array | None = None
     control_proposed_norms: Array | None = None
     control_applied_norms: Array | None = None
@@ -395,6 +396,7 @@ RECORD_SERIES: tuple[Series, ...] = (
     Series("posterior_ness", "posterior_ness", ("cycle",)),
     Series("resampled", "resampled", ("cycle",), bool),
     Series("collapsed", "collapsed", ("cycle",), bool),
+    Series("drift_evals", "drift_evals", ("cycle",), int),
     Series("step_ratio", "step_ratio", ("step", "particle"), float, _NUDGED),
     Series("control_proposed_norm", "control_proposed_norms", _SUBS, float,
            _NUDGED, _norms("control_proposed")),
@@ -632,6 +634,7 @@ class RunMetrics:
     runtime_variational: float = 0.0
     realization_steps: int = 0
     control_passes: int = 0
+    drift_evals: int = 0
     variational_iterations: int = 0
     variational_cost_evals: int = 0
     rollback_fraction: float = 0.0
@@ -685,6 +688,7 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
         runtime_variational=record.runtime["variational"],
         realization_steps=_total(record.realization_steps),
         control_passes=_total(record.control_passes),
+        drift_evals=_total(record.drift_evals),
         variational_iterations=_total(record.variational_iterations),
         variational_cost_evals=_total(record.variational_cost_evals),
         resampled_cycles=int(np.sum(record.resampled)),
@@ -803,6 +807,7 @@ class McSummary:
                         np.mean, "realization_steps"
                     ),
                     "avg_control_passes": stat(np.mean, "control_passes"),
+                    "avg_drift_evals": stat(np.mean, "drift_evals"),
                     "max_batches": int(
                         max((r.max_batches for r in done), default=0)
                     ),

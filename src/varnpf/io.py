@@ -30,6 +30,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -268,6 +269,24 @@ def _flag(cell: str) -> bool:
     return cell == "1"
 
 
+# the spellings write_summary_csv emits: str() of an int, and _fmt of a
+# float ('%.17g': no spaces, underscores, plus signs or capitals)
+_INT_CELL = re.compile(r"-?[0-9]+")
+_FLOAT_CELL = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]{2,})?|nan|-?inf")
+
+
+def _int(cell: str) -> int:
+    if not _INT_CELL.fullmatch(cell):
+        raise ValueError(f"int cell {cell!r} is not an optional - and digits")
+    return int(cell)
+
+
+def _float(cell: str) -> float:
+    if not _FLOAT_CELL.fullmatch(cell):
+        raise ValueError(f"float cell {cell!r} is not a %.17g number")
+    return float(cell)
+
+
 def read_summary_csv(path) -> list:
     rows = []
     with open(path, newline="") as fh:
@@ -282,9 +301,9 @@ def read_summary_csv(path) -> list:
                 for name, cell in zip(header, raw):
                     kind = _SUMMARY_TYPES[name]
                     if kind == "float":
-                        kwargs[name] = float(cell)
+                        kwargs[name] = _float(cell)
                     elif kind == "int":
-                        kwargs[name] = int(cell)
+                        kwargs[name] = _int(cell)
                     elif kind == "bool":
                         kwargs[name] = _flag(cell)
                     else:

@@ -32,7 +32,9 @@ from .ensemble import (
     systematic_resample,
 )
 from .bootstrap_pf import _apply_failures, _interval_steps
-from .sde import SdeModel, advect_particles, rk4_step, whole_steps
+from .sde import (
+    RK4_STAGES, SdeModel, advect_particles, rk4_states, whole_steps,
+)
 from .seeding import child_sequence, stream_generator
 
 Array = np.ndarray
@@ -102,11 +104,11 @@ def _propagate_with_sensitivity(
     midpoint Jacobian uses the chord midpoint of the step, the endpoint
     Jacobian the post-noise state, so Psi follows the realized path rather
     than the drift-only flow; a step's endpoint Jacobian is the next step's
-    start Jacobian, so each step evaluates two.  The RK4 and Psi work runs
-    over all k * b rows at once.  The noise term is a matrix product,
-    which rounds differently for different row counts; one stacked matmul
-    over the (k, b, d) increments multiplies each (b, d) batch on its own,
-    so it rounds as a batch alone does.  When the drift and its Jacobian
+    start Jacobian, so each step evaluates two.  The RK4 (by rk4_states)
+    and Psi work runs over all k * b rows at once.  The noise term is a
+    matrix product, which rounds differently for different row counts; one
+    stacked matmul over the increments multiplies each (b, d) batch on its
+    own, so it rounds as a batch alone does.  When the drift and its Jacobian
     act row by row (as the Lorenz-63 ones do), each batch's realizations
     come out bitwise as if propagated alone.  Returns endpoints (k, b, d)
     and fundamental matrices (k, b, d, d).
@@ -115,9 +117,11 @@ def _propagate_with_sensitivity(
     n = k * b
     states = np.broadcast_to(np.asarray(x, dtype=float), (n, d)).copy()
     fund = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    noise = np.empty((k, b, d))
-    flat_noise = noise.reshape(n, d)
-    sigma_t = model.dispersion.T
+    # one stacked product over the (S, k, b, d) increments: each (b, d)
+    # batch is still multiplied on its own
+    noise = np.matmul(
+        increments.transpose(2, 0, 1, 3), model.dispersion.T
+    ).reshape(n_steps, n, d)
     jac = model.drift_jacobian
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -125,18 +129,15 @@ def _propagate_with_sensitivity(
     # _combine_terms, so their overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
         a0 = jac(states)
-        for s in range(n_steps):
-            x0 = states
-            np.matmul(increments[:, :, s], sigma_t, out=noise)
-            x1 = rk4_step(model.drift, x0, None, dt) + flat_noise
-            am = jac(0.5 * (x0 + x1))
+        for x1 in rk4_states(model, states, dt, n_steps, noise=noise):
+            am = jac(0.5 * (states + x1))
             a1 = jac(x1)
             p1 = a0 @ fund
             p2 = am @ (fund + half * p1)
             p3 = am @ (fund + half * p2)
             p4 = a1 @ (fund + dt * p3)
             fund = fund + sixth * (p1 + 2.0 * (p2 + p3) + p4)
-            states = x1
+            states = x1  # the stepper's buffer, read before the next step
             a0 = a1
     return states.reshape(k, b, d), fund.reshape(k, b, d, d)
 
@@ -479,7 +480,10 @@ def _nudged_sweep(
     particle then solves for its control with adaptive_control, drawing
     from its own ``child_sequence(control_seqs[i], j)`` generator; a
     subinterval's solves advance together, one propagation pass per round
-    (see _solve_controls), and ``control_passes`` counts those passes.  The
+    (see _solve_controls), and ``control_passes`` counts those passes;
+    ``drift_evals`` counts the rows times drift evaluations of the solves
+    (RK4 stages of every realization, and each solve's denominator) and
+    of the advection.  The
     rollback candidates -0.5 |sigma^T grad phi / phi|^2 dt_sub, step ratios
     and change-of-measure increments of all live particles are arrays too,
     each particle rounding as it would alone; each solve that did not floor
@@ -512,6 +516,7 @@ def _nudged_sweep(
     step_ratio = np.full((n_steps, n), np.nan)
     realization_steps = 0
     control_passes = 0
+    drift_evals = RK4_STAGES * n * n_steps  # advection, every row
     alive = np.ones(n, dtype=bool)
     control_time = 0.0
 
@@ -534,6 +539,9 @@ def _nudged_sweep(
         if estimates:
             used = np.array([est.realizations_used for est in estimates])
             realization_steps += int(used.sum()) * horizon_steps
+            drift_evals += (
+                RK4_STAGES * int(used.sum()) * horizon_steps + len(estimates)
+            )
             proposed[j, live] = [est.control for est in estimates]
             batches_used[j, live] = used // config.batch_size
             # round 0 draws min(2, max_batches) batches, later rounds one
@@ -592,6 +600,7 @@ def _nudged_sweep(
             "rollbacks": rollbacks,
             "realization_steps": realization_steps,
             "control_passes": control_passes,
+            "drift_evals": drift_evals,
         }) from None
     advected = ParticleEnsemble(states, carried, t_end)
     prior_ness = effective_sample_size(carried)
@@ -630,6 +639,7 @@ def _nudged_sweep(
         step_ratio=step_ratio,
         realization_steps=realization_steps,
         control_passes=control_passes,
+        drift_evals=drift_evals,
         timings={
             "total": time.perf_counter() - tic,
             "control": control_time,

@@ -1,19 +1,34 @@
 """Diffusion models, Wiener increments and path integration.
 
 Propagation noise is a plain array of pre-drawn Wiener increments, (S, d)
-for one path or (n, S, d) for n particles.  :func:`advect_particles` is the
-one stochastic integrator: it advances the drift (plus any frozen control)
-with a classical RK4 stage over every row at once and adds the Brownian
-contribution once at the end of the step, so it collapses to plain RK4
-when the dispersion vanishes.  Strong order is 1/2, which is all the
-additive noise allows anyway.  The truth runs through it on one row.
+for one path or (n, S, d) for n particles.  :func:`rk4_states` is the
+package's one RK4 integrator.  It advances every row of a state array
+together by classical RK4 stages of the drift (plus any control held
+constant), adds the Brownian contribution once at the end of each step,
+and yields each step's state in one of two reused buffers.  Its stage
+states, stage slopes and scratch are allocated once per call and every
+ufunc writes into one of them (the output passed positionally, which
+numpy parses faster than ``out=``), so a step costs a fixed number of
+ufunc calls and no allocation.  A model may supply ``drift_into(columns,
+out_columns, scratch)``, the drift written through column views of the
+stage arrays (computed once per call) into the slope's columns;
+Lorenz-63 does (:func:`l63_drift_into`), and :func:`l63_drift` is a
+wrapper over the same form.  Any other model's ``drift`` is called on
+each stage and copied into the slope.  Each row's bits do not depend on
+the other rows when the drift acts row by row.
+
+:func:`advect_particles` is the stochastic integrator of the filters, a
+loop over the stepper that freezes rows leaving float64; the truth runs
+through it on one row.  With the noise added after the RK4 update, it
+collapses to plain RK4 when the dispersion vanishes.  Strong order is
+1/2, which is all the additive noise allows anyway.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,16 +48,53 @@ class L63Params:
     beta: float = 8.0 / 3.0
 
 
+@functools.lru_cache(maxsize=8)
+def l63_drift_into(
+    alpha: float, gamma: float, beta: float
+) -> Callable[[tuple, tuple, Array], None]:
+    """The Lorenz-63 vector field in column form, for these coefficients.
+
+    The returned ``drift_into(columns, out_columns, scratch)`` writes the
+    field of the state columns (x, y, z) into ``out_columns``, with
+    ``scratch`` one column-shaped buffer.  The operations run in the order
+    alpha (y - x), (gamma x - y) - x z and x y - beta z, each into a
+    given output: the package's one L63 formula.  The coefficients are
+    read-only 0-d arrays, which numpy takes as operands at less cost per
+    call than Python floats, and round the same.  Keyed by the three
+    floats, as _l63_jacobian_constants is.
+    """
+    alpha, gamma, beta = (np.array(c) for c in (alpha, gamma, beta))
+    for c in (alpha, gamma, beta):
+        c.flags.writeable = False
+
+    def drift_into(columns, out_columns, scratch):
+        x, y, z = columns
+        dx, dy, dz = out_columns
+        np.subtract(y, x, dx)
+        np.multiply(alpha, dx, dx)
+        np.multiply(gamma, x, dy)
+        np.subtract(dy, y, dy)
+        np.multiply(x, z, scratch)
+        np.subtract(dy, scratch, dy)
+        np.multiply(x, y, dz)
+        np.multiply(beta, z, scratch)
+        np.subtract(dz, scratch, dz)
+
+    return drift_into
+
+
+def _columns(a: Array) -> tuple:
+    """Views of ``a`` along its last axis, 0-d arrays for a single row."""
+    return tuple(a[..., i] for i in range(a.shape[-1]))
+
+
 def l63_drift(state: Array, params: L63Params = L63Params()) -> Array:
     """Lorenz-63 vector field.  Broadcasts over leading axes."""
     state = np.asarray(state, dtype=float)
-    x = state[..., 0]
-    y = state[..., 1]
-    z = state[..., 2]
     out = np.empty_like(state)
-    out[..., 0] = params.alpha * (y - x)
-    out[..., 1] = params.gamma * x - y - x * z
-    out[..., 2] = x * y - params.beta * z
+    l63_drift_into(params.alpha, params.gamma, params.beta)(
+        _columns(state), _columns(out), np.empty(state.shape[:-1])
+    )
     return out
 
 
@@ -92,7 +144,9 @@ class SdeModel:
     """Ito diffusion dX = f(X) dt + sigma dW with constant dispersion.
 
     ``diffusion`` is sigma sigma^T, kept explicit because the feedback
-    control and the weight formulas want it directly.
+    control and the weight formulas want it directly.  ``drift_into``,
+    when given, is the drift in the column form :func:`rk4_states` steps
+    with (see :func:`l63_drift_into`); it must round as ``drift`` does.
     """
 
     dimension: int
@@ -100,6 +154,7 @@ class SdeModel:
     drift_jacobian: Callable[[Array], Array]
     dispersion: Array
     diffusion: Array
+    drift_into: Callable[[tuple, tuple, Array], None] | None = None
 
     def __post_init__(self):
         sigma = np.array(self.dispersion, dtype=float)
@@ -141,6 +196,7 @@ def lorenz63(
         drift_jacobian=lambda x: l63_jacobian(x, params),
         dispersion=dispersion,
         diffusion=diffusion,
+        drift_into=l63_drift_into(params.alpha, params.gamma, params.beta),
     )
 
 
@@ -164,23 +220,78 @@ def whole_steps(t0: float, t1: float, dt: float) -> int:
     return steps
 
 
-def rk4_step(drift: Callable[[Array], Array], x: Array,
-             control: Array | None, dt: float) -> Array:
-    """Unchecked deterministic RK4 update for f(x) + control over ``dt``.
+# drift evaluations per RK4 step and row
+RK4_STAGES = 4
 
-    ``control`` of None means f alone.  Broadcasts over leading axes, one
-    row per state, and each row's result does not depend on the others
-    when the drift acts row by row.  Overflow propagates as inf or nan:
-    callers decide how to check it.
+
+def rk4_states(
+    model: SdeModel,
+    x0: Array,
+    dt: float,
+    n_steps: int,
+    control: Array | None = None,
+    noise: Array | None = None,
+) -> Iterator[Array]:
+    """Yield the state after each of ``n_steps`` RK4 steps of f + control.
+
+    ``x0`` is (..., d), one row per state; ``control`` broadcasts against
+    it and is held over every step (None means f alone); ``noise[s]``,
+    when given, is added to step s's RK4 update, so ``noise`` is (S, ...,
+    d).  Each step rounds as x + (dt/6) (k1 + 2 (k2 + k3) + k4) + noise[s]
+    with k_i = f(stage_i) + control, the classical order.
+
+    The yielded array is one of two buffers the steps alternate between:
+    it holds its state until the step after next, and the next step reads
+    it, so a caller may edit its rows in place to change what follows and
+    must copy what it keeps.  ``x0`` is only read.  Overflow propagates as
+    inf or nan; callers decide how to check it, and set numpy's error
+    state around the loop.
     """
-    def rhs(y):
-        return drift(y) if control is None else drift(y) + control
+    x = np.asarray(x0, dtype=float)
+    stage, k1, k2, k3, k4, *states = (np.empty(x.shape) for _ in range(7))
+    if model.drift_into is None:
+        def drift_into(y, k, _):
+            np.copyto(k, model.drift(y))
 
-    k1 = rhs(x)
-    k2 = rhs(x + 0.5 * dt * k1)
-    k3 = rhs(x + 0.5 * dt * k2)
-    k4 = rhs(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        def columns(a):  # the generic drift takes whole arrays
+            return a
+    else:
+        drift_into = model.drift_into
+        columns = _columns
+    # views, once per call, of every array a stage reads or writes
+    x_cols, stage_cols, k1_cols = columns(x), columns(stage), columns(k1)
+    state_cols = [columns(a) for a in states]
+    scratch = np.empty(x.shape[:-1])
+    # 0-d step factors cost a ufunc call less than Python floats
+    half, full, sixth, two = (
+        np.array(c) for c in (0.5 * dt, dt, dt / 6.0, 2.0)
+    )
+    later = [(k2, columns(k2), half), (k3, columns(k3), half),
+             (k4, columns(k4), full)]
+    add, mul = np.add, np.multiply  # the last argument is the output
+    for s in range(n_steps):
+        out = states[s % 2]
+        drift_into(x_cols, k1_cols, scratch)
+        if control is not None:
+            add(k1, control, k1)
+        k = k1
+        for k_next, k_next_cols, h in later:
+            mul(h, k, stage)  # stage = x + h k
+            add(x, stage, stage)
+            drift_into(stage_cols, k_next_cols, scratch)
+            if control is not None:
+                add(k_next, control, k_next)
+            k = k_next
+        add(k2, k3, k2)  # x + (dt/6) (k1 + 2 (k2 + k3) + k4)
+        mul(two, k2, k2)
+        add(k1, k2, k1)
+        add(k1, k4, k1)
+        mul(sixth, k1, k1)
+        add(x, k1, out)
+        if noise is not None:
+            add(out, noise[s], out)
+        yield out
+        x, x_cols = out, state_cols[s % 2]
 
 
 def advect_particles(
@@ -210,16 +321,17 @@ def advect_particles(
     out = np.empty((n_steps + 1,) + states.shape)
     out[0] = states
     failed = np.zeros(states.shape[0], dtype=bool)
-    x = states
+    steps = rk4_states(
+        model, states, dt, n_steps, controls, noise.transpose(1, 0, 2)
+    )
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(n_steps):
-            x = rk4_step(model.drift, x, controls, dt) + noise[:, s]
+        for s, x in enumerate(steps, 1):
             # one reduction per step; the per-row test only after a loss
             if not np.isfinite(x).all():
                 lost = ~np.all(np.isfinite(x), axis=1)
                 failed |= lost
                 x[lost] = states[lost]  # keep failed rows finite
-            out[s + 1] = x
+            out[s] = x
     out[:, failed] = states[failed]
     return out, np.flatnonzero(failed).tolist()
 

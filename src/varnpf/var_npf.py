@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import CycleDiagnostics
+from .diagnostics import CycleDiagnostics, CycleFailure
 from .ensemble import (
     ObservationModel,
     ParticleEnsemble,
@@ -89,7 +89,8 @@ def var_npf_assimilation_cycle(
     ``resolve_per_subinterval``, it fits an initial state over [t_j, t_end]
     to the moments of the ensemble it is handed and fills ``targets[j:]``
     from the fit's flow.  The recorded status and cost are the last fit's;
-    iterations and cost evaluations are summed over the fits.  A stalled
+    iterations, cost evaluations and drift evaluations are summed over the
+    fits.  A stalled
     variational solve is recorded and its best iterate used; the guidance
     does not have to be optimal to be useful.  ``increments`` (n, S, d)
     and ``dt`` are the particles' Wiener increments, as in the bootstrap
@@ -145,11 +146,19 @@ def var_npf_assimilation_cycle(
 
     # a view: the reweight reads the last target as the sweep left it
     reweight_obs = targets[-1] if settings.reweight_with_pseudo else observation
-    posterior, diag = _nudged_sweep(
-        ensemble, model, obs_model, target_fn, reweight_obs,
-        t_start, t_end, config, increments, dt, control_seqs, resample_rng,
-        resample, resample_threshold,
-    )
+    try:
+        posterior, diag = _nudged_sweep(
+            ensemble, model, obs_model, target_fn, reweight_obs,
+            t_start, t_end, config, increments, dt, control_seqs,
+            resample_rng, resample, resample_threshold,
+        )
+    except CycleFailure as err:
+        # the fits' flows are work of the failing cycle too
+        err.bookkeeping["drift_evals"] = err.bookkeeping.get(
+            "drift_evals", 0
+        ) + sum(r.drift_evals for r in fits)
+        raise
+    diag.drift_evals += sum(r.drift_evals for r in fits)
     diag.pseudo_targets = targets
     diag.variational_status = fits[-1].status
     diag.variational_cost = fits[-1].cost_opt

@@ -172,6 +172,14 @@ class TestRunExperiment:
         assert record.log_rn is None
         assert record.pseudo_targets is None
         assert record.runtime["control"] == 0.0
+        # four RK4 stages for every particle at every step
+        cfg = record.config
+        assert record.drift_evals.tolist() == (
+            [4 * cfg.particles * cfg.steps_per_interval] * cfg.n_intervals
+        )
+        assert run_metrics(record).drift_evals == (
+            4 * cfg.particles * cfg.n_steps
+        )
 
     def test_nudged_series_shapes(self):
         cfg = quick_config(filter_name="npf", seed=13)
@@ -277,6 +285,17 @@ class TestFailureHandling:
         # every solve floors in round 0, so no later round runs
         assert record.control_passes[0] == 1
         assert row.control_passes == 1
+        # the advection, the realizations and one denominator per solve;
+        # var_npf also flows its fit
+        counted = (
+            4 * n * cfg.steps_per_interval
+            + 4 * int(record.realization_steps[0]) + n
+        )
+        if name == "npf":
+            assert record.drift_evals[0] == counted
+        else:
+            assert record.drift_evals[0] > counted
+        assert row.drift_evals == record.drift_evals[0]
 
     def test_sweep_keeps_failed_rows_out_of_averages(self):
         cfg = quick_config(seed=19, ensemble_mean=(1e8, 1e8, 1e8))
@@ -334,6 +353,7 @@ class TestMonteCarlo:
             assert np.isfinite(row["median_rmse"])
         npf_rows = [r for r in agg if r["filter"] == "npf"]
         assert all(r["avg_realization_steps"] > 0 for r in npf_rows)
+        assert all(r["avg_drift_evals"] > 0 for r in agg)
         assert all(r["max_batches"] >= 2 for r in npf_rows)
 
     def test_summary_rebuilt_from_rows(self):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 from itertools import repeat
 from types import SimpleNamespace
@@ -550,18 +551,77 @@ class TestSummaryCsv:
         with pytest.raises(ConfigError):
             read_summary_csv(path)
 
-    @pytest.mark.parametrize("cell", ["True", "2", "", "01", " 1"])
-    def test_rejects_flag_cells_other_than_0_or_1(self, tmp_path, cell):
+    @staticmethod
+    def _second_row_with(tmp_path, column, cell):
+        """A two-row summary.csv whose second row has ``cell`` in
+        ``column``."""
         done = run_metrics(run_experiment(small_config(seed=76)))
         path = tmp_path / "summary.csv"
         write_summary_csv([done, done], path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        rows[2][rows[0].index("failed")] = cell
+        rows[2][rows[0].index(column)] = cell
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
+        return path
+
+    @pytest.mark.parametrize("cell", ["True", "2", "", "01", " 1"])
+    def test_rejects_flag_cells_other_than_0_or_1(self, tmp_path, cell):
+        path = self._second_row_with(tmp_path, "failed", cell)
         with pytest.raises(ConfigError, match=f"line 3: flag cell {cell!r}"):
             read_summary_csv(path)
+
+    # the first six are accepted by int(): whitespace, underscores, a plus
+    # sign, non-ASCII digits
+    @pytest.mark.parametrize("cell", [
+        " 7", "7 ", "\t7", "1_0", "+7", "\u0667", "7.0", "1e3", "0x7", "",
+    ])
+    @pytest.mark.parametrize("column", ["control_solves", "drift_evals"])
+    def test_rejects_int_cells_the_writer_never_emits(
+        self, tmp_path, column, cell
+    ):
+        path = self._second_row_with(tmp_path, column, cell)
+        with pytest.raises(
+            ConfigError, match=re.escape(f"line 3: int cell {cell!r}")
+        ):
+            read_summary_csv(path)
+
+    # all but the last five are accepted by float()
+    @pytest.mark.parametrize("cell", [
+        "1_0.5", " 1.5", "1.5 ", "+1.5", "1.5E+00", "1e5", "1e+5", ".5",
+        "5.", "NaN", "-nan", "+nan", "Infinity", "INF", "+inf", "\u0661.5",
+        "", "1.5e", "e+05", "1..5", "inf5",
+    ])
+    @pytest.mark.parametrize("column", ["rmse", "runtime_total"])
+    def test_rejects_float_cells_the_writer_never_emits(
+        self, tmp_path, column, cell
+    ):
+        path = self._second_row_with(tmp_path, column, cell)
+        with pytest.raises(
+            ConfigError, match=re.escape(f"line 3: float cell {cell!r}")
+        ):
+            read_summary_csv(path)
+
+    def test_every_written_number_reads_back(self, tmp_path):
+        done = run_metrics(run_experiment(small_config(seed=76)))
+        floats = [
+            math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-5, 0.1,
+            1e16, 1e17, -1.7976931348623157e308,
+        ]
+        rows = [
+            dataclasses.replace(
+                done, rmse=x, runtime_total=-x, control_solves=-i,
+                drift_evals=10**i,
+            )
+            for i, x in enumerate(floats)
+        ]
+        path = tmp_path / "summary.csv"
+        write_summary_csv(rows, path)
+        back = read_summary_csv(path)
+        assert all(rows_equal(a, b) for a, b in zip(rows, back))
+        for a, b in zip(rows[1:], back[1:]):  # nan is written without sign
+            for x, y in ((a.rmse, b.rmse), (a.runtime_total, b.runtime_total)):
+                assert math.copysign(1.0, x) == math.copysign(1.0, y)
 
     @pytest.mark.parametrize("cut", [
         lambda row: row.rsplit(",", 1)[0],
@@ -627,6 +687,7 @@ class TestMeta:
             metrics["control_solves"], metrics["floored_solves"],
             metrics["threshold_rollbacks"], metrics["control_passes"],
         )
+        assert metrics["drift_evals"] == np.sum(record.drift_evals) > 0
         if record.rollbacks is None:
             assert counters == (0, 0, 0, 0)
             return

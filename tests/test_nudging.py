@@ -43,12 +43,13 @@ from varnpf.nudging import (
 from varnpf.sde import (
     SdeModel,
     lorenz63,
-    rk4_step,
     sample_brownian_path,
     whole_steps,
 )
 from varnpf.seeding import child_sequence, stream_generator, stream_sequence
 from varnpf.var_npf import VarNpfSettings, var_npf_assimilation_cycle
+
+from oracle import rk4_step
 
 
 def ou_model(rate=1.0, noise=1.0):
@@ -823,6 +824,7 @@ def _nudged_sweep_oracle(
     step_ratio = np.full((n_steps, n), np.nan)
     realization_steps = 0
     control_passes = 0
+    drift_evals = 4 * n * n_steps  # four RK4 stages per advected row
     failed = set()
     sigma_t = model.dispersion.T
     for j in range(m_sub):
@@ -839,6 +841,8 @@ def _nudged_sweep_oracle(
                 config, rng, dt,
             )
             realization_steps += est.realizations_used * horizon_steps
+            # four stages per realization step, and the solve's denominator
+            drift_evals += 4 * est.realizations_used * horizon_steps + 1
             proposed[j, i] = est.control
             batches_used[j, i] = est.realizations_used // config.batch_size
             solver_converged[j, i] = est.converged
@@ -914,6 +918,7 @@ def _nudged_sweep_oracle(
         step_ratio=step_ratio,
         realization_steps=realization_steps,
         control_passes=control_passes,
+        drift_evals=drift_evals,
     )
 
 

@@ -13,9 +13,12 @@ from varnpf.sde import (
     l63_fixed_points,
     l63_jacobian,
     lorenz63,
+    rk4_states,
     sample_brownian_path,
     whole_steps,
 )
+
+from oracle import rk4_step
 
 
 def _reference_rk4(f, x, dt):
@@ -38,6 +41,19 @@ def ou_model(rate=1.0, noise=1.0):
 
 
 class TestDrift:
+    @pytest.mark.parametrize("shape", [(3,), (7, 3), (4, 2, 3)])
+    def test_matches_expression_form_bitwise(self, shape):
+        rng = np.random.default_rng(9)
+        states = rng.normal(scale=20.0, size=shape)
+        for p in (L63Params(), L63Params(alpha=-3.5, gamma=0.0, beta=1e-3)):
+            x, y, z = states[..., 0], states[..., 1], states[..., 2]
+            want = np.stack([
+                p.alpha * (y - x),
+                p.gamma * x - y - x * z,
+                x * y - p.beta * z,
+            ], axis=-1)
+            assert l63_drift(states, p).tobytes() == want.tobytes()
+
     def test_reference_point(self):
         out = l63_drift(np.array([1.0, 1.0, 1.0]))
         assert np.array_equal(out, [0.0, 26.0, 1.0 - 8.0 / 3.0])
@@ -262,3 +278,149 @@ class TestIntegrator:
             )
             errors.append(np.mean(np.abs(ends - fine_ends)))
         assert errors[0] > errors[1] > errors[2] > errors[3]
+
+
+def generic_l63(params=L63Params(), diffusion=None):
+    """Lorenz-63 without the column form: the stepper calls ``drift``."""
+    model = lorenz63(params, diffusion)
+    return SdeModel(
+        dimension=3,
+        drift=model.drift,
+        drift_jacobian=model.drift_jacobian,
+        dispersion=model.dispersion,
+        diffusion=model.diffusion,
+    )
+
+
+def oracle_steps(model, x0, dt, n_steps, control=None, noise=None):
+    """Every step of the reference RK4 update, noise added after it."""
+    x = np.asarray(x0, dtype=float)
+    out = []
+    for s in range(n_steps):
+        x = rk4_step(model.drift, x, control, dt)
+        if noise is not None:
+            x = x + noise[s]
+        out.append(x)
+    return np.array(out)
+
+
+def stepper_steps(model, x0, dt, n_steps, control=None, noise=None):
+    return np.array([
+        x.copy() for x in rk4_states(model, x0, dt, n_steps, control, noise)
+    ])
+
+
+_MODELS = {
+    "l63": lorenz63,
+    "l63_generic": generic_l63,
+    "ou": lambda: ou_model(rate=1.5, noise=0.5),
+}
+
+
+class TestStepper:
+    """rk4_states reproduces the reference RK4 update bit for bit."""
+
+    @staticmethod
+    def _case(name, n, seed=11):
+        model = _MODELS[name]()
+        d = model.dimension
+        rng = np.random.default_rng(seed)
+        x0 = rng.normal(scale=8.0, size=(n, d))
+        if d == 3:
+            x0[:, 2] += 25.0
+        control = rng.normal(scale=3.0, size=(n, d))
+        noise = rng.normal(scale=0.1, size=(40, n, d))
+        return model, x0, control, noise
+
+    @pytest.mark.parametrize("name", list(_MODELS))
+    @pytest.mark.parametrize("n", [1, 10, 88])
+    @pytest.mark.parametrize("with_control", [False, True])
+    @pytest.mark.parametrize("with_noise", [False, True])
+    def test_matches_reference_rk4(self, name, n, with_control, with_noise):
+        model, x0, control, noise = self._case(name, n)
+        control = control if with_control else None
+        noise = noise if with_noise else None
+        got = stepper_steps(model, x0, 0.01, 40, control, noise)
+        want = oracle_steps(model, x0, 0.01, 40, control, noise)
+        assert got.shape == want.shape == (40,) + x0.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(_MODELS))
+    @pytest.mark.parametrize("with_control", [False, True])
+    def test_each_row_as_if_alone(self, name, with_control):
+        model, x0, control, noise = self._case(name, 12)
+        control = control if with_control else None
+        rows = stepper_steps(model, x0, 0.01, 40, control, noise)
+        for i in range(len(x0)):
+            u = None if control is None else control[i]
+            alone = stepper_steps(model, x0[i], 0.01, 40, u, noise[:, i])
+            one_row = stepper_steps(
+                model, x0[i : i + 1], 0.01, 40,
+                None if u is None else u[None], noise[:, i : i + 1],
+            )
+            assert alone.tobytes() == rows[:, i].tobytes()
+            assert one_row[:, 0].tobytes() == rows[:, i].tobytes()
+
+    def test_column_form_equals_generic_drift(self):
+        for params in (L63Params(), L63Params(alpha=-3.5, gamma=0.0)):
+            _, x0, control, noise = self._case("l63", 9)
+            got = stepper_steps(
+                lorenz63(params), x0, 0.01, 40, control, noise
+            )
+            want = stepper_steps(
+                generic_l63(params), x0, 0.01, 40, control, noise
+            )
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["l63", "l63_generic"])
+    @pytest.mark.parametrize("with_control", [False, True])
+    def test_rows_that_overflow(self, name, with_control):
+        model, x0, control, noise = self._case(name, 6)
+        x0[[1, 4]] = [[1e8, 1e8, 1e8], [-3e7, 2e7, 1e8]]
+        control = control if with_control else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = stepper_steps(model, x0, 0.01, 40, control, noise)
+            want = oracle_steps(model, x0, 0.01, 40, control, noise)
+        lost = ~np.all(np.isfinite(got), axis=(0, 2))
+        assert lost.tolist() == [False, True, False, False, True, False]
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_yields_two_alternating_buffers_and_keeps_x0(self):
+        model, x0, control, noise = self._case("l63", 5)
+        start = x0.copy()
+        seen = [x for x in rk4_states(model, x0, 0.01, 6, control, noise)]
+        assert len({id(x) for x in seen}) == 2
+        assert seen[0] is seen[2] and seen[1] is seen[3]
+        assert x0.tobytes() == start.tobytes()
+        assert list(rk4_states(model, x0, 0.01, 0)) == []
+
+    def test_next_step_starts_from_the_edited_rows(self):
+        model, x0, control, noise = self._case("l63", 5)
+        steps = rk4_states(model, x0, 0.01, 3, control, noise)
+        first = next(steps)
+        first[2] = x0[2]  # as advect_particles freezes a failed row
+        edited = first.copy()
+        got = next(steps)
+        want = rk4_step(model.drift, edited, control, 0.01) + noise[1]
+        assert got.tobytes() == want.tobytes()
+
+
+class TestStackedNoise:
+    """The control solve's noise: one stacked product over the increments
+    transposed to (S, k, b, d) rounds as each step's (k, b, d) product,
+    which multiplies each (b, d) batch on its own."""
+
+    @pytest.mark.parametrize("k, b", [(1, 1), (1, 2), (3, 2), (2, 7), (4, 5)])
+    def test_equals_per_step_batch_products(self, k, b):
+        sigma_t = lorenz63().dispersion.T
+        rng = np.random.default_rng(k * 10 + b)
+        increments = rng.normal(scale=0.1, size=(k, b, 30, 3))
+        stacked = np.matmul(increments.transpose(2, 0, 1, 3), sigma_t)
+        for s in range(30):
+            step = np.matmul(increments[:, :, s], sigma_t)
+            assert stacked[s].tobytes() == step.tobytes()
+            for i in range(k):
+                alone = increments[i, :, s] @ sigma_t
+                assert stacked[s, i].tobytes() == alone.tobytes()

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from varnpf import var_npf
+from varnpf.bootstrap_pf import pf_assimilation_cycle
+from varnpf.diagnostics import CycleFailure
 from varnpf.ensemble import ObservationModel, ParticleEnsemble, empirical_moments
 from varnpf.nudging import NudgingConfig, npf_assimilation_cycle
-from varnpf.sde import lorenz63, sample_brownian_path
+from varnpf.sde import SdeModel, lorenz63, sample_brownian_path
 from varnpf.seeding import CONTROL, stream_sequence
 from varnpf.var_npf import VarNpfSettings, var_npf_assimilation_cycle
 from varnpf.variational import (
@@ -265,3 +267,91 @@ class TestAblationFlags:
             r.cost_evals for r in results
         )
         assert diag.variational_cost_evals > diag.variational_iterations
+
+
+def counting_l63(rows):
+    """Lorenz-63 without the column form, appending the row count of each
+    drift evaluation to ``rows``."""
+    model = lorenz63()
+
+    def drift(x):
+        rows.append(int(np.prod(np.shape(x)[:-1])))
+        return model.drift(x)
+
+    return SdeModel(
+        dimension=3,
+        drift=drift,
+        drift_jacobian=model.drift_jacobian,
+        dispersion=model.dispersion,
+        diffusion=model.diffusion,
+    )
+
+
+class TestDriftEvals:
+    """A cycle's drift_evals is the rows times drift evaluations its
+    integrators and control solves make."""
+
+    @staticmethod
+    def _cycle(filter_name, model, ens, settings=VarNpfSettings()):
+        _, obs_model, _, incs, y = setup_cycle()
+        seqs = control_seqs(94, 2, ens.n_particles)
+        rng = np.random.default_rng(95)
+        if filter_name == "pf":
+            return pf_assimilation_cycle(
+                ens, model, obs_model, y, 0.0, 0.5, incs, DT, rng
+            )
+        if filter_name == "npf":
+            return npf_assimilation_cycle(
+                ens, model, obs_model, y, 0.0, 0.5, NudgingConfig(), incs,
+                DT, seqs, rng,
+            )
+        return var_npf_assimilation_cycle(
+            ens, model, obs_model, y, 0.0, 0.5, NudgingConfig(), settings,
+            incs, DT, seqs, rng,
+        )
+
+    @pytest.mark.parametrize("filter_name, settings", [
+        ("pf", None),
+        ("npf", None),
+        ("var_npf", VarNpfSettings()),
+        ("var_npf", VarNpfSettings(resolve_per_subinterval=True)),
+        ("var_npf", VarNpfSettings(skip_variational=True)),
+    ], ids=["pf", "npf", "var_npf", "var_npf_refit", "var_npf_skipped"])
+    def test_counts_every_drift_row(self, filter_name, settings):
+        ens = setup_cycle()[2]
+        rows = []
+        post, diag = self._cycle(
+            filter_name, counting_l63(rows), ens, settings
+        )
+        assert diag.drift_evals == sum(rows) > 0
+        if filter_name == "pf":
+            assert diag.drift_evals == 4 * 8 * 50
+        # the count does not change the run: the column form gives the
+        # same bits
+        want, want_diag = self._cycle(filter_name, lorenz63(), ens, settings)
+        assert post.states.tobytes() == want.states.tobytes()
+        assert want_diag.drift_evals == diag.drift_evals
+
+    def test_variational_solve_counts_its_flows(self):
+        model, obs_model, ens, _, y = setup_cycle()
+        moments = empirical_moments(ens)
+        rows = []
+        problem = VariationalProblem(
+            model=counting_l63(rows), obs_model=obs_model,
+            prior_mean=moments.mean, prior_cov=moments.cov, observation=y,
+            t_start=0.0, t_end=0.5, dt=DT,
+        )
+        result = minimize_cost(problem)
+        assert result.drift_evals == sum(rows) > 0
+        assert result.drift_evals % (4 * 50) == 0
+
+    @pytest.mark.parametrize("filter_name", ["pf", "npf", "var_npf"])
+    def test_failing_cycle_keeps_its_count(self, filter_name):
+        model, _, ens, _, _ = setup_cycle()
+        doomed = ParticleEnsemble(
+            np.full_like(ens.states, 1e8), ens.weights
+        )
+        rows = []
+        with pytest.raises(CycleFailure) as err:
+            self._cycle(filter_name, counting_l63(rows), doomed)
+        assert err.value.bookkeeping["drift_evals"] == sum(rows) > 0
