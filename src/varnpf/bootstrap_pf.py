@@ -46,18 +46,6 @@ def _interval_steps(
     return n_steps
 
 
-def _apply_failures(weights: Array, failures: list[int]) -> Array:
-    """Zero the weights of failed particles and renormalize the rest."""
-    if not failures:
-        return weights
-    w = weights.copy()
-    w[failures] = 0.0
-    total = w.sum()
-    if total <= 0.0:
-        raise CycleFailure("every particle failed during advection")
-    return w / total
-
-
 def pf_assimilation_cycle(
     ensemble: ParticleEnsemble,
     model: SdeModel,
@@ -81,24 +69,72 @@ def pf_assimilation_cycle(
     from ``resample_rng`` only when it fires).
     """
     tic = time.perf_counter()
-    n = ensemble.n_particles
-    n_steps = _interval_steps(increments, ensemble, t_start, t_end, dt)
-
-    zero_controls = np.zeros_like(ensemble.states)
+    _interval_steps(increments, ensemble, t_start, t_end, dt)
     trajs, failures = advect_particles(
-        model, ensemble.states, zero_controls, increments, dt
+        model, ensemble.states, np.zeros_like(ensemble.states), increments,
+        dt,
     )
-    drift_evals = RK4_STAGES * n * n_steps
-    try:
-        carried = _apply_failures(ensemble.weights, failures)
-    except CycleFailure as err:
-        raise CycleFailure(
-            str(err), bookkeeping={"drift_evals": drift_evals}
-        ) from None
-    advected = ParticleEnsemble(trajs[-1], carried, t_end)
+    return _close_cycle(
+        ensemble, trajs, failures, obs_model, observation, t_start, t_end,
+        resample_rng, resample, resample_threshold, tic,
+    )
+
+
+def _close_cycle(
+    ensemble: ParticleEnsemble,
+    step_states: Array,
+    failures: list[int],
+    obs_model: ObservationModel,
+    observation: Array,
+    t_start: float,
+    t_end: float,
+    resample_rng: np.random.Generator,
+    resample: bool,
+    resample_threshold: float,
+    tic: float,
+    bookkeeping: dict | None = None,
+    timings: dict | None = None,
+    **nudged,
+) -> tuple[ParticleEnsemble, CycleDiagnostics]:
+    """The end of an observation interval, the same for every filter.
+
+    ``step_states`` (S + 1, n, d) is the advected trajectory of
+    ``ensemble`` and ``failures`` the particles it lost.  Failed particles
+    get zero weight; if none is left, CycleFailure carries ``bookkeeping``,
+    the CycleDiagnostics counters (and a nudged cycle's per-solve arrays)
+    of the work done before the close, plus the advection's RK4_STAGES * n
+    * S drift evaluations.  Then the Bayes update with the observation
+    likelihood, times exp(log_rn - max log_rn) when ``nudged`` holds the
+    change-of-measure ``log_rn``, and a systematic resample when ESS <
+    threshold * n (one uniform draw, taken from ``resample_rng`` only when
+    it fires).  ``nudged`` holds a nudged cycle's other CycleDiagnostics
+    fields, ``timings`` its timings besides the total since ``tic``.
+    """
+    n_steps = step_states.shape[0] - 1
+    n = step_states.shape[1]
+    bookkeeping = dict(bookkeeping or {})
+    bookkeeping["drift_evals"] = (
+        RK4_STAGES * n * n_steps + bookkeeping.get("drift_evals", 0)
+    )
+    carried = ensemble.weights
+    if failures:
+        carried = carried.copy()
+        carried[failures] = 0.0
+        total = carried.sum()
+        if total <= 0.0:
+            raise CycleFailure(
+                "every particle failed during advection", bookkeeping
+            )
+        carried = carried / total
+    advected = ParticleEnsemble(step_states[-1], carried, t_end)
     prior_ness = effective_sample_size(carried)
 
-    posterior, collapsed = bayes_reweight(advected, observation, obs_model)
+    log_rn = nudged.get("log_rn")
+    # uniform shift before exponentiation; the reweight normalizes it away
+    factors = None if log_rn is None else np.exp(log_rn - log_rn.max())
+    posterior, collapsed = bayes_reweight(
+        advected, observation, obs_model, factors
+    )
     posterior_ness = effective_sample_size(posterior.weights)
 
     resampled = False
@@ -109,8 +145,7 @@ def pf_assimilation_cycle(
     diag = CycleDiagnostics(
         t_start=t_start,
         t_end=t_end,
-        step_times=t_start + dt * np.arange(n_steps + 1),
-        step_states=trajs,
+        step_states=step_states,
         carried_weights=carried,
         posterior=posterior,
         prior_ness=prior_ness,
@@ -118,7 +153,8 @@ def pf_assimilation_cycle(
         resampled=resampled,
         collapsed=collapsed,
         particle_failures=failures,
-        drift_evals=drift_evals,
-        timings={"total": time.perf_counter() - tic},
+        **bookkeeping,
+        **nudged,
+        timings={"total": time.perf_counter() - tic, **(timings or {})},
     )
     return posterior, diag

@@ -15,10 +15,11 @@ class CycleFailure(RuntimeError):
     """Every particle in a cycle blew up; the run cannot continue.
 
     ``bookkeeping`` maps CycleDiagnostics attributes of a per-cycle series
-    to the values the failing cycle had reached (its drift evaluations,
-    and a nudged cycle's control solves, floors, rollbacks, realization
-    steps and propagation passes), so the run record still counts that
-    cycle's work.
+    to the values the failing cycle had reached (its drift evaluations; a
+    nudged cycle's control solves, floors, rollbacks, realization steps
+    and propagation passes; and a guided cycle's variational iterations
+    and cost evaluations, as its target_fn reported them), so the run
+    record still counts that cycle's work.
     """
 
     def __init__(self, message: str, bookkeeping: dict | None = None):
@@ -37,7 +38,6 @@ class CycleDiagnostics:
 
     t_start: float
     t_end: float
-    step_times: Array  # (S + 1,)
     step_states: Array  # (S + 1, n, d)
     carried_weights: Array  # (n,), weights in force during advection
     posterior: ParticleEnsemble

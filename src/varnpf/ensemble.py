@@ -182,15 +182,7 @@ def bayes_reweight(
             True,
         )
     shifted = np.exp(log_unnorm - log_unnorm[finite].max())
-    total = shifted.sum()
-    if total == 0.0 or not np.isfinite(total):
-        n = ensemble.n_particles
-        uniform = np.full(n, 1.0 / n)
-        return (
-            ParticleEnsemble(ensemble.states, uniform, ensemble.time),
-            True,
-        )
-    new_w = shifted / total
+    new_w = shifted / shifted.sum()
     return ParticleEnsemble(ensemble.states, new_w, ensemble.time), False
 
 

@@ -532,7 +532,7 @@ def run_experiment(
         except CycleFailure as err:
             failed = True
             failure_message = f"cycle {k}: {err}"
-            for attr, value in getattr(err, "bookkeeping", {}).items():
+            for attr, value in err.bookkeeping.items():
                 if attr in series:
                     series[attr][k] = value
             break

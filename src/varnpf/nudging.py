@@ -18,20 +18,22 @@ through the change-of-measure factor accumulated by rn_log_increment.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import CycleDiagnostics, CycleFailure
-from .ensemble import (
+from .diagnostics import CycleDiagnostics
+# perfbench/layertrace.py still looks bayes_reweight and systematic_resample
+# up in this module
+from .ensemble import (  # noqa: F401
     ObservationModel,
     ParticleEnsemble,
     bayes_reweight,
-    effective_sample_size,
     systematic_resample,
 )
-from .bootstrap_pf import _apply_failures, _interval_steps
+from .bootstrap_pf import _close_cycle, _interval_steps
 from .sde import (
     RK4_STAGES, SdeModel, advect_particles, rk4_states, whole_steps,
 )
@@ -454,7 +456,7 @@ def _nudged_sweep(
     ensemble: ParticleEnsemble,
     model: SdeModel,
     obs_model: ObservationModel,
-    target_fn: Callable[[int, Array, Array], tuple[Array, float]],
+    target_fn: Callable[[int, Array, Array], tuple[Array, float, dict]],
     reweight_obs: Array,
     t_start: float,
     t_end: float,
@@ -471,25 +473,30 @@ def _nudged_sweep(
     ``increments`` holds each particle's Wiener increments over the
     interval, shape (n, S, d) with S steps of size ``dt``; subinterval j
     advects along its slice of them.
-    ``target_fn(j, states, weights) -> (target_obs, horizon_end)`` is
-    consulted once per subinterval before the control solves, so a guided
-    cycle can refresh its target mid-interval; the increments and
-    ``control_seqs`` are checked before its first call.  ``reweight_obs``
-    is read only at the terminal reweight, after the last target_fn call,
-    so it may be a view of a target that target_fn fills.  Each live
-    particle then solves for its control with adaptive_control, drawing
-    from its own ``child_sequence(control_seqs[i], j)`` generator; a
-    subinterval's solves advance together, one propagation pass per round
-    (see _solve_controls), and ``control_passes`` counts those passes;
-    ``drift_evals`` counts the rows times drift evaluations of the solves
-    (RK4 stages of every realization, and each solve's denominator) and
-    of the advection.  The
-    rollback candidates -0.5 |sigma^T grad phi / phi|^2 dt_sub, step ratios
-    and change-of-measure increments of all live particles are arrays too,
+    ``target_fn(j, states, weights) -> (target_obs, horizon_end, work)``
+    is consulted once per subinterval before the control solves, so a
+    guided cycle can refresh its target mid-interval; ``work`` maps
+    CycleDiagnostics counters to the guidance work of that call (a fit's
+    drift evaluations, iterations and cost evaluations; empty when it did
+    none), and the sweep sums them.  The increments and ``control_seqs``
+    are checked before its first call.  ``reweight_obs`` is read only at
+    the terminal reweight, after the last target_fn call, so it may be a
+    view of a target that target_fn fills.  Each live particle then
+    solves for its control with adaptive_control, drawing from its own
+    ``child_sequence(control_seqs[i], j)`` generator; a subinterval's
+    solves advance together, one propagation pass per round (see
+    _solve_controls), and ``control_passes`` counts those passes;
+    ``drift_evals`` counts the rows times drift evaluations of the
+    guidance, of the solves (RK4 stages of every realization, and each
+    solve's denominator) and of the advection.  The rollback candidates
+    -0.5 |sigma^T grad phi / phi|^2 dt_sub, step ratios and
+    change-of-measure increments of all live particles are arrays too,
     each particle rounding as it would alone; each solve that did not floor
     still meets its own rollback_test.  Controls are held constant within a
     subinterval; the weights repay each applied control through the
-    accumulated change-of-measure factor at the terminal reweight.
+    accumulated change-of-measure factor at the terminal reweight.  The
+    sweep ends in bootstrap_pf._close_cycle, which adds the advection's
+    drift evaluations and keeps the counters when the cycle fails.
     """
     tic = time.perf_counter()
     n = ensemble.n_particles
@@ -514,15 +521,16 @@ def _nudged_sweep(
     batches_used = np.zeros((m_sub, n), dtype=int)
     solver_converged = np.zeros((m_sub, n), dtype=bool)
     step_ratio = np.full((n_steps, n), np.nan)
-    realization_steps = 0
-    control_passes = 0
-    drift_evals = RK4_STAGES * n * n_steps  # advection, every row
+    work = Counter()  # the control solves' and target_fn's counters
     alive = np.ones(n, dtype=bool)
     control_time = 0.0
 
     for j in range(m_sub):
         t_j = t_start + j * dt_sub
-        target_obs, horizon_end = target_fn(j, states, ensemble.weights)
+        target_obs, horizon_end, guidance = target_fn(
+            j, states, ensemble.weights
+        )
+        work.update(guidance)
         horizon_steps = whole_steps(t_j, horizon_end, dt)
 
         sub_controls = np.zeros((n, d))
@@ -538,14 +546,14 @@ def _nudged_sweep(
         )
         if estimates:
             used = np.array([est.realizations_used for est in estimates])
-            realization_steps += int(used.sum()) * horizon_steps
-            drift_evals += (
+            work["realization_steps"] += int(used.sum()) * horizon_steps
+            work["drift_evals"] += (
                 RK4_STAGES * int(used.sum()) * horizon_steps + len(estimates)
             )
             proposed[j, live] = [est.control for est in estimates]
             batches_used[j, live] = used // config.batch_size
             # round 0 draws min(2, max_batches) batches, later rounds one
-            control_passes += 1 + int(batches_used[j].max()) - min(
+            work["control_passes"] += 1 + int(batches_used[j].max()) - min(
                 2, config.max_batches
             )
             solver_converged[j, live] = [est.converged for est in estimates]
@@ -589,63 +597,24 @@ def _nudged_sweep(
             sub_v[pushed], increments[pushed, lo:hi], dt
         )
 
-    failed = np.flatnonzero(~alive).tolist()
-    try:
-        carried = _apply_failures(ensemble.weights, failed)
-    except CycleFailure as err:
-        # the run record keeps the control work this cycle did
-        raise CycleFailure(str(err), bookkeeping={
+    return _close_cycle(
+        ensemble, step_states, np.flatnonzero(~alive).tolist(), obs_model,
+        reweight_obs, t_start, t_end, resample_rng, resample,
+        resample_threshold, tic,
+        # the run record keeps this work even when the cycle fails
+        bookkeeping={
+            **work,
             "batches_used": batches_used,
             "phi_floored": floors,
             "rollbacks": rollbacks,
-            "realization_steps": realization_steps,
-            "control_passes": control_passes,
-            "drift_evals": drift_evals,
-        }) from None
-    advected = ParticleEnsemble(states, carried, t_end)
-    prior_ness = effective_sample_size(carried)
-
-    # uniform shift before exponentiation; the reweight normalizes it away
-    factors = np.exp(log_rn - log_rn.max())
-    posterior, collapsed = bayes_reweight(
-        advected, reweight_obs, obs_model, factors
-    )
-    posterior_ness = effective_sample_size(posterior.weights)
-
-    resampled = False
-    if resample and posterior_ness < resample_threshold * n:
-        posterior = systematic_resample(posterior, resample_rng.random())
-        resampled = True
-
-    diag = CycleDiagnostics(
-        t_start=t_start,
-        t_end=t_end,
-        step_times=t_start + dt * np.arange(n_steps + 1),
-        step_states=step_states,
-        carried_weights=carried,
-        posterior=posterior,
-        prior_ness=prior_ness,
-        posterior_ness=posterior_ness,
-        resampled=resampled,
-        collapsed=collapsed,
-        particle_failures=failed,
+        },
+        timings={"control": control_time},
         control_proposed=proposed,
         control_applied=applied,
-        rollbacks=rollbacks,
-        phi_floored=floors,
-        batches_used=batches_used,
         solver_converged=solver_converged,
         log_rn=log_rn,
         step_ratio=step_ratio,
-        realization_steps=realization_steps,
-        control_passes=control_passes,
-        drift_evals=drift_evals,
-        timings={
-            "total": time.perf_counter() - tic,
-            "control": control_time,
-        },
     )
-    return posterior, diag
 
 
 def npf_assimilation_cycle(
@@ -672,7 +641,7 @@ def npf_assimilation_cycle(
     """
 
     def target_fn(j, states, weights):
-        return observation, t_end
+        return observation, t_end, {}
 
     return _nudged_sweep(
         ensemble, model, obs_model, target_fn, observation,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import CycleDiagnostics, CycleFailure
+from .diagnostics import CycleDiagnostics
 from .ensemble import (
     ObservationModel,
     ParticleEnsemble,
@@ -88,13 +88,13 @@ def var_npf_assimilation_cycle(
     targets: at subinterval 0, and at every later j with
     ``resolve_per_subinterval``, it fits an initial state over [t_j, t_end]
     to the moments of the ensemble it is handed and fills ``targets[j:]``
-    from the fit's flow.  The recorded status and cost are the last fit's;
-    iterations, cost evaluations and drift evaluations are summed over the
-    fits.  A stalled
-    variational solve is recorded and its best iterate used; the guidance
-    does not have to be optimal to be useful.  ``increments`` (n, S, d)
-    and ``dt`` are the particles' Wiener increments, as in the bootstrap
-    cycle.
+    from the fit's flow, and reports the fit's iterations, cost
+    evaluations and drift evaluations, which the sweep sums (into the
+    CycleFailure of a failing cycle too).  The recorded status and cost
+    are the last fit's.  A stalled variational solve is recorded and its
+    best iterate used; the guidance does not have to be optimal to be
+    useful.  ``increments`` (n, S, d) and ``dt`` are the particles' Wiener
+    increments, as in the bootstrap cycle.
     """
     observation = np.asarray(observation, dtype=float)
     m_sub = config.subintervals
@@ -117,6 +117,7 @@ def var_npf_assimilation_cycle(
     def target_fn(j, states, weights):
         nonlocal var_time
         t_j = t_start + j * dt_sub
+        work = {}
         if j == 0 or settings.resolve_per_subinterval:
             moments = empirical_moments(ParticleEnsemble(states, weights, t_j))
             tic = time.perf_counter()
@@ -142,27 +143,22 @@ def var_npf_assimilation_cycle(
                 flow=result.flow,
             )
             targets[j:] = pseudo.observations[1:]
-        return targets[j], t_j + dt_sub
+            work = {
+                "drift_evals": result.drift_evals,
+                "variational_iterations": result.iterations,
+                "variational_cost_evals": result.cost_evals,
+            }
+        return targets[j], t_j + dt_sub, work
 
     # a view: the reweight reads the last target as the sweep left it
     reweight_obs = targets[-1] if settings.reweight_with_pseudo else observation
-    try:
-        posterior, diag = _nudged_sweep(
-            ensemble, model, obs_model, target_fn, reweight_obs,
-            t_start, t_end, config, increments, dt, control_seqs,
-            resample_rng, resample, resample_threshold,
-        )
-    except CycleFailure as err:
-        # the fits' flows are work of the failing cycle too
-        err.bookkeeping["drift_evals"] = err.bookkeeping.get(
-            "drift_evals", 0
-        ) + sum(r.drift_evals for r in fits)
-        raise
-    diag.drift_evals += sum(r.drift_evals for r in fits)
+    posterior, diag = _nudged_sweep(
+        ensemble, model, obs_model, target_fn, reweight_obs,
+        t_start, t_end, config, increments, dt, control_seqs,
+        resample_rng, resample, resample_threshold,
+    )
     diag.pseudo_targets = targets
     diag.variational_status = fits[-1].status
     diag.variational_cost = fits[-1].cost_opt
-    diag.variational_iterations = sum(r.iterations for r in fits)
-    diag.variational_cost_evals = sum(r.cost_evals for r in fits)
     diag.timings["variational"] = var_time
     return posterior, diag

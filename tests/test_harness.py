@@ -295,6 +295,16 @@ class TestFailureHandling:
             assert record.drift_evals[0] == counted
         else:
             assert record.drift_evals[0] > counted
+            # and the fit's iterations and cost evaluations: at least the
+            # start point and its central-difference gradient
+            assert record.variational_iterations[0] >= 1
+            assert record.variational_cost_evals[0] >= 1 + 2 * 3
+            assert row.variational_iterations == (
+                record.variational_iterations[0]
+            )
+            assert row.variational_cost_evals == (
+                record.variational_cost_evals[0]
+            )
         assert row.drift_evals == record.drift_evals[0]
 
     def test_sweep_keeps_failed_rows_out_of_averages(self):

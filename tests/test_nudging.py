@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from varnpf import nudging, var_npf
-from varnpf.bootstrap_pf import (
-    _apply_failures,
-    advect_particles,
-    pf_assimilation_cycle,
-)
+from varnpf.bootstrap_pf import advect_particles, pf_assimilation_cycle
 from varnpf.diagnostics import CycleDiagnostics
 from varnpf.ensemble import (
     ObservationModel,
@@ -825,11 +821,16 @@ def _nudged_sweep_oracle(
     realization_steps = 0
     control_passes = 0
     drift_evals = 4 * n * n_steps  # four RK4 stages per advected row
+    guidance = {}  # the sums of what target_fn reports
     failed = set()
     sigma_t = model.dispersion.T
     for j in range(m_sub):
         t_j = t_start + j * dt_sub
-        target_obs, horizon_end = target_fn(j, states, ensemble.weights)
+        target_obs, horizon_end, work = target_fn(
+            j, states, ensemble.weights
+        )
+        for key, count in work.items():
+            guidance[key] = guidance.get(key, 0) + count
         horizon_steps = whole_steps(t_j, horizon_end, dt)
         sub_controls = np.zeros((n, d))
         sub_v = np.zeros((n, d))
@@ -883,13 +884,15 @@ def _nudged_sweep_oracle(
                 log_rn[i] += float(
                     -(v * dw).sum() - 0.5 * (v * v).sum() * dt
                 )
-    carried = _apply_failures(ensemble.weights, sorted(failed))
+    carried = np.array(ensemble.weights)
+    if failed:
+        carried[sorted(failed)] = 0.0
+        carried /= carried.sum()
     advected = ParticleEnsemble(states, carried, t_end)
     log_rn = np.array(log_rn)
     factors = np.exp(log_rn - log_rn.max())
-    terminal_obs = reweight_obs() if callable(reweight_obs) else reweight_obs
     posterior, collapsed = bayes_reweight(
-        advected, terminal_obs, obs_model, factors
+        advected, reweight_obs, obs_model, factors
     )
     posterior_ness = effective_sample_size(posterior.weights)
     resampled = False
@@ -899,7 +902,6 @@ def _nudged_sweep_oracle(
     return posterior, CycleDiagnostics(
         t_start=t_start,
         t_end=t_end,
-        step_times=t_start + dt * np.arange(n_steps + 1),
         step_states=step_states,
         carried_weights=carried,
         posterior=posterior,
@@ -918,7 +920,8 @@ def _nudged_sweep_oracle(
         step_ratio=step_ratio,
         realization_steps=realization_steps,
         control_passes=control_passes,
-        drift_evals=drift_evals,
+        drift_evals=drift_evals + guidance.pop("drift_evals", 0),
+        **guidance,
     )
 
 
