@@ -92,29 +92,31 @@ def _close_cycle(
     resample: bool,
     resample_threshold: float,
     tic: float,
-    bookkeeping: dict | None = None,
+    counters: dict | None = None,
     timings: dict | None = None,
+    solves: dict | None = None,
     **nudged,
 ) -> tuple[ParticleEnsemble, CycleDiagnostics]:
     """The end of an observation interval, the same for every filter.
 
     ``step_states`` (S + 1, n, d) is the advected trajectory of
-    ``ensemble`` and ``failures`` the particles it lost.  Failed particles
-    get zero weight; if none is left, CycleFailure carries ``bookkeeping``,
-    the CycleDiagnostics counters (and a nudged cycle's per-solve arrays)
-    of the work done before the close, plus the advection's RK4_STAGES * n
-    * S drift evaluations.  Then the Bayes update with the observation
+    ``ensemble`` and ``failures`` the particles it lost.  ``counters`` and
+    ``timings`` hold the work done before the close; the advection adds
+    RK4_STAGES * n * S drift evaluations.  Failed particles get zero
+    weight; if none is left, CycleFailure carries the counters, timings
+    and ``solves``.  Then the Bayes update with the observation
     likelihood, times exp(log_rn - max log_rn) when ``nudged`` holds the
     change-of-measure ``log_rn``, and a systematic resample when ESS <
     threshold * n (one uniform draw, taken from ``resample_rng`` only when
-    it fires).  ``nudged`` holds a nudged cycle's other CycleDiagnostics
-    fields, ``timings`` its timings besides the total since ``tic``.
+    it fires).  ``solves`` (its per-solve arrays) and ``nudged`` hold a
+    nudged cycle's other CycleDiagnostics fields; the timings gain the
+    total since ``tic``.
     """
     n_steps = step_states.shape[0] - 1
     n = step_states.shape[1]
-    bookkeeping = dict(bookkeeping or {})
-    bookkeeping["drift_evals"] = (
-        RK4_STAGES * n * n_steps + bookkeeping.get("drift_evals", 0)
+    counters = dict(counters or {})
+    counters["drift_evals"] = (
+        RK4_STAGES * n * n_steps + counters.get("drift_evals", 0)
     )
     carried = ensemble.weights
     if failures:
@@ -123,7 +125,8 @@ def _close_cycle(
         total = carried.sum()
         if total <= 0.0:
             raise CycleFailure(
-                "every particle failed during advection", bookkeeping
+                "every particle failed during advection", counters, timings,
+                solves,
             )
         carried = carried / total
     advected = ParticleEnsemble(step_states[-1], carried, t_end)
@@ -153,7 +156,8 @@ def _close_cycle(
         resampled=resampled,
         collapsed=collapsed,
         particle_failures=failures,
-        **bookkeeping,
+        counters=counters,
+        **(solves or {}),
         **nudged,
         timings={"total": time.perf_counter() - tic, **(timings or {})},
     )

@@ -14,17 +14,20 @@ Array = np.ndarray
 class CycleFailure(RuntimeError):
     """Every particle in a cycle blew up; the run cannot continue.
 
-    ``bookkeeping`` maps CycleDiagnostics attributes of a per-cycle series
-    to the values the failing cycle had reached (its drift evaluations; a
-    nudged cycle's control solves, floors, rollbacks, realization steps
-    and propagation passes; and a guided cycle's variational iterations
-    and cost evaluations, as its target_fn reported them), so the run
-    record still counts that cycle's work.
+    ``counters`` and ``timings`` hold the CycleDiagnostics counters and
+    timings (all but the total) of the failing cycle's work so far, and
+    ``solves`` a nudged cycle's per-solve arrays (batches_used,
+    phi_floored, rollbacks), so the run record still counts that work.
     """
 
-    def __init__(self, message: str, bookkeeping: dict | None = None):
+    def __init__(
+        self, message: str, counters: dict | None = None,
+        timings: dict | None = None, solves: dict | None = None,
+    ):
         super().__init__(message)
-        self.bookkeeping = dict(bookkeeping or {})
+        self.counters = dict(counters or {})
+        self.timings = dict(timings or {})
+        self.solves = dict(solves or {})
 
 
 @dataclass
@@ -33,7 +36,11 @@ class CycleDiagnostics:
 
     ``step_states`` holds the advected trajectory at every integrator step,
     including both endpoints; the states at ``t_end`` are pre-update.  The
-    nudging fields stay None for the plain bootstrap cycle.
+    nudging fields stay None for the plain bootstrap cycle.  ``counters``
+    maps counts of the cycle's work, each a series harness.RECORD_SERIES
+    marks COUNTER, to their values; ``timings`` maps ``total``, and
+    ``control`` and ``variational`` where the cycle did such work, to
+    seconds.
     """
 
     t_start: float
@@ -46,10 +53,7 @@ class CycleDiagnostics:
     resampled: bool
     collapsed: bool
     particle_failures: list[int] = field(default_factory=list)
-    # rows x drift evaluations of the cycle's integrators: RK4 stages of
-    # advection, control realizations and variational flows, plus the
-    # control solves' drift-norm denominators
-    drift_evals: int = 0
+    counters: dict = field(default_factory=dict)
 
     # nudged cycles only
     control_proposed: Array | None = None  # (M, n, d)
@@ -60,14 +64,10 @@ class CycleDiagnostics:
     solver_converged: Array | None = None  # (M, n) bool
     log_rn: Array | None = None  # (n,)
     step_ratio: Array | None = None  # (S, n), nudging / Brownian magnitude
-    realization_steps: int = 0
-    control_passes: int = 0  # propagation passes of the control solves
 
     # variationally guided cycles only
     variational_status: str | None = None
     variational_cost: float | None = None
-    variational_iterations: int | None = None
-    variational_cost_evals: int | None = None
     pseudo_targets: Array | None = None  # (M, m)
 
     timings: dict = field(default_factory=dict)

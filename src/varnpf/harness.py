@@ -346,8 +346,11 @@ class Series(NamedTuple):
     ``from_cycle`` says how a cycle fills its rows (its index on a
     ``cycle`` axis, its steps on a ``step`` axis, the grid times it
     reaches on a ``time`` axis): True copies the CycleDiagnostics
-    attribute of the same name, a callable converts the diagnostics, and
-    False marks a series set once per run.  A cycle value of None leaves
+    attribute of the same name, a callable converts the diagnostics,
+    False marks a series set once per run, and COUNTER a count of a
+    cycle's work, read from its ``counters`` (a failing cycle's too),
+    summed into the RunMetrics field of the same name and averaged as
+    ``avg_<name>`` by McSummary.aggregate.  A cycle value of None leaves
     the fill (nan, or 0 for other dtypes) in place.
     """
 
@@ -356,7 +359,7 @@ class Series(NamedTuple):
     axes: tuple  # keys of RECORD_AXES, one per array axis
     dtype: type = float
     filters: tuple = tuple(FILTER_CODES)
-    from_cycle: bool | Callable[[CycleDiagnostics], Array] = True
+    from_cycle: bool | str | Callable[[CycleDiagnostics], Array] = True
 
 
 # A cycle's grid rows: the advected ensemble, with the posterior at the
@@ -380,6 +383,7 @@ def _norms(name: str) -> Callable[[CycleDiagnostics], Array]:
 _NUDGED = ("npf", "var_npf")
 _GUIDED = ("var_npf",)
 _SUBS = ("cycle", "subinterval", "particle")
+COUNTER = "counter"  # the from_cycle marker of a counter series
 
 # Every numeric series of a run, in record.csv order.
 RECORD_SERIES: tuple[Series, ...] = (
@@ -396,7 +400,7 @@ RECORD_SERIES: tuple[Series, ...] = (
     Series("posterior_ness", "posterior_ness", ("cycle",)),
     Series("resampled", "resampled", ("cycle",), bool),
     Series("collapsed", "collapsed", ("cycle",), bool),
-    Series("drift_evals", "drift_evals", ("cycle",), int),
+    Series("drift_evals", "drift_evals", ("cycle",), int, from_cycle=COUNTER),
     Series("step_ratio", "step_ratio", ("step", "particle"), float, _NUDGED),
     Series("control_proposed_norm", "control_proposed_norms", _SUBS, float,
            _NUDGED, _norms("control_proposed")),
@@ -406,16 +410,19 @@ RECORD_SERIES: tuple[Series, ...] = (
     Series("phi_floored", "phi_floored", _SUBS, bool, _NUDGED),
     Series("batches_used", "batches_used", _SUBS, int, _NUDGED),
     Series("log_rn", "log_rn", ("cycle", "particle"), float, _NUDGED),
-    Series("realization_steps", "realization_steps", ("cycle",), int, _NUDGED),
-    Series("control_passes", "control_passes", ("cycle",), int, _NUDGED),
+    Series("realization_steps", "realization_steps", ("cycle",), int, _NUDGED,
+           COUNTER),
+    Series("control_passes", "control_passes", ("cycle",), int, _NUDGED,
+           COUNTER),
     Series("variational_cost", "variational_cost", ("cycle",), float, _GUIDED),
     Series("variational_iterations", "variational_iterations", ("cycle",),
-           int, _GUIDED),
+           int, _GUIDED, COUNTER),
     Series("variational_cost_evals", "variational_cost_evals", ("cycle",),
-           int, _GUIDED),
+           int, _GUIDED, COUNTER),
     Series("pseudo_target", "pseudo_targets", ("cycle", "subinterval", "obs"),
            float, _GUIDED),
 )
+COUNTERS = tuple(s.attr for s in RECORD_SERIES if s.from_cycle == COUNTER)
 
 
 def run_experiment(
@@ -426,9 +433,11 @@ def run_experiment(
     """Run one filter over the full horizon and collect every series.
 
     ``runtime['total']`` covers the assimilation loop only; generating the
-    truth is timed separately since it is shared by paired runs.  A cycle
+    truth is timed separately since it is shared by paired runs.  The
+    control and variational runtimes sum the cycles' timings.  A cycle
     abort (all particles failing) marks the record failed instead of
-    raising, so sweeps can count and move on.
+    raising, so sweeps can count and move on; the failing cycle's
+    counters, timings and per-solve arrays still count.
     """
     model = config.build_model()
     obs_model = config.build_obs_model()
@@ -487,8 +496,7 @@ def run_experiment(
     series["step_states"][0] = ens.states
     series["step_weights"][0] = ens.weights
     statuses: list = [None] * n_cycles
-    control_time = 0.0
-    variational_time = 0.0
+    runtime = dict(total=0.0, truth=truth_time, control=0.0, variational=0.0)
     cycles: list[CycleDiagnostics] = []
     failed = False
     failure_message = None
@@ -532,31 +540,39 @@ def run_experiment(
         except CycleFailure as err:
             failed = True
             failure_message = f"cycle {k}: {err}"
-            for attr, value in err.bookkeeping.items():
-                if attr in series:
-                    series[attr][k] = value
+            for attr, value in err.solves.items():
+                series[attr][k] = value
+            work = err
+        else:
+            # the rows this cycle fills along a series' first axis
+            rows = {
+                "cycle": k,
+                "step": slice(k * span, (k + 1) * span),
+                "time": slice(k * span + 1, (k + 1) * span + 1),
+            }
+            for s in filled:
+                if s.from_cycle == COUNTER:
+                    continue
+                value = (
+                    getattr(diag, s.attr) if s.from_cycle is True
+                    else s.from_cycle(diag)
+                )
+                if value is not None:
+                    series[s.attr][rows[s.axes[0]]] = value
+            statuses[k] = diag.variational_status
+            if keep_cycles:
+                cycles.append(diag)
+            work = diag
+        for attr in COUNTERS:
+            if attr in series:
+                series[attr][k] = work.counters.get(attr, 0)
+        for key, seconds in work.timings.items():
+            if key != "total":  # the loop's own total covers every cycle
+                runtime[key] += seconds
+        if failed:
             break
 
-        # the rows this cycle fills along a series' first axis
-        rows = {
-            "cycle": k,
-            "step": slice(k * span, (k + 1) * span),
-            "time": slice(k * span + 1, (k + 1) * span + 1),
-        }
-        for s in filled:
-            value = (
-                getattr(diag, s.attr) if s.from_cycle is True
-                else s.from_cycle(diag)
-            )
-            if value is not None:
-                series[s.attr][rows[s.axes[0]]] = value
-        statuses[k] = diag.variational_status
-        control_time += diag.timings.get("control", 0.0)
-        variational_time += diag.timings.get("variational", 0.0)
-        if keep_cycles:
-            cycles.append(diag)
-
-    total_time = time.perf_counter() - tic
+    runtime["total"] = time.perf_counter() - tic
     return ExperimentRecord(
         config=config,
         times=truth.times,
@@ -569,12 +585,7 @@ def run_experiment(
         variational_status=(
             statuses if config.filter_name == "var_npf" else None
         ),
-        runtime={
-            "total": total_time,
-            "truth": truth_time,
-            "control": control_time,
-            "variational": variational_time,
-        },
+        runtime=runtime,
         truth_digest=truth.digest,
         failed=failed,
         failure_message=failure_message,
@@ -619,7 +630,8 @@ class RunMetrics:
     """Slim per-run summary row for sweeps and reports.
 
     Counters, shares and the control and variational times default to
-    zero, so a row names only what its run produced.
+    zero, so a row names only what its run produced.  Each COUNTER series
+    of RECORD_SERIES sums into the int field of its name.
     """
 
     filter_name: str
@@ -686,11 +698,7 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
         runtime_total=total,
         runtime_control=record.runtime["control"],
         runtime_variational=record.runtime["variational"],
-        realization_steps=_total(record.realization_steps),
-        control_passes=_total(record.control_passes),
-        drift_evals=_total(record.drift_evals),
-        variational_iterations=_total(record.variational_iterations),
-        variational_cost_evals=_total(record.variational_cost_evals),
+        **{attr: _total(getattr(record, attr)) for attr in COUNTERS},
         resampled_cycles=int(np.sum(record.resampled)),
         collapsed_cycles=int(np.sum(record.collapsed)),
         variational_share=share,
@@ -803,11 +811,8 @@ class McSummary:
                     "avg_bm_ratio": stat(np.mean, "bm_ratio"),
                     "median_bm_ratio": stat(np.median, "bm_ratio"),
                     "avg_runtime": stat(np.mean, "runtime_total"),
-                    "avg_realization_steps": stat(
-                        np.mean, "realization_steps"
-                    ),
-                    "avg_control_passes": stat(np.mean, "control_passes"),
-                    "avg_drift_evals": stat(np.mean, "drift_evals"),
+                    **{f"avg_{attr}": stat(np.mean, attr)
+                       for attr in COUNTERS},
                     "max_batches": int(
                         max((r.max_batches for r in done), default=0)
                     ),

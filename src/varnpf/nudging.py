@@ -456,7 +456,7 @@ def _nudged_sweep(
     ensemble: ParticleEnsemble,
     model: SdeModel,
     obs_model: ObservationModel,
-    target_fn: Callable[[int, Array, Array], tuple[Array, float, dict]],
+    target_fn: Callable[[int, Array, Array], tuple[Array, float, dict, dict]],
     reweight_obs: Array,
     t_start: float,
     t_end: float,
@@ -473,19 +473,18 @@ def _nudged_sweep(
     ``increments`` holds each particle's Wiener increments over the
     interval, shape (n, S, d) with S steps of size ``dt``; subinterval j
     advects along its slice of them.
-    ``target_fn(j, states, weights) -> (target_obs, horizon_end, work)``
-    is consulted once per subinterval before the control solves, so a
-    guided cycle can refresh its target mid-interval; ``work`` maps
-    CycleDiagnostics counters to the guidance work of that call (a fit's
-    drift evaluations, iterations and cost evaluations; empty when it did
-    none), and the sweep sums them.  The increments and ``control_seqs``
-    are checked before its first call.  ``reweight_obs`` is read only at
-    the terminal reweight, after the last target_fn call, so it may be a
-    view of a target that target_fn fills.  Each live particle then
-    solves for its control with adaptive_control, drawing from its own
-    ``child_sequence(control_seqs[i], j)`` generator; a subinterval's
-    solves advance together, one propagation pass per round (see
-    _solve_controls), and ``control_passes`` counts those passes;
+    ``target_fn(j, states, weights) -> (target_obs, horizon_end, counters,
+    timings)`` is consulted once per subinterval before the control
+    solves, so a guided cycle can refresh its target mid-interval; the
+    sweep sums the CycleDiagnostics counters and timings it reports (a
+    fit's work and seconds; empty when it did none).  The increments and
+    ``control_seqs`` are checked before its first call.  ``reweight_obs``
+    is read only at the terminal reweight, after the last target_fn call,
+    so it may be a view of a target that target_fn fills.  Each live
+    particle then solves for its control with adaptive_control, drawing
+    from its own ``child_sequence(control_seqs[i], j)`` generator; a
+    subinterval's solves advance together, one propagation pass per round
+    (see _solve_controls), and ``control_passes`` counts those passes;
     ``drift_evals`` counts the rows times drift evaluations of the
     guidance, of the solves (RK4 stages of every realization, and each
     solve's denominator) and of the advection.  The rollback candidates
@@ -496,7 +495,7 @@ def _nudged_sweep(
     subinterval; the weights repay each applied control through the
     accumulated change-of-measure factor at the terminal reweight.  The
     sweep ends in bootstrap_pf._close_cycle, which adds the advection's
-    drift evaluations and keeps the counters when the cycle fails.
+    drift evaluations and keeps the cycle's work when it fails.
     """
     tic = time.perf_counter()
     n = ensemble.n_particles
@@ -521,16 +520,16 @@ def _nudged_sweep(
     batches_used = np.zeros((m_sub, n), dtype=int)
     solver_converged = np.zeros((m_sub, n), dtype=bool)
     step_ratio = np.full((n_steps, n), np.nan)
-    work = Counter()  # the control solves' and target_fn's counters
+    counters, timings = Counter(), Counter()  # solves' and target_fn's work
     alive = np.ones(n, dtype=bool)
-    control_time = 0.0
 
     for j in range(m_sub):
         t_j = t_start + j * dt_sub
-        target_obs, horizon_end, guidance = target_fn(
+        target_obs, horizon_end, guidance, seconds = target_fn(
             j, states, ensemble.weights
         )
-        work.update(guidance)
+        counters.update(guidance)
+        timings.update(seconds)
         horizon_steps = whole_steps(t_j, horizon_end, dt)
 
         sub_controls = np.zeros((n, d))
@@ -546,15 +545,15 @@ def _nudged_sweep(
         )
         if estimates:
             used = np.array([est.realizations_used for est in estimates])
-            work["realization_steps"] += int(used.sum()) * horizon_steps
-            work["drift_evals"] += (
+            counters["realization_steps"] += int(used.sum()) * horizon_steps
+            counters["drift_evals"] += (
                 RK4_STAGES * int(used.sum()) * horizon_steps + len(estimates)
             )
             proposed[j, live] = [est.control for est in estimates]
             batches_used[j, live] = used // config.batch_size
             # round 0 draws min(2, max_batches) batches, later rounds one
-            work["control_passes"] += 1 + int(batches_used[j].max()) - min(
-                2, config.max_batches
+            counters["control_passes"] += (
+                1 + int(batches_used[j].max()) - min(2, config.max_batches)
             )
             solver_converged[j, live] = [est.converged for est in estimates]
             floors[j, live] = [est.phi_floored for est in estimates]
@@ -576,7 +575,7 @@ def _nudged_sweep(
             sub_controls[nudged] = proposed[j, nudged]
             sub_v[nudged] = v[~rejected]
         applied[j] = sub_controls
-        control_time += time.perf_counter() - tic_c
+        timings["control"] += time.perf_counter() - tic_c
 
         lo = j * sub_steps
         hi = (j + 1) * sub_steps
@@ -602,13 +601,9 @@ def _nudged_sweep(
         reweight_obs, t_start, t_end, resample_rng, resample,
         resample_threshold, tic,
         # the run record keeps this work even when the cycle fails
-        bookkeeping={
-            **work,
-            "batches_used": batches_used,
-            "phi_floored": floors,
-            "rollbacks": rollbacks,
-        },
-        timings={"control": control_time},
+        counters, timings,
+        solves=dict(batches_used=batches_used, phi_floored=floors,
+                    rollbacks=rollbacks),
         control_proposed=proposed,
         control_applied=applied,
         solver_converged=solver_converged,
@@ -641,7 +636,7 @@ def npf_assimilation_cycle(
     """
 
     def target_fn(j, states, weights):
-        return observation, t_end, {}
+        return observation, t_end, {}, {}
 
     return _nudged_sweep(
         ensemble, model, obs_model, target_fn, observation,

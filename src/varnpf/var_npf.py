@@ -89,8 +89,8 @@ def var_npf_assimilation_cycle(
     ``resolve_per_subinterval``, it fits an initial state over [t_j, t_end]
     to the moments of the ensemble it is handed and fills ``targets[j:]``
     from the fit's flow, and reports the fit's iterations, cost
-    evaluations and drift evaluations, which the sweep sums (into the
-    CycleFailure of a failing cycle too).  The recorded status and cost
+    evaluations, drift evaluations and seconds, which the sweep sums (into
+    the CycleFailure of a failing cycle too).  The recorded status and cost
     are the last fit's.  A stalled variational solve is recorded and its
     best iterate used; the guidance does not have to be optimal to be
     useful.  ``increments`` (n, S, d) and ``dt`` are the particles' Wiener
@@ -112,43 +112,38 @@ def var_npf_assimilation_cycle(
 
     targets = np.empty((m_sub, observation.shape[-1]))
     fits: list[VariationalResult] = []
-    var_time = 0.0
 
     def target_fn(j, states, weights):
-        nonlocal var_time
         t_j = t_start + j * dt_sub
-        work = {}
-        if j == 0 or settings.resolve_per_subinterval:
-            moments = empirical_moments(ParticleEnsemble(states, weights, t_j))
-            tic = time.perf_counter()
-            problem = VariationalProblem(
-                model=model,
-                obs_model=obs_model,
-                prior_mean=moments.mean,
-                prior_cov=moments.cov,
-                observation=observation,
-                t_start=t_j,
-                t_end=t_end,
-                dt=dt,
-                eps=settings.regularization_eps,
-                bound_sigmas=settings.bound_sigmas,
-            )
-            result = minimize_cost(
-                problem, max_iterations=settings.max_iterations
-            )
-            var_time += time.perf_counter() - tic
-            fits.append(result)
-            pseudo = build_pseudo_path(
-                model, obs_model, result.x_opt, t_j, t_end, m_sub - j, dt,
-                flow=result.flow,
-            )
-            targets[j:] = pseudo.observations[1:]
-            work = {
-                "drift_evals": result.drift_evals,
-                "variational_iterations": result.iterations,
-                "variational_cost_evals": result.cost_evals,
-            }
-        return targets[j], t_j + dt_sub, work
+        if j and not settings.resolve_per_subinterval:
+            return targets[j], t_j + dt_sub, {}, {}
+        moments = empirical_moments(ParticleEnsemble(states, weights, t_j))
+        tic = time.perf_counter()
+        problem = VariationalProblem(
+            model=model,
+            obs_model=obs_model,
+            prior_mean=moments.mean,
+            prior_cov=moments.cov,
+            observation=observation,
+            t_start=t_j,
+            t_end=t_end,
+            dt=dt,
+            eps=settings.regularization_eps,
+            bound_sigmas=settings.bound_sigmas,
+        )
+        result = minimize_cost(problem, max_iterations=settings.max_iterations)
+        seconds = time.perf_counter() - tic
+        fits.append(result)
+        pseudo = build_pseudo_path(
+            model, obs_model, result.x_opt, t_j, t_end, m_sub - j, dt,
+            flow=result.flow,
+        )
+        targets[j:] = pseudo.observations[1:]
+        return targets[j], t_j + dt_sub, {
+            "drift_evals": result.drift_evals,
+            "variational_iterations": result.iterations,
+            "variational_cost_evals": result.cost_evals,
+        }, {"variational": seconds}
 
     # a view: the reweight reads the last target as the sweep left it
     reweight_obs = targets[-1] if settings.reweight_with_pseudo else observation
@@ -160,5 +155,4 @@ def var_npf_assimilation_cycle(
     diag.pseudo_targets = targets
     diag.variational_status = fits[-1].status
     diag.variational_cost = fits[-1].cost_opt
-    diag.timings["variational"] = var_time
     return posterior, diag

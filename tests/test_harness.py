@@ -8,10 +8,13 @@ import pytest
 
 from varnpf.harness import (
     BENCHMARK_ICS,
+    COUNTER,
+    COUNTERS,
     RECORD_SERIES,
     ConfigError,
     ExperimentConfig,
     ModelConfig,
+    RunMetrics,
     average_bm_ratio,
     average_posterior_ness,
     compute_rmse,
@@ -291,10 +294,14 @@ class TestFailureHandling:
             4 * n * cfg.steps_per_interval
             + 4 * int(record.realization_steps[0]) + n
         )
+        # and its seconds: the solves', and var_npf's fit
+        assert record.runtime["control"] > 0.0
         if name == "npf":
             assert record.drift_evals[0] == counted
+            assert record.runtime["variational"] == 0.0
         else:
             assert record.drift_evals[0] > counted
+            assert record.runtime["variational"] > 0.0
             # and the fit's iterations and cost evaluations: at least the
             # start point and its central-difference gradient
             assert record.variational_iterations[0] >= 1
@@ -319,6 +326,36 @@ class TestFailureHandling:
         assert agg[0]["failures"] == 2
         assert agg[0]["runs"] == 0
         assert np.isnan(agg[0]["avg_rmse"])
+
+
+class TestCounterDeclarations:
+    """A counter is declared once, as a COUNTER series of RECORD_SERIES
+    and the RunMetrics field of its name."""
+
+    def test_every_counter_series_has_a_field_and_an_average(self):
+        marked = [s for s in RECORD_SERIES if s.from_cycle == COUNTER]
+        assert [s.attr for s in marked] == list(COUNTERS)
+        fields = {f.name for f in dataclasses.fields(RunMetrics)}
+        row = run_metrics(run_experiment(
+            quick_config(filter_name="var_npf", seed=19)
+        ))
+        [averages] = summary_from_rows([row]).aggregate()
+        for s in marked:
+            assert s.name == s.attr and s.dtype is int, s.name
+            assert s.attr in fields, s.name
+            assert type(getattr(row, s.attr)) is int, s.name
+            assert averages[f"avg_{s.attr}"] == getattr(row, s.attr) > 0
+
+    @pytest.mark.parametrize("name", ["pf", "npf", "var_npf"])
+    def test_every_cycle_counter_is_declared(self, name):
+        record = run_experiment(
+            quick_config(filter_name=name, seed=19, t_final=1.0),
+            keep_cycles=True,
+        )
+        assert len(record.cycles) == 2
+        for diag in record.cycles:
+            assert diag.counters
+            assert set(diag.counters) <= set(COUNTERS)
 
 
 class TestMonteCarlo:

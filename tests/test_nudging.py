@@ -7,6 +7,7 @@ problem whose expectation limit is computed from plain matrix algebra.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -818,19 +819,15 @@ def _nudged_sweep_oracle(
     batches_used = np.zeros((m_sub, n), dtype=int)
     solver_converged = np.zeros((m_sub, n), dtype=bool)
     step_ratio = np.full((n_steps, n), np.nan)
-    realization_steps = 0
-    control_passes = 0
-    drift_evals = 4 * n * n_steps  # four RK4 stages per advected row
-    guidance = {}  # the sums of what target_fn reports
+    counters = Counter()  # what target_fn reports, then the solves' work
     failed = set()
     sigma_t = model.dispersion.T
     for j in range(m_sub):
         t_j = t_start + j * dt_sub
-        target_obs, horizon_end, work = target_fn(
+        target_obs, horizon_end, work, _ = target_fn(
             j, states, ensemble.weights
         )
-        for key, count in work.items():
-            guidance[key] = guidance.get(key, 0) + count
+        counters.update(work)
         horizon_steps = whole_steps(t_j, horizon_end, dt)
         sub_controls = np.zeros((n, d))
         sub_v = np.zeros((n, d))
@@ -841,9 +838,13 @@ def _nudged_sweep_oracle(
                 model, obs_model, t_j, states[i], horizon_end, target_obs,
                 config, rng, dt,
             )
-            realization_steps += est.realizations_used * horizon_steps
+            counters["realization_steps"] += (
+                est.realizations_used * horizon_steps
+            )
             # four stages per realization step, and the solve's denominator
-            drift_evals += 4 * est.realizations_used * horizon_steps + 1
+            counters["drift_evals"] += (
+                4 * est.realizations_used * horizon_steps + 1
+            )
             proposed[j, i] = est.control
             batches_used[j, i] = est.realizations_used // config.batch_size
             solver_converged[j, i] = est.converged
@@ -858,8 +859,8 @@ def _nudged_sweep_oracle(
             sub_controls[i] = est.control
             sub_v[i] = v
         if live:  # a pass for the first batches, then one per later batch
-            control_passes += 1 + int(max(batches_used[j])) - min(
-                2, config.max_batches
+            counters["control_passes"] += (
+                1 + int(max(batches_used[j])) - min(2, config.max_batches)
             )
         applied[j] = sub_controls
         lo, hi = j * sub_steps, (j + 1) * sub_steps
@@ -884,6 +885,7 @@ def _nudged_sweep_oracle(
                 log_rn[i] += float(
                     -(v * dw).sum() - 0.5 * (v * v).sum() * dt
                 )
+    counters["drift_evals"] += 4 * n * n_steps  # four RK4 stages per row
     carried = np.array(ensemble.weights)
     if failed:
         carried[sorted(failed)] = 0.0
@@ -910,6 +912,7 @@ def _nudged_sweep_oracle(
         resampled=resampled,
         collapsed=collapsed,
         particle_failures=sorted(failed),
+        counters=dict(counters),
         control_proposed=proposed,
         control_applied=applied,
         rollbacks=rollbacks,
@@ -918,10 +921,6 @@ def _nudged_sweep_oracle(
         solver_converged=solver_converged,
         log_rn=log_rn,
         step_ratio=step_ratio,
-        realization_steps=realization_steps,
-        control_passes=control_passes,
-        drift_evals=drift_evals + guidance.pop("drift_evals", 0),
-        **guidance,
     )
 
 
@@ -1046,9 +1045,10 @@ class TestControlPasses:
         per_subinterval = (
             1 + diag.batches_used.max(axis=1) - min(2, max_batches)
         )
-        assert diag.control_passes == len(passes) == per_subinterval.sum()
+        counted = diag.counters["control_passes"]
+        assert counted == len(passes) == per_subinterval.sum()
         if max_batches == 50:
-            assert diag.control_passes > config.subintervals
+            assert counted > config.subintervals
 
 
 class TestStackedHelpers:
