@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .diagnostics import CycleDiagnostics, CycleFailure
@@ -68,7 +66,6 @@ def pf_assimilation_cycle(
     systematic and fires when ESS < threshold * n (one uniform draw, taken
     from ``resample_rng`` only when it fires).
     """
-    tic = time.perf_counter()
     _interval_steps(increments, ensemble, t_start, t_end, dt)
     trajs, failures = advect_particles(
         model, ensemble.states, np.zeros_like(ensemble.states), increments,
@@ -76,7 +73,7 @@ def pf_assimilation_cycle(
     )
     return _close_cycle(
         ensemble, trajs, failures, obs_model, observation, t_start, t_end,
-        resample_rng, resample, resample_threshold, tic,
+        resample_rng, resample, resample_threshold,
     )
 
 
@@ -91,7 +88,6 @@ def _close_cycle(
     resample_rng: np.random.Generator,
     resample: bool,
     resample_threshold: float,
-    tic: float,
     counters: dict | None = None,
     timings: dict | None = None,
     solves: dict | None = None,
@@ -109,8 +105,7 @@ def _close_cycle(
     change-of-measure ``log_rn``, and a systematic resample when ESS <
     threshold * n (one uniform draw, taken from ``resample_rng`` only when
     it fires).  ``solves`` (its per-solve arrays) and ``nudged`` hold a
-    nudged cycle's other CycleDiagnostics fields; the timings gain the
-    total since ``tic``.
+    nudged cycle's other CycleDiagnostics fields.
     """
     n_steps = step_states.shape[0] - 1
     n = step_states.shape[1]
@@ -159,6 +154,6 @@ def _close_cycle(
         counters=counters,
         **(solves or {}),
         **nudged,
-        timings={"total": time.perf_counter() - tic, **(timings or {})},
+        timings=dict(timings or {}),
     )
     return posterior, diag

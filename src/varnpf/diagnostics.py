@@ -15,9 +15,9 @@ class CycleFailure(RuntimeError):
     """Every particle in a cycle blew up; the run cannot continue.
 
     ``counters`` and ``timings`` hold the CycleDiagnostics counters and
-    timings (all but the total) of the failing cycle's work so far, and
-    ``solves`` a nudged cycle's per-solve arrays (batches_used,
-    phi_floored, rollbacks), so the run record still counts that work.
+    timings of the failing cycle's work so far, and ``solves`` a nudged
+    cycle's per-solve arrays (batches_used, phi_floored, rollbacks), so
+    the run record still counts that work.
     """
 
     def __init__(
@@ -38,9 +38,8 @@ class CycleDiagnostics:
     including both endpoints; the states at ``t_end`` are pre-update.  The
     nudging fields stay None for the plain bootstrap cycle.  ``counters``
     maps counts of the cycle's work, each a series harness.RECORD_SERIES
-    marks COUNTER, to their values; ``timings`` maps ``total``, and
-    ``control`` and ``variational`` where the cycle did such work, to
-    seconds.
+    marks COUNTER, to their values; ``timings`` maps ``control`` and
+    ``variational``, where the cycle did such work, to seconds.
     """
 
     t_start: float

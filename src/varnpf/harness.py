@@ -318,6 +318,7 @@ class ExperimentRecord:
     batches_used: Array | None = None
     log_rn: Array | None = None
     realization_steps: Array | None = None
+    spare_realization_steps: Array | None = None
     control_passes: Array | None = None
     variational_status: list | None = None  # length L
     variational_cost: Array | None = None
@@ -412,6 +413,8 @@ RECORD_SERIES: tuple[Series, ...] = (
     Series("log_rn", "log_rn", ("cycle", "particle"), float, _NUDGED),
     Series("realization_steps", "realization_steps", ("cycle",), int, _NUDGED,
            COUNTER),
+    Series("spare_realization_steps", "spare_realization_steps", ("cycle",),
+           int, _NUDGED, COUNTER),
     Series("control_passes", "control_passes", ("cycle",), int, _NUDGED,
            COUNTER),
     Series("variational_cost", "variational_cost", ("cycle",), float, _GUIDED),
@@ -567,8 +570,7 @@ def run_experiment(
             if attr in series:
                 series[attr][k] = work.counters.get(attr, 0)
         for key, seconds in work.timings.items():
-            if key != "total":  # the loop's own total covers every cycle
-                runtime[key] += seconds
+            runtime[key] += seconds
         if failed:
             break
 
@@ -645,6 +647,7 @@ class RunMetrics:
     runtime_control: float = 0.0
     runtime_variational: float = 0.0
     realization_steps: int = 0
+    spare_realization_steps: int = 0
     control_passes: int = 0
     drift_evals: int = 0
     variational_iterations: int = 0

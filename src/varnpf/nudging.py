@@ -45,6 +45,10 @@ Array = np.ndarray
 # callers treat a floored estimate as a rollback.
 PHI_FLOOR = 1e-300
 
+# batches each later round of a control solve draws ahead, per unsettled
+# solve (fewer near max_batches)
+CONTROL_LOOKAHEAD = 3
+
 
 @dataclass(frozen=True)
 class NudgingConfig:
@@ -105,43 +109,47 @@ def _propagate_with_sensitivity(
     batch, so batches of different solves can share the pass.  The
     midpoint Jacobian uses the chord midpoint of the step, the endpoint
     Jacobian the post-noise state, so Psi follows the realized path rather
-    than the drift-only flow; a step's endpoint Jacobian is the next step's
-    start Jacobian, so each step evaluates two.  The RK4 (by rk4_states)
-    and Psi work runs over all k * b rows at once.  The noise term is a
-    matrix product, which rounds differently for different row counts; one
-    stacked matmul over the increments multiplies each (b, d) batch on its
-    own, so it rounds as a batch alone does.  When the drift and its Jacobian
-    act row by row (as the Lorenz-63 ones do), each batch's realizations
-    come out bitwise as if propagated alone.  Returns endpoints (k, b, d)
-    and fundamental matrices (k, b, d, d).
+    than the drift-only flow.  The realizations run first (by rk4_states)
+    and their (S + 1, k * b, d) path is kept, so the Jacobians take two
+    calls per pass: one at every path state, which serves as one step's end
+    and the next step's start, and one at every chord midpoint.  The Psi
+    steps then read them; their stacked 3x3 products stay np.matmul, which
+    an explicit sum of three terms would round differently.  The noise term
+    is a matrix product, which rounds differently for different row
+    counts; one stacked matmul over the increments multiplies each (b, d)
+    batch on its own, so it rounds as a batch alone does.  When the drift
+    and its Jacobian act row by row (as the Lorenz-63 ones do), each
+    batch's realizations come out bitwise as if propagated alone.  Returns
+    endpoints (k, b, d) and fundamental matrices (k, b, d, d).
     """
     k, b, n_steps, d = increments.shape
     n = k * b
-    states = np.broadcast_to(np.asarray(x, dtype=float), (n, d)).copy()
+    path = np.empty((n_steps + 1, n, d))
+    path[0] = np.asarray(x, dtype=float)
     fund = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     # one stacked product over the (S, k, b, d) increments: each (b, d)
     # batch is still multiplied on its own
     noise = np.matmul(
         increments.transpose(2, 0, 1, 3), model.dispersion.T
     ).reshape(n_steps, n, d)
-    jac = model.drift_jacobian
     half = 0.5 * dt
     sixth = dt / 6.0
     # blown-up realizations go non-finite here and are dropped by
     # _combine_terms, so their overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        a0 = jac(states)
-        for x1 in rk4_states(model, states, dt, n_steps, noise=noise):
-            am = jac(0.5 * (states + x1))
-            a1 = jac(x1)
-            p1 = a0 @ fund
-            p2 = am @ (fund + half * p1)
-            p3 = am @ (fund + half * p2)
-            p4 = a1 @ (fund + dt * p3)
+        for s, x1 in enumerate(
+            rk4_states(model, path[0], dt, n_steps, noise=noise), 1
+        ):
+            path[s] = x1  # the stepper's buffer, overwritten two steps on
+        ends = model.drift_jacobian(path)
+        mids = model.drift_jacobian(0.5 * (path[:-1] + path[1:]))
+        for s in range(n_steps):
+            p1 = ends[s] @ fund
+            p2 = mids[s] @ (fund + half * p1)
+            p3 = mids[s] @ (fund + half * p2)
+            p4 = ends[s + 1] @ (fund + dt * p3)
             fund = fund + sixth * (p1 + 2.0 * (p2 + p3) + p4)
-            states = x1  # the stepper's buffer, read before the next step
-            a0 = a1
-    return states.reshape(k, b, d), fund.reshape(k, b, d, d)
+    return path[-1].reshape(k, b, d), fund.reshape(k, b, d, d)
 
 
 def _misfit_terms(
@@ -274,7 +282,7 @@ def adaptive_control(
     return _solve_controls(
         model, obs_model, t, np.asarray(x, dtype=float)[None], horizon_end,
         target_obs, config, [rng], dt,
-    )[0]
+    )[0][0]
 
 
 def _solve_controls(
@@ -287,37 +295,47 @@ def _solve_controls(
     config: NudgingConfig,
     rngs: Sequence[np.random.Generator],
     dt: float,
-) -> list[ControlEstimate]:
+) -> tuple[list[ControlEstimate], dict]:
     """One adaptive_control solve per row of ``states``, each drawing from
     its own generator in ``rngs``, all of them in lockstep rounds.
 
     Since convergence compares two estimates, no solve stops before its
     second batch (unless ``max_batches`` is 1), so round 0 draws
-    min(2, max_batches) batches per solve; every later round draws one
-    batch for each solve that has not yet settled.  Each round's batches
-    propagate in one pass, each row from its own solve point.  The active
-    solves then hold the same number of batches, so their estimates, the
-    normalized controls and the variations from the previous batch count
-    are formed as arrays (the first batch's estimate is round 0's
-    reference).  A solve drops out once its variation is within
-    ``tolerance`` or its batch budget is spent; the rounds end when every
-    solve has.  A call therefore makes 1 + max(batches) - min(2,
-    max_batches) propagation passes.
+    min(2, max_batches) batches per solve.  Each later round looks ahead:
+    every solve that has not yet settled draws min(CONTROL_LOOKAHEAD,
+    max_batches - drawn) batches, each by its own ``normal`` call.  Each
+    round's batches propagate in one pass, each row from its own solve
+    point.  The round's batch counts are then scanned in order, as a
+    one-batch-at-a-time solve would meet them: at each count the solves
+    still running hold the same number of batches, so their estimates, the
+    normalized controls and the variations from the previous count are
+    formed as arrays.  A solve settles once its variation is within
+    ``tolerance`` or its batch budget is spent.  One that settles before
+    its round's last batch has its generator rewound to the state it had
+    before the next batch (kept as it drew), and the batches after it are
+    spare: propagated, never used.
 
-    Each generator draws its solve's batches in the order a lone solve
-    would, each batch propagates bitwise as if alone, and every reduction
-    runs along one solve's own axis (the variation's root of
+    Each generator therefore draws and keeps its solve's batches as a lone
+    solve would, each batch propagates bitwise as if alone, and every
+    reduction runs along one solve's own axis (the variation's root of
     _squared_norms rounds as np.linalg.norm), so each solve's estimate
     and generator state do not depend on which solves share its rounds
     (given a drift that acts row by row, as Lorenz-63's does).  Each
     estimate returns through its own adaptive_control call.
+
+    Also returns the solves' work as CycleDiagnostics counters:
+    ``realization_steps`` of the realizations used and
+    ``spare_realization_steps`` of the spare ones, ``control_passes``, and
+    ``drift_evals`` (RK4_STAGES per step of every propagated realization,
+    and one per solve for its denominator).  No rows means no work.
     """
     if not rngs:
-        return []
+        return [], {}
     x = np.asarray(states, dtype=float)
     n, d = x.shape
     b = config.batch_size
     n_steps = whole_steps(t, horizon_end, dt)
+    scale = np.sqrt(dt)
     denom = np.sqrt(_squared_norms(model.drift(x)))
     # a solve at an equilibrium falls back to the raw control magnitude
     denom = np.where(denom < 1e-12, 1.0, denom)[:, None]
@@ -328,6 +346,7 @@ def _solve_controls(
     converged = np.zeros(n, dtype=bool)
     batches = np.empty(n, dtype=int)
     variations = []  # one (n,) column per comparison, nan where settled
+    passes = spare = 0
 
     active = np.arange(n)
     g = np.empty((n, 0))
@@ -336,42 +355,64 @@ def _solve_controls(
     k = min(2, config.max_batches)
     prev = None
     while active.size:
-        increments = np.concatenate([
-            rngs[i].normal(0.0, np.sqrt(dt), size=(k, b, n_steps, d))
-            for i in active.tolist()
-        ])
+        increments = np.empty((active.size, k, b, n_steps, d))
+        # marks[i][q - 1]: solve i's generator state before the round's
+        # batch q; round 0 settles no solve before its last batch, so keeps
+        # none
+        marks = {}
+        for r, i in enumerate(active.tolist()):
+            marks[i] = []
+            for q in range(k):
+                if q and drawn:
+                    marks[i].append(rngs[i].bit_generator.state)
+                increments[r, q] = rngs[i].normal(
+                    0.0, scale, size=(b, n_steps, d)
+                )
         g_new, term_new = _misfit_terms(
             model, obs_model, np.repeat(x[active], k * b, axis=0),
-            target_obs, increments, dt,
+            target_obs, increments.reshape(-1, b, n_steps, d), dt,
         )
+        passes += 1
         g = np.concatenate([g, g_new.reshape(-1, k * b)], axis=1)
         term = np.concatenate([term, term_new.reshape(-1, k * b, d)], axis=1)
-        drawn += k
-        if k == 2:  # round 0: compare with the first batch alone
-            prev = _combine_terms(
-                g[:, :b], term[:, :b], model.diffusion
-            )[2] / denom[active]
-        est = _combine_terms(g, term, model.diffusion)
-        normalized = est[2] / denom[active]
-        settled = np.full(active.size, drawn >= config.max_batches)
-        if prev is not None:
-            deltas = np.sqrt(_squared_norms(normalized - prev))
-            variations.append(np.full(n, np.nan))
-            variations[-1][active] = deltas
-            converged[active] = deltas <= config.tolerance
-            settled |= converged[active]
-        done = active[settled]
-        phi[done], grad[done], control[done], floored[done] = (
-            part[settled] for part in est
-        )
-        batches[done] = drawn
-        keep = ~settled
-        active, g, term = active[keep], g[keep], term[keep]
-        prev = normalized[keep]
-        k = 1
+        for q in range(k):
+            drawn += 1
+            est = _combine_terms(
+                g[:, : drawn * b], term[:, : drawn * b], model.diffusion
+            )
+            normalized = est[2] / denom[active]
+            settled = np.full(active.size, drawn >= config.max_batches)
+            if prev is not None:
+                deltas = np.sqrt(_squared_norms(normalized - prev))
+                variations.append(np.full(n, np.nan))
+                variations[-1][active] = deltas
+                converged[active] = deltas <= config.tolerance
+                settled |= converged[active]
+            done = active[settled]
+            phi[done], grad[done], control[done], floored[done] = (
+                part[settled] for part in est
+            )
+            batches[done] = drawn
+            if q < k - 1:  # back to before the batch after this one
+                for i in done.tolist():
+                    rngs[i].bit_generator.state = marks[i][q]
+                spare += (k - 1 - q) * done.size
+            keep = ~settled
+            active, g, term = active[keep], g[keep], term[keep]
+            prev = normalized[keep]
+            if not active.size:
+                break
+        k = min(CONTROL_LOOKAHEAD, config.max_batches - drawn)
 
     # a solve's variations are its first batches - 1 columns
     history = np.array(variations).T.reshape(n, -1)
+    used = int(batches.sum()) * b
+    work = {
+        "realization_steps": used * n_steps,
+        "spare_realization_steps": spare * b * n_steps,
+        "drift_evals": RK4_STAGES * (used + spare * b) * n_steps + n,
+        "control_passes": passes,
+    }
 
     return [
         adaptive_control(
@@ -390,7 +431,7 @@ def _solve_controls(
             ),
         )
         for i in range(n)
-    ]
+    ], work
 
 
 def rn_log_increment(
@@ -484,10 +525,11 @@ def _nudged_sweep(
     particle then solves for its control with adaptive_control, drawing
     from its own ``child_sequence(control_seqs[i], j)`` generator; a
     subinterval's solves advance together, one propagation pass per round
-    (see _solve_controls), and ``control_passes`` counts those passes;
-    ``drift_evals`` counts the rows times drift evaluations of the
-    guidance, of the solves (RK4 stages of every realization, and each
-    solve's denominator) and of the advection.  The rollback candidates
+    (see _solve_controls), and the sweep sums the work they report: the
+    realization steps used and spare, the passes, and their drift
+    evaluations.  ``drift_evals`` thus counts the rows times drift
+    evaluations of the guidance, of the solves and of the advection.  The
+    rollback candidates
     -0.5 |sigma^T grad phi / phi|^2 dt_sub, step ratios and
     change-of-measure increments of all live particles are arrays too,
     each particle rounding as it would alone; each solve that did not floor
@@ -497,7 +539,6 @@ def _nudged_sweep(
     sweep ends in bootstrap_pf._close_cycle, which adds the advection's
     drift evaluations and keeps the cycle's work when it fails.
     """
-    tic = time.perf_counter()
     n = ensemble.n_particles
     d = ensemble.dimension
     n_steps = _interval_steps(increments, ensemble, t_start, t_end, dt)
@@ -530,31 +571,25 @@ def _nudged_sweep(
         )
         counters.update(guidance)
         timings.update(seconds)
-        horizon_steps = whole_steps(t_j, horizon_end, dt)
 
         sub_controls = np.zeros((n, d))
         sub_v = np.zeros((n, d))
         tic_c = time.perf_counter()
         live = np.flatnonzero(alive)
-        estimates = _solve_controls(
+        estimates, work = _solve_controls(
             model, obs_model, t_j, states[live], horizon_end, target_obs,
             config,
             [stream_generator(child_sequence(control_seqs[i], j))
              for i in live.tolist()],
             dt,
         )
+        counters.update(work)
         if estimates:
-            used = np.array([est.realizations_used for est in estimates])
-            counters["realization_steps"] += int(used.sum()) * horizon_steps
-            counters["drift_evals"] += (
-                RK4_STAGES * int(used.sum()) * horizon_steps + len(estimates)
-            )
             proposed[j, live] = [est.control for est in estimates]
-            batches_used[j, live] = used // config.batch_size
-            # round 0 draws min(2, max_batches) batches, later rounds one
-            counters["control_passes"] += (
-                1 + int(batches_used[j].max()) - min(2, config.max_batches)
-            )
+            batches_used[j, live] = [
+                est.realizations_used // config.batch_size
+                for est in estimates
+            ]
             solver_converged[j, live] = [est.converged for est in estimates]
             floors[j, live] = [est.phi_floored for est in estimates]
         rollbacks[j] = floors[j]  # an underflowed value function: no nudge
@@ -599,7 +634,7 @@ def _nudged_sweep(
     return _close_cycle(
         ensemble, step_states, np.flatnonzero(~alive).tolist(), obs_model,
         reweight_obs, t_start, t_end, resample_rng, resample,
-        resample_threshold, tic,
+        resample_threshold,
         # the run record keeps this work even when the cycle fails
         counters, timings,
         solves=dict(batches_used=batches_used, phi_floored=floors,

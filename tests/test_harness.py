@@ -336,9 +336,12 @@ class TestCounterDeclarations:
         marked = [s for s in RECORD_SERIES if s.from_cycle == COUNTER]
         assert [s.attr for s in marked] == list(COUNTERS)
         fields = {f.name for f in dataclasses.fields(RunMetrics)}
-        row = run_metrics(run_experiment(
-            quick_config(filter_name="var_npf", seed=19)
-        ))
+        # a tolerance some solves meet only past round 0, so look-ahead
+        # rounds run and spare realizations count too
+        row = run_metrics(run_experiment(quick_config(
+            filter_name="var_npf", seed=19,
+            nudging=NudgingConfig(tolerance=0.03),
+        )))
         [averages] = summary_from_rows([row]).aggregate()
         for s in marked:
             assert s.name == s.attr and s.dtype is int, s.name

@@ -23,6 +23,7 @@ from varnpf.ensemble import (
     systematic_resample,
 )
 from varnpf.nudging import (
+    CONTROL_LOOKAHEAD,
     PHI_FLOOR,
     ControlEstimate,
     NudgingConfig,
@@ -428,7 +429,8 @@ _OPERATORS = {
 
 
 class TestPropagationOracle:
-    """The Jacobian carried from one step's end to the next step's start."""
+    """The Jacobians of a whole pass, taken in two calls, equal three per
+    step."""
 
     @staticmethod
     def _counting(model):
@@ -459,7 +461,11 @@ class TestPropagationOracle:
         assert ends.shape == (1, 5, 3) and fund.shape == (1, 5, 3, 3)
         assert ends[0].tobytes() == want_ends.tobytes()
         assert fund[0].tobytes() == want_fund.tobytes()
-        assert len(calls) == 2 * n_steps + 1
+        # one call on the path's states, one on its chord midpoints
+        assert len(calls) == 2
+        assert sum(np.prod(shape[:-1]) for shape in calls) == (
+            (2 * n_steps + 1) * 5
+        )
 
     def test_blowup_row_among_healthy_rows(self):
         model = lorenz63()
@@ -605,8 +611,25 @@ def _assert_same_estimate(est, want):
 
 
 _EACH_OPERATOR = pytest.mark.parametrize("operator", sorted(_OPERATORS))
-_EACH_MAX_BATCHES = pytest.mark.parametrize("max_batches", [1, 2, 50])
+# 3 ends a look-ahead round at the cap: round 0 draws two batches and the
+# next round only one
+_EACH_MAX_BATCHES = pytest.mark.parametrize("max_batches", [1, 2, 3, 50])
 _EACH_BATCH_SIZE = pytest.mark.parametrize("batch_size", [1, 2, 3])
+
+
+def _passes(most, max_batches):
+    """Propagation passes of a subinterval whose solves used at most
+    ``most`` batches: round 0, then one per look-ahead round."""
+    first = min(2, max_batches)
+    return 1 + -(-max(0, most - first) // CONTROL_LOOKAHEAD)
+
+
+def _drawn(used, max_batches):
+    """Batches a solve that used ``used`` batches drew: round 0's, then
+    whole look-ahead rounds, the last one cut at ``max_batches``."""
+    first = min(2, max_batches)
+    rounds = -(-max(0, used - first) // CONTROL_LOOKAHEAD)
+    return min(max_batches, first + CONTROL_LOOKAHEAD * rounds)
 
 
 def _counting_passes(monkeypatch):
@@ -646,7 +669,8 @@ class TestStackedSolves:
             scale=4.0, size=(12, 3)
         )
         states[5] = 1e8
-        seen = {"floored": 0, "unconverged": 0, "converged_late": 0}
+        seen = {"floored": 0, "unconverged": 0, "converged_late": 0,
+                "spare": 0}
         for idx in range(5):
             target = obs.observe(states[idx]) + setup.normal(
                 scale=3.0, size=obs.operator.shape[0]
@@ -664,13 +688,26 @@ class TestStackedSolves:
             rngs, rngs_oracle = generators(), generators()
             with monkeypatch.context() as patched:
                 passes = _counting_passes(patched)
-                got = _solve_controls(
+                got, work = _solve_controls(
                     model, obs, 0.0, states, horizon, target, config, rngs,
                     dt,
                 )
-            # one pass for round 0's first batches, then one per round
-            most = max(est.realizations_used for est in got) // batch_size
-            assert len(passes) == 1 + most - min(2, max_batches)
+            used = [est.realizations_used // batch_size for est in got]
+            assert len(passes) == work["control_passes"] == _passes(
+                max(used), max_batches
+            )
+            n_steps = whole_steps(0.0, horizon, dt)
+            drawn = sum(_drawn(m, max_batches) for m in used)
+            assert work["realization_steps"] == (
+                sum(used) * batch_size * n_steps
+            )
+            assert work["spare_realization_steps"] == (
+                (drawn - sum(used)) * batch_size * n_steps
+            )
+            assert work["drift_evals"] == (
+                4 * drawn * batch_size * n_steps + len(states)
+            )
+            seen["spare"] += work["spare_realization_steps"]
             want = _solve_controls_oracle(
                 model, obs, 0.0, states, horizon, target, config,
                 rngs_oracle, dt,
@@ -690,7 +727,9 @@ class TestStackedSolves:
                 )
         assert seen["floored"] >= 5
         if max_batches == 50:
-            assert seen["converged_late"] >= 5
+            # some solves settled before their round's last batch, so
+            # their generators were rewound
+            assert seen["converged_late"] >= 5 and seen["spare"] > 0
         else:
             assert seen["unconverged"] >= 5
 
@@ -699,7 +738,7 @@ class TestStackedSolves:
         assert _solve_controls(
             lorenz63(), _OPERATORS["identity"], 0.0, np.empty((0, 3)), 0.05,
             np.zeros(3), config, [], 0.01,
-        ) == []
+        ) == ([], {})
 
     @staticmethod
     def _company_case(max_batches, batch_size):
@@ -736,7 +775,7 @@ class TestStackedSolves:
 
         def solve(rows):
             rngs = [stream_generator(stream_sequence(79, i)) for i in rows]
-            ests = _solve_controls(
+            ests, _ = _solve_controls(
                 model, obs, 0.0, states[rows], horizon, target, config,
                 rngs, dt,
             )
@@ -765,7 +804,7 @@ class TestStackedSolves:
             est = adaptive_control(
                 model, obs, 0.0, states[i], 0.1, target, config, rng, 0.01
             )
-            [want] = _solve_controls(
+            [want], _ = _solve_controls(
                 model, obs, 0.0, states[i : i + 1], 0.1, target, config,
                 [rng_rows], 0.01,
             )
@@ -838,15 +877,18 @@ def _nudged_sweep_oracle(
                 model, obs_model, t_j, states[i], horizon_end, target_obs,
                 config, rng, dt,
             )
-            counters["realization_steps"] += (
-                est.realizations_used * horizon_steps
+            b = config.batch_size
+            used = est.realizations_used // b
+            drawn = _drawn(used, config.max_batches)
+            counters["realization_steps"] += used * b * horizon_steps
+            counters["spare_realization_steps"] += (
+                (drawn - used) * b * horizon_steps
             )
-            # four stages per realization step, and the solve's denominator
-            counters["drift_evals"] += (
-                4 * est.realizations_used * horizon_steps + 1
-            )
+            # four stages per step of every realization drawn, and the
+            # solve's denominator
+            counters["drift_evals"] += 4 * drawn * b * horizon_steps + 1
             proposed[j, i] = est.control
-            batches_used[j, i] = est.realizations_used // config.batch_size
+            batches_used[j, i] = used
             solver_converged[j, i] = est.converged
             floors[j, i] = est.phi_floored
             if est.phi_floored:
@@ -858,9 +900,9 @@ def _nudged_sweep_oracle(
                 continue
             sub_controls[i] = est.control
             sub_v[i] = v
-        if live:  # a pass for the first batches, then one per later batch
-            counters["control_passes"] += (
-                1 + int(max(batches_used[j])) - min(2, config.max_batches)
+        if live:  # round 0's pass, then one per look-ahead round
+            counters["control_passes"] += _passes(
+                int(max(batches_used[j])), config.max_batches
             )
         applied[j] = sub_controls
         lo, hi = j * sub_steps, (j + 1) * sub_steps
@@ -1042,11 +1084,11 @@ class TestControlPasses:
         _, diag = TestCycleOracle._cycle(filter_name, config, "identity")
         # every subinterval has live solves; the 1e8 particle fails in the
         # first one
-        per_subinterval = (
-            1 + diag.batches_used.max(axis=1) - min(2, max_batches)
-        )
+        per_subinterval = [
+            _passes(most, max_batches) for most in diag.batches_used.max(axis=1)
+        ]
         counted = diag.counters["control_passes"]
-        assert counted == len(passes) == per_subinterval.sum()
+        assert counted == len(passes) == sum(per_subinterval)
         if max_batches == 50:
             assert counted > config.subintervals
 
