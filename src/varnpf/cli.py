@@ -85,16 +85,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_ics(spec: str):
+def _parse_ics(spec: str) -> dict:
+    """The selected benchmark conditions, keyed by their index, so each
+    runs as ``varnpf run`` with that ``ic_index`` and ``truth_init``."""
     spec = spec.strip().lower()
     if spec == "star":
-        return (BENCHMARK_ICS[0],)
-    if spec == "all":
-        return BENCHMARK_ICS
-    try:
-        indices = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as err:
-        raise ConfigError(f"bad --ics value: {err}") from err
+        indices = [0]
+    elif spec == "all":
+        indices = range(len(BENCHMARK_ICS))
+    else:
+        try:
+            indices = [int(tok) for tok in spec.split(",") if tok.strip()]
+        except ValueError as err:
+            raise ConfigError(f"bad --ics value: {err}") from err
     if not indices:
         raise ConfigError("--ics selected no initial conditions")
     for idx in indices:
@@ -102,7 +105,9 @@ def _parse_ics(spec: str):
             raise ConfigError(
                 f"--ics index {idx} outside 0..{len(BENCHMARK_ICS) - 1}"
             )
-    return tuple(BENCHMARK_ICS[idx] for idx in indices)
+    if len(set(indices)) != len(indices):
+        raise ConfigError(f"--ics repeats an index: {spec}")
+    return {idx: BENCHMARK_ICS[idx] for idx in indices}
 
 
 def _parse_filters(spec: str):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -21,7 +22,7 @@ import numpy as np
 from .bootstrap_pf import pf_assimilation_cycle
 from .diagnostics import CycleDiagnostics, CycleFailure
 from .ensemble import ObservationModel, ParticleEnsemble
-from .nudging import NudgingConfig, npf_assimilation_cycle
+from .nudging import NudgingConfig, check_int, npf_assimilation_cycle
 from .sde import (
     IntegrationError,
     L63Params,
@@ -139,8 +140,14 @@ class ExperimentConfig:
                 f"unknown filter {name!r}; expected one of "
                 f"{sorted(FILTER_CODES)}"
             )
-        if self.particles < 1:
-            raise ConfigError("particles must be >= 1")
+        try:
+            for key, minimum in (
+                ("particles", 1), ("seed", 0), ("ic_index", 0),
+                ("run_index", 0),
+            ):
+                check_int(getattr(self, key), key, minimum)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         if self.dt <= 0.0 or self.dt_obs <= 0.0 or self.t_final <= 0.0:
             raise ConfigError("dt, dt_obs, t_final must be positive")
         if self.ensemble_cov_scale <= 0.0:
@@ -288,48 +295,38 @@ def generate_truth_and_observations(
 class ExperimentRecord:
     """Full output of one run: series on the integrator grid plus truth.
 
-    Every array attribute but ``times`` is a series of :data:`RECORD_SERIES`,
-    which gives its axes.  ``step_states`` and ``step_weights`` hold the
+    ``series`` maps the ``attr`` of each series of :data:`RECORD_SERIES`
+    the run's filter produces to its array, whose axes the table gives;
+    ``record.<attr>`` reads it, and reads None for a series the filter
+    never produces.  ``step_states`` and ``step_weights`` hold the
     post-update ensemble at observation indices and the advected ensemble
     elsewhere, so ``ensemble_mean`` is the filter estimate at every grid
-    time.  Series a filter never produces are None.  A failed run keeps its
-    series up to the failing cycle; the remainder keeps its fill (nan, or 0
-    for counts and flags).
+    time.  A failed run keeps its series up to the failing cycle; the
+    remainder keeps its fill (nan, or 0 for counts and flags).
     """
 
     config: ExperimentConfig
     times: Array
-    truth: Array
-    obs_times: Array
-    observations: Array
-    step_states: Array
-    step_weights: Array
-    ensemble_mean: Array
-    prior_ness: Array
-    posterior_ness: Array
-    resampled: Array
-    collapsed: Array
-    drift_evals: Array | None = None
-    step_ratio: Array | None = None
-    control_proposed_norms: Array | None = None
-    control_applied_norms: Array | None = None
-    rollbacks: Array | None = None
-    phi_floored: Array | None = None
-    batches_used: Array | None = None
-    log_rn: Array | None = None
-    realization_steps: Array | None = None
-    spare_realization_steps: Array | None = None
-    control_passes: Array | None = None
+    series: dict
     variational_status: list | None = None  # length L
-    variational_cost: Array | None = None
-    variational_iterations: Array | None = None
-    variational_cost_evals: Array | None = None
-    pseudo_targets: Array | None = None
     runtime: dict
     truth_digest: str
     failed: bool = False
     failure_message: str | None = None
     cycles: list = field(default_factory=list)  # kept only on request
+
+    def __getattr__(self, name):
+        # only reached when the instance has no such attribute; __dict__
+        # rather than self.series, which is unset while pickle and copy
+        # build the instance
+        series = self.__dict__.get("series", {})
+        if name in series:
+            return series[name]
+        if name in _SERIES_ATTRS:
+            return None
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
 
 # The record.csv index column of each record axis.  ``time`` counts the
@@ -342,7 +339,7 @@ RECORD_AXES = {
 
 
 class Series(NamedTuple):
-    """One numeric series of a run: record attribute and record.csv rows.
+    """One numeric series of a run: its record key and record.csv rows.
 
     ``from_cycle`` says how a cycle fills its rows (its index on a
     ``cycle`` axis, its steps on a ``step`` axis, the grid times it
@@ -356,7 +353,7 @@ class Series(NamedTuple):
     """
 
     name: str  # record.csv series
-    attr: str  # ExperimentRecord attribute
+    attr: str  # key in ExperimentRecord.series
     axes: tuple  # keys of RECORD_AXES, one per array axis
     dtype: type = float
     filters: tuple = tuple(FILTER_CODES)
@@ -426,6 +423,7 @@ RECORD_SERIES: tuple[Series, ...] = (
            float, _GUIDED),
 )
 COUNTERS = tuple(s.attr for s in RECORD_SERIES if s.from_cycle == COUNTER)
+_SERIES_ATTRS = frozenset(s.attr for s in RECORD_SERIES)
 
 
 def run_experiment(
@@ -575,15 +573,18 @@ def run_experiment(
             break
 
     runtime["total"] = time.perf_counter() - tic
-    return ExperimentRecord(
-        config=config,
-        times=truth.times,
+    series.update(
         truth=truth.trajectory,
         obs_times=truth.obs_times,
         observations=truth.observations,
         ensemble_mean=np.einsum(
             "tn,tnd->td", series["step_weights"], series["step_states"]
         ),
+    )
+    return ExperimentRecord(
+        config=config,
+        times=truth.times,
+        series=series,
         variational_status=(
             statuses if config.filter_name == "var_npf" else None
         ),
@@ -592,7 +593,6 @@ def run_experiment(
         failed=failed,
         failure_message=failure_message,
         cycles=cycles,
-        **series,
     )
 
 
@@ -665,11 +665,6 @@ class RunMetrics:
     truth_digest: str
 
 
-def _total(series: Array | None) -> int:
-    """Sum of a count series; a series the filter never produces is 0."""
-    return 0 if series is None else int(series.sum())
-
-
 def run_metrics(record: ExperimentRecord) -> RunMetrics:
     cfg = record.config
     solves = {}
@@ -701,7 +696,11 @@ def run_metrics(record: ExperimentRecord) -> RunMetrics:
         runtime_total=total,
         runtime_control=record.runtime["control"],
         runtime_variational=record.runtime["variational"],
-        **{attr: _total(getattr(record, attr)) for attr in COUNTERS},
+        # a counter the filter never produces keeps its default 0
+        **{
+            attr: int(record.series[attr].sum())
+            for attr in COUNTERS if attr in record.series
+        },
         resampled_cycles=int(np.sum(record.resampled)),
         collapsed_cycles=int(np.sum(record.collapsed)),
         variational_share=share,
@@ -769,7 +768,7 @@ class McSummary:
     base_seed: int
     runs_per_ic: int
     filters: tuple
-    initial_conditions: tuple
+    initial_conditions: dict  # ic_index -> coordinates, in sweep order
     runs: list
 
     def completed(
@@ -789,7 +788,7 @@ class McSummary:
     def aggregate(self) -> list[dict]:
         """Per (initial condition, filter) averages over completed runs."""
         rows = []
-        for i in range(len(self.initial_conditions)):
+        for i in self.initial_conditions:
             for name in self.filters:
                 done = self.completed(name, i)
                 failures = sum(
@@ -823,19 +822,14 @@ class McSummary:
         return rows
 
 
-def summary_from_rows(rows, initial_conditions=None) -> McSummary:
+def summary_from_rows(rows) -> McSummary:
     """Rebuild a sweep summary from stored per-run rows.
 
-    Readers of ``summary.csv`` only have the rows; the coordinates of the
-    initial conditions are optional and default to placeholders since the
-    aggregation needs just their count.
+    Readers of ``summary.csv`` only have the rows, so the summary holds
+    the conditions the rows name, in index order, with placeholder
+    coordinates since the aggregation needs just the indices.
     """
     rows = list(rows)
-    n_ics = max((r.ic_index for r in rows), default=-1) + 1
-    if initial_conditions is None:
-        initial_conditions = tuple(
-            (float("nan"),) * 3 for _ in range(n_ics)
-        )
     filters = tuple(
         name for name in FILTER_CODES
         if any(r.filter_name == name for r in rows)
@@ -845,7 +839,10 @@ def summary_from_rows(rows, initial_conditions=None) -> McSummary:
         base_seed=rows[0].seed if rows else 0,
         runs_per_ic=runs_per_ic,
         filters=filters,
-        initial_conditions=tuple(initial_conditions),
+        initial_conditions={
+            i: (float("nan"),) * 3
+            for i in sorted({r.ic_index for r in rows})
+        },
         runs=rows,
     )
 
@@ -862,7 +859,9 @@ def run_monte_carlo(
     """Paired sweep over initial conditions, repetitions, and filters.
 
     Every (ic, run) pair reuses one truth across all filters; the run index
-    keys the streams, so a single base seed covers the whole sweep.  Failed
+    keys the streams, so a single base seed covers the whole sweep.  A
+    mapping of initial conditions keys and labels each by its key (a
+    benchmark index, say); a plain sequence by its position.  Failed
     runs are kept as rows with ``failed`` set and excluded from averages.
     ``progress(rows, done, total)``, when given, is called once per
     finished (ic, run) pair, in sweep order, with that pair's rows and the
@@ -870,9 +869,12 @@ def run_monte_carlo(
     """
     if initial_conditions is None:
         initial_conditions = (config_template.truth_init,)
-    initial_conditions = tuple(
-        tuple(float(c) for c in ic) for ic in initial_conditions
-    )
+    if not isinstance(initial_conditions, Mapping):
+        initial_conditions = dict(enumerate(initial_conditions))
+    initial_conditions = {
+        i: tuple(float(c) for c in ic)
+        for i, ic in initial_conditions.items()
+    }
     if base_seed is None:
         base_seed = config_template.seed
     filters = tuple(filters)
@@ -897,7 +899,7 @@ def run_monte_carlo(
             )
             for name in filters
         )
-        for i, ic in enumerate(initial_conditions)
+        for i, ic in initial_conditions.items()
         for r in range(runs_per_ic)
     ] if filters else []
 

@@ -96,14 +96,15 @@ def _replacing(path, **kwargs):
 
 
 def write_record_csv(record: ExperimentRecord, path) -> None:
-    """Write every series of ``RECORD_SERIES`` the record holds, one row
-    per value in row-major order.  A write takes as many whole axis-0 rows
-    as fit in ``WRITE_BLOCK_ROWS`` rows, and at least one."""
+    """Write every series of ``RECORD_SERIES`` the record holds, in that
+    order, one row per value in row-major order.  A write takes as many
+    whole axis-0 rows as fit in ``WRITE_BLOCK_ROWS`` rows, and at least
+    one."""
     times = [_fmt(t) for t in record.times]
     with _replacing(path, newline="") as fh:
         fh.write(",".join(SCHEMA) + _EOL)
         for series in RECORD_SERIES:
-            values = getattr(record, series.attr)
+            values = record.series.get(series.attr)
             if values is None:
                 continue
             # axes sharing a column (pseudo targets) flatten into it
@@ -344,7 +345,10 @@ def build_mc_meta(
         "base_seed": summary.base_seed,
         "runs_per_ic": summary.runs_per_ic,
         "filters": list(summary.filters),
-        "initial_conditions": _plain(summary.initial_conditions),
+        "ic_indices": list(summary.initial_conditions),
+        "initial_conditions": _plain(
+            list(summary.initial_conditions.values())
+        ),
         "aggregate": summary.aggregate(),
     }
 

@@ -17,6 +17,7 @@ through the change-of-measure factor accumulated by rn_log_increment.
 
 from __future__ import annotations
 
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -50,6 +51,15 @@ PHI_FLOOR = 1e-300
 CONTROL_LOOKAHEAD = 3
 
 
+def check_int(value, name: str, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) of at
+    least ``minimum``, so a bad count fails at load, not inside a run."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 @dataclass(frozen=True)
 class NudgingConfig:
     """Knobs for the batch-adaptive control solver and the rollback rule."""
@@ -61,14 +71,10 @@ class NudgingConfig:
     rollback_log_threshold: float = -2.0
 
     def __post_init__(self):
-        if self.subintervals < 1:
-            raise ValueError("subintervals must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("subintervals", "batch_size", "max_batches"):
+            check_int(getattr(self, name), name, 1)
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if self.max_batches < 1:
-            raise ValueError("max_batches must be >= 1")
 
 
 @dataclass(frozen=True)

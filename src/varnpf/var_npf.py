@@ -26,7 +26,9 @@ from .ensemble import (
     ParticleEnsemble,
     empirical_moments,
 )
-from .nudging import NudgingConfig, _nudged_sweep, npf_assimilation_cycle
+from .nudging import (
+    NudgingConfig, _nudged_sweep, check_int, npf_assimilation_cycle,
+)
 from .sde import SdeModel
 from .variational import (
     VariationalProblem,
@@ -60,8 +62,7 @@ class VarNpfSettings:
             raise ValueError("regularization_eps must be positive")
         if not self.bound_sigmas > 0.0:
             raise ValueError("bound_sigmas must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        check_int(self.max_iterations, "max_iterations", 1)
 
 
 def var_npf_assimilation_cycle(

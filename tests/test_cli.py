@@ -7,7 +7,7 @@ import pytest
 
 from varnpf.cli import main
 from varnpf.harness import ExperimentConfig, RunMetrics
-from varnpf.io import load_config_file, write_config_file
+from varnpf.io import load_config_file, read_summary_csv, write_config_file
 
 SUMMARY_FIELDS = [f.name for f in dataclasses.fields(RunMetrics)]
 
@@ -124,6 +124,45 @@ class TestMcCommand:
         assert code == 2
         assert "every run failed" in captured.err
 
+    def test_selected_condition_runs_as_in_the_full_sweep(
+        self, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path, seed=0)
+        rows = {}
+        for ics in ("3", "all"):
+            out = tmp_path / ics
+            code = main([
+                "mc", "--config", str(cfg), "--runs", "1", "--ics", ics,
+                "--filters", "pf", "--out", str(out),
+            ])
+            assert code == 0
+            rows[ics] = read_summary_csv(out / "summary.csv")
+        [row] = rows["3"]
+        [want] = [r for r in rows["all"] if r.ic_index == 3]
+        assert row.ic_index == 3
+        assert row.truth_digest == want.truth_digest
+        assert row.rmse == want.rmse and row.avg_ness == want.avg_ness
+        meta = json.loads((tmp_path / "3" / "meta.json").read_text())
+        assert meta["ic_indices"] == [3]
+        assert [r["ic_index"] for r in meta["aggregate"]] == [3]
+        # the report shows the condition that ran and no others
+        capsys.readouterr()
+        assert main(["report", "--in", str(tmp_path / "3")]) == 0
+        table = capsys.readouterr().out.splitlines()
+        rows = table[1:table.index("")]
+        assert [line.split()[:2] for line in rows] == [["3", "pf"]]
+
+    def test_repeated_ics_index_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed=75)
+        code = main([
+            "mc", "--config", str(cfg), "--runs", "1", "--ics", "3,1,3",
+            "--out", str(tmp_path / "x"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "repeats" in captured.err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_ics_value_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=75)
         code = main([
@@ -162,6 +201,41 @@ class TestErrorPaths:
         assert code == 1
         assert "config error" in captured.err
         assert key in captured.err
+
+    @pytest.mark.parametrize("text, key", [
+        ("seed: -1", "seed"),
+        ("ic_index: -1", "ic_index"),
+        ("run_index: -2", "run_index"),
+        ("particles: 2.5", "particles"),
+        ("seed: true", "seed"),
+        ("nudging:\n  subintervals: 2.5", "subintervals"),
+        ("nudging:\n  batch_size: 1.5", "batch_size"),
+        ("nudging:\n  max_batches: 3.0", "max_batches"),
+        ("variational:\n  max_iterations: 10.5", "max_iterations"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "mc"])
+    def test_bad_integer_setting_exits_one(
+        self, tmp_path, capsys, text, key, command
+    ):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"filter_name: var_npf\nt_final: 0.5\n{text}\n")
+        out = tmp_path / "out"
+        argv = ["--config", str(path), "--out", str(out)]
+        if command == "mc":
+            argv += ["--runs", "1", "--filters", "pf"]
+        code = main([command, *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "config error" in captured.err
+        assert key in captured.err
+        assert not out.exists()
+
+    def test_negative_seed_override_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed=70)
+        code = main(["run", "--config", str(cfg), "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "seed must be >= 0" in captured.err
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["run"]) == 1

@@ -213,9 +213,9 @@ class TestRunExperiment:
         record = run_experiment(quick_config(seed=16))
         offset = np.zeros_like(record.truth)
         offset[:, 0] = 0.9
-        shifted = dataclasses.replace(
-            record, ensemble_mean=record.truth + offset
-        )
+        shifted = dataclasses.replace(record, series={
+            **record.series, "ensemble_mean": record.truth + offset,
+        })
         assert np.isclose(
             compute_rmse(shifted), 0.9 / np.sqrt(3.0), atol=1e-12
         )

@@ -1,10 +1,12 @@
 """Artifact round trips: tidy record CSV, summary CSV, meta, YAML configs."""
 
+import copy
 import csv
 import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 import stat
 from itertools import repeat
@@ -19,7 +21,6 @@ from varnpf.harness import (
     RECORD_SERIES,
     ConfigError,
     ExperimentConfig,
-    ExperimentRecord,
     run_experiment,
     run_metrics,
 )
@@ -162,26 +163,45 @@ class TestRecordCsv:
         assert np.array_equal(data["obs_time"]["cycle"], [0.0])
 
     def test_every_array_attribute_is_a_written_series(self, tmp_path):
-        table = {s.attr for s in RECORD_SERIES}
-        assert len(table) == len(RECORD_SERIES)
+        assert len({s.attr for s in RECORD_SERIES}) == len(RECORD_SERIES)
         assert len({s.name for s in RECORD_SERIES}) == len(RECORD_SERIES)
         for name in ("pf", "npf", "var_npf"):
             record = run_experiment(small_config(filter_name=name, seed=71))
-            arrays = {
-                f.name for f in dataclasses.fields(ExperimentRecord)
-                if isinstance(getattr(record, f.name), np.ndarray)
+            # the series of the filter, each an array, and nothing else
+            assert set(record.series) == {
+                s.attr for s in RECORD_SERIES if name in s.filters
             }
-            # times labels the time column instead of being a series
-            arrays.discard("times")
-            if name == "var_npf":
-                assert arrays == table
-            assert arrays <= table
+            assert all(
+                isinstance(values, np.ndarray)
+                for values in record.series.values()
+            )
             path = tmp_path / f"{name}.csv"
             write_record_csv(record, path)
             data = read_record_csv(path)
             for series in RECORD_SERIES:
                 present = getattr(record, series.attr) is not None
                 assert (series.name in data) == present, series.name
+
+    def test_record_reads_series_as_attributes_and_copies(self):
+        record = run_experiment(small_config(filter_name="npf", seed=71))
+        assert record.rollbacks is record.series["rollbacks"]
+        # a declared series npf never produces reads None, anything else
+        # is missing
+        assert record.pseudo_targets is None
+        with pytest.raises(AttributeError, match="no_such_series"):
+            record.no_such_series
+        assert not hasattr(record, "no_such_series")
+        for clone in (
+            pickle.loads(pickle.dumps(record)), copy.deepcopy(record)
+        ):
+            assert clone.config == record.config
+            assert clone.runtime == record.runtime
+            assert clone.pseudo_targets is None
+            assert set(clone.series) == set(record.series)
+            for attr, values in record.series.items():
+                assert np.array_equal(
+                    getattr(clone, attr), values, equal_nan=True
+                ), attr
 
     def test_failure_message_round_trips(self, tmp_path):
         failed = run_metrics(run_experiment(small_config(
@@ -443,9 +463,8 @@ class _Unwritable:
 def _cut_record(path):
     # truth, ensemble_mean and the blocks of step_state go out first
     record = run_experiment(ORACLE_CONFIGS["pf_100"])
-    cut = SimpleNamespace(**vars(record))
-    cut.step_weights = _Unwritable()
-    write_record_csv(cut, path)
+    record.series["step_weights"] = _Unwritable()
+    write_record_csv(record, path)
 
 
 def _cut_summary(path):
