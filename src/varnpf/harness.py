@@ -419,6 +419,8 @@ RECORD_SERIES: tuple[Series, ...] = (
            int, _GUIDED, COUNTER),
     Series("variational_cost_evals", "variational_cost_evals", ("cycle",),
            int, _GUIDED, COUNTER),
+    Series("variational_flows", "variational_flows", ("cycle",), int,
+           _GUIDED, COUNTER),
     Series("pseudo_target", "pseudo_targets", ("cycle", "subinterval", "obs"),
            float, _GUIDED),
 )
@@ -652,6 +654,7 @@ class RunMetrics:
     drift_evals: int = 0
     variational_iterations: int = 0
     variational_cost_evals: int = 0
+    variational_flows: int = 0
     rollback_fraction: float = 0.0
     control_solves: int = 0
     floored_solves: int = 0
@@ -863,9 +866,10 @@ def run_monte_carlo(
     mapping of initial conditions keys and labels each by its key (a
     benchmark index, say); a plain sequence by its position.  Failed
     runs are kept as rows with ``failed`` set and excluded from averages.
-    ``progress(rows, done, total)``, when given, is called once per
-    finished (ic, run) pair, in sweep order, with that pair's rows and the
-    count of pairs done out of all of them.
+    A filter named twice is a ConfigError.  ``progress(rows, done,
+    total)``, when given, is called once per finished (ic, run) pair, in
+    sweep order, with that pair's rows and the count of pairs done out of
+    all of them.
     """
     if initial_conditions is None:
         initial_conditions = (config_template.truth_init,)
@@ -881,6 +885,8 @@ def run_monte_carlo(
     for name in filters:
         if name not in FILTER_CODES:
             raise ConfigError(f"unknown filter {name!r} in sweep")
+    if len(set(filters)) != len(filters):
+        raise ConfigError(f"sweep names a filter twice: {','.join(filters)}")
     if runs_per_ic < 1:
         raise ConfigError("runs_per_ic must be >= 1")
     if jobs < 1:

@@ -35,9 +35,7 @@ from .ensemble import (  # noqa: F401
     systematic_resample,
 )
 from .bootstrap_pf import _close_cycle, _interval_steps
-from .sde import (
-    RK4_STAGES, SdeModel, advect_particles, rk4_states, whole_steps,
-)
+from .sde import RK4_STAGES, SdeModel, advect_particles, rk4_path, whole_steps
 from .seeding import child_sequence, stream_generator
 
 Array = np.ndarray
@@ -115,7 +113,7 @@ def _propagate_with_sensitivity(
     batch, so batches of different solves can share the pass.  The
     midpoint Jacobian uses the chord midpoint of the step, the endpoint
     Jacobian the post-noise state, so Psi follows the realized path rather
-    than the drift-only flow.  The realizations run first (by rk4_states)
+    than the drift-only flow.  The realizations run first (by rk4_path),
     and their (S + 1, k * b, d) path is kept, so the Jacobians take two
     calls per pass: one at every path state, which serves as one step's end
     and the next step's start, and one at every chord midpoint.  The Psi
@@ -130,8 +128,6 @@ def _propagate_with_sensitivity(
     """
     k, b, n_steps, d = increments.shape
     n = k * b
-    path = np.empty((n_steps + 1, n, d))
-    path[0] = np.asarray(x, dtype=float)
     fund = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     # one stacked product over the (S, k, b, d) increments: each (b, d)
     # batch is still multiplied on its own
@@ -140,13 +136,13 @@ def _propagate_with_sensitivity(
     ).reshape(n_steps, n, d)
     half = 0.5 * dt
     sixth = dt / 6.0
+    path = rk4_path(
+        model, np.broadcast_to(np.asarray(x, dtype=float), (n, d)), dt,
+        n_steps, noise=noise,
+    )
     # blown-up realizations go non-finite here and are dropped by
     # _combine_terms, so their overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, x1 in enumerate(
-            rk4_states(model, path[0], dt, n_steps, noise=noise), 1
-        ):
-            path[s] = x1  # the stepper's buffer, overwritten two steps on
         ends = model.drift_jacobian(path)
         mids = model.drift_jacobian(0.5 * (path[:-1] + path[1:]))
         for s in range(n_steps):

@@ -90,9 +90,9 @@ def var_npf_assimilation_cycle(
     ``resolve_per_subinterval``, it fits an initial state over [t_j, t_end]
     to the moments of the ensemble it is handed and fills ``targets[j:]``
     from the fit's flow, and reports the fit's iterations, cost
-    evaluations, drift evaluations and seconds, which the sweep sums (into
-    the CycleFailure of a failing cycle too).  The recorded status and cost
-    are the last fit's.  A stalled variational solve is recorded and its
+    evaluations, flows, drift evaluations and seconds, which the sweep
+    sums (into the CycleFailure of a failing cycle too).  The recorded
+    status and cost are the last fit's.  A stalled variational solve is recorded and its
     best iterate used; the guidance does not have to be optimal to be
     useful.  ``increments`` (n, S, d) and ``dt`` are the particles' Wiener
     increments, as in the bootstrap cycle.
@@ -144,6 +144,7 @@ def var_npf_assimilation_cycle(
             "drift_evals": result.drift_evals,
             "variational_iterations": result.iterations,
             "variational_cost_evals": result.cost_evals,
+            "variational_flows": result.flows,
         }, {"variational": seconds}
 
     # a view: the reweight reads the last target as the sweep left it

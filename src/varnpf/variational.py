@@ -26,20 +26,19 @@ shortened by Armijo backtracking; when the full step stays in the box and
 its predicted decrease is below the tolerance, the solve stops before
 flowing it.
 
-A flow's cost is mostly per step, not per row: 50 steps of the RK4
-stepper take about 0.9 ms on 7 rows, 1.0 ms on 88 and 2.3 ms on 880 (a
-2-vCPU x86 host).  So each iteration makes a single batched flow: the
-clipped candidate at every backtracking step length, plus the
-difference points and stencils of the leading candidates.  The step
-lengths are then scanned in order, as a sequential search would try
+Past a few rows a flow's cost is mostly per step, not per row: 50 steps
+of the array RK4 kernel take about 0.9 ms on 16 rows, 1.0 ms on 88 and
+2.3 ms on 880 (a 2-vCPU x86 host).  So each iteration makes a single
+batched flow: the clipped candidate at every backtracking step length,
+plus the difference points and stencils of the leading candidates.  The
+step lengths are then scanned in order, as a sequential search would try
 them.  The observation model's products round row by row, so all
 candidates' misfits come from one call; with a drift that acts row by
 row, as Lorenz-63's does, the iterates are then bit for bit
 those of the one-trial-at-a-time search.  Only an accepted step beyond
 the look-ahead needs a second flow, for its difference points.  The flow
-keeps every step of the candidates (not of the difference points), so the
-best iterate's trajectory, which the pseudo observation path samples,
-needs no flow of its own.
+keeps every step of every row, so the best iterate's trajectory, which
+the pseudo observation path samples, needs no flow of its own.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import ObservationModel, quadratic_form
-from .sde import RK4_STAGES, SdeModel, rk4_states, whole_steps
+from .sde import RK4_STAGES, SdeModel, rk4_path, whole_steps
 
 Array = np.ndarray
 
@@ -72,38 +71,13 @@ def regularize_covariance(cov: Array, eps: float = 1e-6) -> Array:
     return cov
 
 
-def _flow(
-    model: SdeModel, x: Array, n_steps: int, dt: float,
-    path: Array | None = None,
-) -> Array:
-    """Drift-only RK4 endpoints of ``x`` after ``n_steps``; broadcasts
-    over rows.
-
-    ``path``, when given, is filled with the first len(path[0]) rows of x
-    at every step, start included (all of x for a path of shape
-    (n_steps + 1,) + x.shape); the other rows flow through unrecorded.  A
-    row that blows up comes back non-finite, without a warning.
-    """
-    y = np.asarray(x, dtype=float)
-    if path is None:
-        path = np.empty((n_steps + 1, 0) + y.shape[1:])
-    kept = len(path[0])
-    path[0] = y[:kept]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, y in enumerate(rk4_states(model, y, dt, n_steps), 1):
-            path[s] = y[:kept]
-    return y  # the stepper's last buffer, no longer written
-
-
 def flow_path(model: SdeModel, x: Array, n_steps: int, dt: float) -> Array:
     """Drift-only RK4 state at every step, start included.
 
     Broadcasts over rows: shape (n_steps + 1,) + x.shape.  A row that blows
     up comes back non-finite, without a warning.
     """
-    path = np.empty((n_steps + 1,) + np.shape(x))
-    _flow(model, x, n_steps, dt, path)
-    return path
+    return rk4_path(model, x, dt, n_steps)
 
 
 @dataclass(frozen=True)
@@ -142,13 +116,10 @@ class VariationalProblem:
         )
 
 
-def _flow_rows(
-    states: Array, problem: VariationalProblem, path: Array | None = None
-) -> Array:
-    """Endpoints of the drift-only flow of (B, d) states over the interval,
-    recording the first rows in ``path`` as _flow does; blow-ups stay
-    non-finite."""
-    return _flow(problem.model, states, problem.n_steps, problem.dt, path)
+def _flow_rows(states: Array, problem: VariationalProblem) -> Array:
+    """The drift-only flow of (B, d) states over the interval at every
+    step, start included, (S + 1, B, d); blow-ups stay non-finite."""
+    return flow_path(problem.model, states, problem.n_steps, problem.dt)
 
 
 def _costs_at(states: Array, ends: Array, problem: VariationalProblem) -> Array:
@@ -166,7 +137,7 @@ def _costs_at(states: Array, ends: Array, problem: VariationalProblem) -> Array:
 def _cost_batch(states: Array, problem: VariationalProblem) -> Array:
     """Cost at a batch of candidate initial states, shape (B,)."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    return _costs_at(states, _flow_rows(states, problem), problem)
+    return _costs_at(states, _flow_rows(states, problem)[-1], problem)
 
 
 def variational_cost(x: Array, problem: VariationalProblem) -> float:
@@ -299,6 +270,9 @@ class VariationalResult:
     flow: Array | None = None
     # rows x drift evaluations of the solve's flows, RK4 stages
     drift_evals: int = 0
+    # the solve's flows: the start's, one per line search and one per
+    # accepted step beyond the look-ahead
+    flows: int = 0
 
 
 # Armijo step lengths 1, 1/2, ..., 2**-39 (the last one >= 1e-12), tried
@@ -333,7 +307,7 @@ def minimize_cost(
     cost never exceeds the cost at the starting point.  ``cost_evals``
     counts the evaluations a one-trial-at-a-time line search would make,
     not the rows flowed ahead of need; ``drift_evals`` counts every row
-    flowed, times RK4_STAGES per step.
+    flowed, times RK4_STAGES per step, and ``flows`` the flows themselves.
 
     ``flow`` of the result is the drift-only flow of ``x_opt`` at every
     step of the interval, taken without another flow: from the start's
@@ -353,16 +327,13 @@ def minimize_cost(
     n_trials = STEP_LENGTHS.shape[0]
     block = 2 * d + 2 * d * d  # gradient points and stencil of one point
 
-    # the trials' flow at every step, rewritten by each line search; one
-    # buffer per solve keeps the heap from growing
-    path = np.empty((problem.n_steps + 1, n_trials, d))
-
     # the start's cost and gradient share one flow; no stencil, since the
     # first step is never a Newton step
     points, h = _gradient_points(x)
     rows = np.concatenate([x[None, :], points])
-    ends = _flow_rows(rows, problem, path[:, :1])
-    flowed = len(rows)
+    path = _flow_rows(rows, problem)
+    ends = path[-1]
+    flows, flowed = 1, len(rows)
     flow = path[:, 0].copy()
     current = float(_costs_at(rows[:1], ends[:1], problem)[0])
     point_ends = ends[1:]
@@ -395,12 +366,14 @@ def minimize_cost(
         # one flow for every trial of the backtracking search, plus the
         # gradient points and stencils of the leading trials; the scan
         # below then takes the same decisions in the same order as trying
-        # them one by one.  Only the trials' paths are kept.
+        # them one by one.
         ahead = [
             _difference_points(c) for c in candidates[:GRADIENT_LOOKAHEAD]
         ]
         rows = np.concatenate([candidates] + [p for p, _, _ in ahead])
-        ends = _flow_rows(rows, problem, path)
+        path = _flow_rows(rows, problem)
+        ends = path[-1]
+        flows += 1
         flowed += len(rows)
         costs = _costs_at(candidates, ends[:n_trials], problem)
 
@@ -427,7 +400,8 @@ def minimize_cost(
             near = ends[lo : lo + block]
         else:
             points, h, h2 = _difference_points(candidate)
-            near = _flow_rows(points, problem)
+            near = _flow_rows(points, problem)[-1]
+            flows += 1
             flowed += len(points)
         point_ends, stencil_ends = near[: 2 * d], near[2 * d :]
         new_g = _central_difference(
@@ -455,6 +429,7 @@ def minimize_cost(
         status=status,
         flow=flow,
         drift_evals=RK4_STAGES * problem.n_steps * flowed,
+        flows=flows,
     )
 
 

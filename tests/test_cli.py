@@ -163,6 +163,18 @@ class TestMcCommand:
         assert "repeats" in captured.err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("spec", ["pf,pf", "var-npf,var_npf"])
+    def test_repeated_filter_exits_one(self, tmp_path, capsys, spec):
+        cfg = write_config(tmp_path, seed=75)
+        code = main([
+            "mc", "--config", str(cfg), "--runs", "1", "--ics", "3",
+            "--filters", spec, "--out", str(tmp_path / "x"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "config error" in captured.err and "twice" in captured.err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_ics_value_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=75)
         code = main([

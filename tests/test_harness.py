@@ -312,6 +312,7 @@ class TestFailureHandling:
             assert row.variational_cost_evals == (
                 record.variational_cost_evals[0]
             )
+            assert row.variational_flows == record.variational_flows[0] >= 1
         assert row.drift_evals == record.drift_evals[0]
 
     def test_sweep_keeps_failed_rows_out_of_averages(self):

@@ -203,26 +203,6 @@ class TestRecordCsv:
                     getattr(clone, attr), values, equal_nan=True
                 ), attr
 
-    def test_failure_message_round_trips(self, tmp_path):
-        failed = run_metrics(run_experiment(small_config(
-            filter_name="npf", seed=76, ensemble_mean=(1e8, 1e8, 1e8)
-        )))
-        assert failed.failed
-        assert failed.failure_message.startswith("cycle 0: ")
-        done = run_metrics(run_experiment(small_config(seed=76)))
-        assert not done.failed and done.failure_message == ""
-        quoted = dataclasses.replace(
-            failed, failure_message='cycle 3: "x, y", it said, "z"'
-        )
-        rows = [failed, done, quoted]
-        path = tmp_path / "summary.csv"
-        write_summary_csv(rows, path)
-        back = read_summary_csv(path)
-        assert [r.failure_message for r in back] == [
-            failed.failure_message, "", 'cycle 3: "x, y", it said, "z"',
-        ]
-        assert all(rows_equal(a, b) for a, b in zip(rows, back))
-
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -534,6 +514,7 @@ class TestSummaryCsv:
             guided = b.filter_name == "var_npf"
             assert (b.variational_iterations > 0) == guided
             assert (b.variational_cost_evals > 0) == guided
+            assert (b.variational_flows > 0) == guided
             assert b.variational_cost_evals >= b.variational_iterations
             # so are the control counters unless the filter nudges, and the
             # two rollback causes add up to the rollback fraction
@@ -693,6 +674,9 @@ class TestMeta:
         )
         assert metrics["variational_cost_evals"] == int(
             record.variational_cost_evals.sum()
+        )
+        assert metrics["variational_flows"] == int(
+            record.variational_flows.sum()
         )
         assert metrics["variational_iterations"] > 0
 

@@ -13,10 +13,12 @@ from varnpf.sde import (
     l63_fixed_points,
     l63_jacobian,
     lorenz63,
+    rk4_path,
     rk4_states,
     sample_brownian_path,
     whole_steps,
 )
+from varnpf import sde
 
 from oracle import rk4_step
 
@@ -405,6 +407,108 @@ class TestStepper:
         got = next(steps)
         want = rk4_step(model.drift, edited, control, 0.01) + noise[1]
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def float_rows(monkeypatch):
+    """The row counts of every call to the few-row kernel from here on."""
+    calls = []
+    kernel = sde._l63_float_rows
+
+    def counting(coefficients, starts, *args):
+        calls.append(len(starts))
+        return kernel(coefficients, starts, *args)
+
+    monkeypatch.setattr(sde, "_l63_float_rows", counting)
+    return calls
+
+
+class TestFewRowKernel:
+    """rk4_path integrates Lorenz-63 on Python floats up to SMALL_ROWS rows
+    and gives the array kernel's bits."""
+
+    _case = staticmethod(TestStepper._case)
+
+    @pytest.mark.parametrize("n", [1, 10, 16])
+    @pytest.mark.parametrize("with_control", [False, True])
+    @pytest.mark.parametrize("with_noise", [False, True])
+    def test_matches_reference_rk4(
+        self, float_rows, n, with_control, with_noise
+    ):
+        model, x0, control, noise = self._case("l63", n)
+        control = control if with_control else None
+        noise = noise if with_noise else None
+        got = rk4_path(model, x0, 0.01, 40, control, noise)
+        want = oracle_steps(model, x0, 0.01, 40, control, noise)
+        assert float_rows == [n]
+        assert got.shape == (41, n, 3) and got.flags.c_contiguous
+        assert got[0].tobytes() == x0.tobytes()
+        assert got[1:].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("with_control", [False, True])
+    def test_rows_that_overflow(self, float_rows, with_control):
+        model, x0, control, noise = self._case("l63", 6)
+        x0[[1, 4]] = [[1e8, 1e8, 1e8], [-3e7, 2e7, 1e8]]
+        control = control if with_control else None
+        got = rk4_path(model, x0, 0.01, 40, control, noise)[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = oracle_steps(model, x0, 0.01, 40, control, noise)
+        assert float_rows == [6]
+        lost = ~np.all(np.isfinite(got), axis=(0, 2))
+        assert lost.tolist() == [False, True, False, False, True, False]
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_each_row_as_if_alone(self, float_rows):
+        model, x0, control, noise = self._case("l63", 12)
+        rows = rk4_path(model, x0, 0.01, 40, control, noise)
+        for i in range(len(x0)):
+            alone = rk4_path(model, x0[i], 0.01, 40, control[i], noise[:, i])
+            assert alone.shape == (41, 3)
+            assert alone.tobytes() == rows[:, i].tobytes()
+        assert float_rows == [12] + [1] * 12
+
+    @pytest.mark.parametrize("with_control", [False, True])
+    def test_both_sides_of_the_threshold(self, float_rows, with_control):
+        assert sde.SMALL_ROWS == 16
+        model, x0, control, noise = self._case("l63", 17)
+        control = control if with_control else None
+        wide = rk4_path(model, x0, 0.01, 40, control, noise)
+        narrow = rk4_path(
+            model, x0[:16], 0.01, 40,
+            None if control is None else control[:16], noise[:, :16],
+        )
+        assert float_rows == [16]  # the 17 rows took the array kernel
+        assert narrow.tobytes() == wide[:, :16].tobytes()
+
+    @pytest.mark.parametrize("name", ["ou", "l63_generic"])
+    def test_other_models_take_the_array_kernel(self, float_rows, name):
+        model, x0, control, noise = self._case(name, 1)
+        got = rk4_path(model, x0, 0.01, 40, control, noise)
+        assert float_rows == []
+        assert model.l63_coefficients is None
+        want = stepper_steps(model, x0, 0.01, 40, control, noise)
+        assert got[1:].tobytes() == want.tobytes()
+
+    def test_advection_freezes_a_failed_row_on_both_kernels(self, float_rows):
+        model = lorenz63()
+        rng = np.random.default_rng(12)
+        states = rng.normal(scale=8.0, size=(17, 3)) + [0.0, 0.0, 25.0]
+        states[[2, 15]] = [[1e8, 1e8, 1e8], [-3e7, 2e7, 1e8]]
+        controls = rng.normal(size=(17, 3))
+        incs = rng.normal(scale=0.1, size=(17, 10, 3))
+        wide, wide_failed = advect_particles(
+            model, states, controls, incs, 0.01
+        )
+        narrow, narrow_failed = advect_particles(
+            model, states[:16], controls[:16], incs[:16], 0.01
+        )
+        assert float_rows == [16]
+        assert wide_failed == narrow_failed == [2, 15]
+        assert np.all(np.isfinite(wide))
+        assert np.all(wide[:, [2, 15]] == states[[2, 15]])
+        assert narrow.tobytes() == wide[:, :16].tobytes()
 
 
 class TestStackedNoise:

@@ -269,6 +269,11 @@ class TestAblationFlags:
         assert iterations == sum(r.iterations for r in results)
         assert cost_evals == sum(r.cost_evals for r in results)
         assert cost_evals > iterations
+        # a fit flows its start, then once per iteration but its last at
+        # least
+        assert diag.counters["variational_flows"] == sum(
+            r.flows for r in results
+        ) >= iterations
 
 
 def counting_l63(rows):

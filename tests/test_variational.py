@@ -554,7 +554,7 @@ class TestBatchedLineSearch:
             n_flows = len(flows)
             want, log = sequential_minimize(problem, max_iterations=cap)
             assert_same_solve(got, want, problem)
-            assert n_flows == log["flows"]
+            assert n_flows == log["flows"] == got.flows
             seen["deep"] += any(
                 k >= GRADIENT_LOOKAHEAD for k in log["depths"]
             )
