@@ -12,12 +12,22 @@ The writer emits a series in blocks of whole axis-0 rows, about
 ``WRITE_BLOCK_ROWS`` rows each.  A row's text is an outer part (series
 name to axis-0 label, one string per axis-0 index), an inner part (the
 other index cells, one string per inner index) and the value, so a block
-is one ``%`` format of a repeated row template.  The reader takes
-``csv.reader`` rows ``WRITE_BLOCK_ROWS`` at a time, checks their widths
-at once, parses the block column by column (each distinct index text
-once per file) and splits it where the series column changes.  Neither
-holds the text of a whole record or series; the reader keeps one float64
-per cell.
+is one ``%`` format of a repeated row template.
+
+The reader takes the lines after the header ``WRITE_BLOCK_ROWS`` at a
+time.  A block in the writer's own form (no ``"``, every line ended by
+``\\r\\n``, five commas a line, no line longer than
+``csv.field_size_limit()``) is split into cells with one ``str.split``;
+on such text csv.reader would give the same cells.  The first block in
+any other form (quoted cells, line breaks inside cells, LF or CR line
+ends, rows of the wrong width) goes to ``csv.reader`` with the rest of
+the file, so the errors and their ``line N`` stay csv.reader's.  Either
+way the block's flat cells are parsed column by column (each distinct
+index text once per file, an index column empty throughout the block in
+one call) and split where the series column changes.  Neither side holds
+the text of a whole record or series: the reader holds one block at a
+time (its lines, text and cells peak at about 4.3 MB at 8192 rows) and
+keeps one float64 per cell.
 
 Every artifact is written to a temporary file beside its destination and
 moved into place, so a write cut short leaves the old file, not a
@@ -82,17 +92,30 @@ def _package_version() -> str:
 def _replacing(path, **kwargs):
     """Open a sibling temporary file for writing and move it onto ``path``
     once the body succeeds; on any exception remove it, so ``path`` holds
-    either its old contents or the whole new file.  ``kwargs`` go to
-    ``open``, whose exclusive create keeps the umask's permissions."""
+    either its old contents or the whole new file, as UTF-8 text.
+    ``kwargs`` go to ``open``, whose exclusive create keeps the umask's
+    permissions."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", **kwargs) as fh:
+        with open(tmp, "x", encoding="utf-8", **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _reading(path, **kwargs):
+    """Open ``path`` as UTF-8 text; bytes that do not decode, wherever the
+    body meets them, raise ConfigError naming the file.  ``kwargs`` go to
+    ``open``."""
+    try:
+        with open(path, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8 text: {err}") from err
 
 
 def write_record_csv(record: ExperimentRecord, path) -> None:
@@ -166,45 +189,92 @@ class _IndexCells(dict):
         return value
 
 
-def _parse_block(block, index: _IndexCells):
-    """(names, five float64 columns) of a block of record rows; ValueError
-    if a row has the wrong width or a cell is not a number."""
-    width, rows = len(SCHEMA), len(block)
-    if set(map(len, block)) != {width}:
+def _cell_blocks(fh):
+    """(rows, flat cells) of each block of up to ``WRITE_BLOCK_ROWS`` data
+    rows of the open record ``fh``, split with str methods while the
+    blocks are in the writer's own form and by csv.reader from the first
+    that is not; the cells are empty if a row is not ``len(SCHEMA)``
+    cells wide."""
+    width, limit = len(SCHEMA), csv.field_size_limit()
+    while lines := list(islice(fh, WRITE_BLOCK_ROWS)):
+        rows, text = len(lines), ",".join(lines)
+        if (
+            '"' in text
+            or text.count(_EOL) != rows  # a line ends in another way
+            or max(map(len, lines)) > limit  # csv.reader raises on these
+        ):
+            break
+        cells = text.split(",")
+        # joined by commas, a line's last cell and no other holds an _EOL;
+        # with five commas a line on average, the lines are six cells
+        # wide exactly when every sixth cell holds one
+        ends = "".join(cells[width - 1::width]).split(_EOL)
+        if len(cells) != width * rows or len(ends) != rows + 1:
+            break
+        ends.pop()  # after the last line's _EOL
+        cells[width - 1::width] = ends
+        # drop every reference to this block's text before the next block
+        # is read: a block kept alive beside the next one fragments the
+        # heap (pf_wide's peak RSS read 59.6 MB instead of 57.0 MB)
+        del lines, text, ends
+        yield rows, cells
+        del cells
+    else:
+        return
+    reader = csv.reader(chain(lines, fh))
+    del lines
+    while block := list(islice(reader, WRITE_BLOCK_ROWS)):
+        rows = len(block)
+        cells = (
+            list(chain.from_iterable(block))
+            if set(map(len, block)) == {width} else []
+        )
+        del block
+        yield rows, cells
+        del cells
+
+
+def _parse_block(rows: int, cells: list, index: _IndexCells):
+    """(runs, five float64 columns) of ``rows`` record rows given as their
+    flat cells, ``runs`` holding (series, rows) of each run of one series
+    name; ValueError if the cells do not fill ``rows`` rows of the
+    schema's width or a cell is not a number."""
+    width = len(SCHEMA)
+    if len(cells) != width * rows:
         raise ValueError("row width")
-    # column k of the block is every width-th cell from k: a strided
-    # slice of the flat cells costs a third of zip(*block)
-    cells = list(chain.from_iterable(block))
-    columns = [
-        np.fromiter(map(index.__getitem__, cells[k::width]), float, rows)
-        for k in range(1, width - 1)
-    ]
+    # column k of the block is every width-th cell from k
+    columns = []
+    for k in range(1, width - 1):
+        column = cells[k::width]
+        columns.append(
+            np.fromiter(map(index.__getitem__, column), float, rows)
+            if any(column) else np.full(rows, np.nan)
+        )
     values = cells[width - 1::width]
     try:
         columns.append(np.fromiter(map(float, values), float, rows))
     except ValueError:  # empty cells read as nan
         columns.append(np.fromiter(map(_cell, values), float, rows))
-    return cells[0::width], columns
+    runs = [(name, len(list(run))) for name, run in groupby(cells[0::width])]
+    return runs, columns
 
 
-def _first_bad_row(path, skipped: int, block) -> ConfigError:
-    """The error of the first bad row of ``block``, which follows
-    ``skipped`` data rows, naming the line csv.reader counts for it."""
-    for k, row in enumerate(block):
-        if len(row) != len(SCHEMA):
-            problem = f"{len(row)} cells, expected {len(SCHEMA)}"
-            break
-        try:
-            list(map(_cell, row[1:]))
-        except ValueError as err:
-            problem = err
-            break
-    # walk the file again: quoted cells may span lines
-    with open(path, newline="") as fh:
+def _first_bad_row(path, skipped: int) -> ConfigError:
+    """The error of the first bad data row after the first ``skipped``,
+    naming the line csv.reader counts for it."""
+    # walk the file again with csv.reader: quoted cells may span lines
+    with _reading(path, newline="") as fh:
         reader = csv.reader(fh)
-        for _ in islice(reader, skipped + k + 2):  # header and rows to k
-            pass
-        return _bad_row(path, reader, problem)
+        for row in islice(reader, 1 + skipped, None):  # past the header
+            try:
+                if len(row) != len(SCHEMA):
+                    raise ValueError(
+                        f"{len(row)} cells, expected {len(SCHEMA)}"
+                    )
+                list(map(_cell, row[1:]))
+            except ValueError as err:
+                return _bad_row(path, reader, err)
+    raise AssertionError("a block failed but none of its rows does")
 
 
 def read_record_csv(path) -> dict:
@@ -212,29 +282,31 @@ def read_record_csv(path) -> dict:
 
     Index columns come back as float arrays with nan where the writer left
     the cell empty; values preserve the written doubles exactly.  A row
-    of the wrong width or with a non-numeric cell raises ConfigError.
+    of the wrong width, a non-numeric cell or text that is not UTF-8
+    raises ConfigError.
     """
     chunks: dict = {}  # series -> per-block lists of its column slices
     index = _IndexCells()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
+    with _reading(path, newline="") as fh:
+        # csv.reader takes the header's lines alone, so the blocks start
+        # on the first data row
+        header = tuple(next(csv.reader(fh), ()))
         if header != SCHEMA:
             raise ConfigError(f"unexpected record header {header!r}")
         skipped = 0
-        while block := list(islice(reader, WRITE_BLOCK_ROWS)):
+        for rows, cells in _cell_blocks(fh):
             try:
-                names, columns = _parse_block(block, index)
+                runs, columns = _parse_block(rows, cells, index)
             except ValueError:
-                raise _first_bad_row(path, skipped, block) from None
+                raise _first_bad_row(path, skipped) from None
+            del cells  # before the next block is read
             start = 0
-            for name, run in groupby(names):
-                stop = start + len(list(run))
+            for name, count in runs:
                 chunks.setdefault(name, []).append(
-                    [column[start:stop] for column in columns]
+                    [column[start:start + count] for column in columns]
                 )
-                start = stop
-            skipped += len(block)
+                start += count
+            skipped += rows
     return {
         name: dict(zip(SCHEMA[1:], map(np.concatenate, zip(*parts))))
         for name, parts in chunks.items()
@@ -290,7 +362,7 @@ def _float(cell: str) -> float:
 
 def read_summary_csv(path) -> list:
     rows = []
-    with open(path, newline="") as fh:
+    with _reading(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header != _SUMMARY_FIELDS:
@@ -362,7 +434,7 @@ def write_meta(meta: dict, path) -> None:
 def load_config_file(path) -> ExperimentConfig:
     """Parse a YAML experiment config, rejecting unknown keys."""
     try:
-        with open(path) as fh:
+        with _reading(path) as fh:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from err

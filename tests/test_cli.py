@@ -281,6 +281,23 @@ class TestErrorPaths:
         assert code == 1
         assert problem in captured.err
 
+    def test_undecodable_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"seed: 3\n# \xff\n")
+        code = main(["run", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "config error" in captured.err
+        assert f"{path} is not UTF-8 text" in captured.err
+
+    def test_report_on_undecodable_summary_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "summary.csv"
+        path.write_bytes(",".join(SUMMARY_FIELDS).encode() + b"\n\xff\n")
+        code = main(["report", "--in", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"{path} is not UTF-8 text" in captured.err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

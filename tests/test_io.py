@@ -421,6 +421,133 @@ class TestRecordCsvOracle:
             "could not convert string to float: 'x1.5'"
         )
 
+    # the tokenizer boundary: blocks in the writer's form are split with
+    # str methods, the first other block and the rest go to csv.reader
+
+    @staticmethod
+    def _write_lines(tmp_path, lines, name="record.csv"):
+        path = tmp_path / name
+        path.write_bytes(b"\r\n".join(lines))
+        return path
+
+    def test_writer_output_never_reaches_csv_reader(
+        self, pf_100_lines, tmp_path, monkeypatch
+    ):
+        rows = []
+        reader = csv.reader
+
+        def counting_reader(*args):
+            for row in reader(*args):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(csv, "reader", counting_reader)
+        path = self._write_lines(tmp_path, pf_100_lines)
+        got = read_record_csv(path)
+        assert rows == [list(SCHEMA)]
+        monkeypatch.undo()
+        assert_same_read(got, oracle_read_record_csv(path))
+
+    def test_quoted_cell_first_in_second_block(self, pf_100_lines, tmp_path):
+        lines = list(pf_100_lines)
+        row = WRITE_BLOCK_ROWS + 10  # data row, 0-based
+        name, rest = lines[row + 1].split(b",", 1)
+        lines[row + 1] = b'"' + name + b'",' + rest
+        path = self._write_lines(tmp_path, lines)
+        got = read_record_csv(path)
+        assert_same_read(got, oracle_read_record_csv(path))
+        plain = self._write_lines(tmp_path, pf_100_lines, "plain.csv")
+        assert_same_read(got, read_record_csv(plain))
+
+    @pytest.mark.parametrize("line", [40, WRITE_BLOCK_ROWS + 40])
+    def test_short_and_long_row_with_right_comma_total(
+        self, pf_100_lines, tmp_path, line
+    ):
+        lines = list(pf_100_lines)
+        lines[line - 1] = b"step_state,0.01,,1,2"
+        lines[line + 2] = lines[line + 2] + b",7"
+        path = self._write_lines(tmp_path, lines)
+        assert sum(map(bytes.count, lines, repeat(b","))) == sum(
+            map(bytes.count, pf_100_lines, repeat(b","))
+        )
+        with pytest.raises(ConfigError) as caught:
+            read_record_csv(path)
+        assert str(caught.value) == (
+            f"{path}, line {line}: 5 cells, expected 6"
+        )
+
+    def test_last_line_without_line_end(self, pf_100_lines, tmp_path):
+        assert pf_100_lines[-1] == b""
+        path = self._write_lines(tmp_path, pf_100_lines[:-1])
+        assert not path.read_bytes().endswith(b"\n")
+        got = read_record_csv(path)
+        assert_same_read(got, oracle_read_record_csv(path))
+        plain = self._write_lines(tmp_path, pf_100_lines, "plain.csv")
+        assert_same_read(got, read_record_csv(plain))
+
+    def test_crlf_and_lf_lines_in_one_block(self, pf_100_lines, tmp_path):
+        # from the second block on, every third line ends in LF alone
+        lines = [
+            line + (b"\n" if k % 3 == 0 and k > WRITE_BLOCK_ROWS else b"")
+            for k, line in enumerate(pf_100_lines)
+        ]
+        body = b"".join(
+            line if line.endswith(b"\n") else line + b"\r\n"
+            for line in lines[:-1]
+        )
+        path = tmp_path / "record.csv"
+        path.write_bytes(body)
+        assert body.count(b"\r\n") < body.count(b"\n")
+        got = read_record_csv(path)
+        assert_same_read(got, oracle_read_record_csv(path))
+        plain = self._write_lines(tmp_path, pf_100_lines, "plain.csv")
+        assert_same_read(got, read_record_csv(plain))
+
+    def test_cycle_column_partly_empty(self, tmp_path):
+        # the first block's cycle cells are all empty, the second's only
+        # from its 50th row on
+        body = "".join(
+            f"a,{k / 8},{'' if k < WRITE_BLOCK_ROWS + 50 else k % 5},"
+            f"{k % 7},{k % 3},{k * 1.5e-3!r}\r\n"
+            for k in range(WRITE_BLOCK_ROWS + 100)
+        )
+        path = tmp_path / "record.csv"
+        path.write_bytes((",".join(SCHEMA) + "\r\n" + body).encode())
+        got = read_record_csv(path)
+        assert_same_read(got, oracle_read_record_csv(path))
+        cycle = got["a"]["cycle"]
+        assert np.isnan(cycle[:WRITE_BLOCK_ROWS + 50]).all()
+        assert not np.isnan(cycle[WRITE_BLOCK_ROWS + 50:]).any()
+
+    def test_line_longer_than_field_limit(self, pf_100_lines, tmp_path):
+        limit = csv.field_size_limit()
+        lines = list(pf_100_lines)
+        # two cells under the limit whose line is longer than it
+        lines[20] = b"step_state,0.01,,1,%s,%s" % (
+            b"0" * (limit // 2 + 5), b"1" * (limit // 2 + 5),
+        )
+        path = self._write_lines(tmp_path, lines)
+        assert_same_read(read_record_csv(path), oracle_read_record_csv(path))
+        # one cell over the limit: what csv.reader raises
+        lines[WRITE_BLOCK_ROWS + 20] = (
+            b"step_state,0.01,,1,2," + b"7" * (limit + 1)
+        )
+        path = self._write_lines(tmp_path, lines)
+        with pytest.raises(csv.Error) as want:
+            oracle_read_record_csv(path)
+        with pytest.raises(csv.Error) as got:
+            read_record_csv(path)
+        assert str(got.value) == str(want.value)
+
+    def test_rejects_undecodable_text(self, pf_100_lines, tmp_path):
+        for line in (0, 20, WRITE_BLOCK_ROWS + 20):
+            lines = list(pf_100_lines)
+            lines[line] += b"\xff"
+            path = self._write_lines(tmp_path, lines)
+            with pytest.raises(ConfigError) as caught:
+                read_record_csv(path)
+            assert str(caught.value).startswith(f"{path} is not UTF-8 text")
+
 
 @pytest.fixture(scope="module")
 def pf_100_lines(tmp_path_factory):
@@ -550,6 +677,15 @@ class TestSummaryCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ConfigError):
             read_summary_csv(path)
+
+    def test_rejects_undecodable_text(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        done = run_metrics(run_experiment(small_config(seed=76)))
+        write_summary_csv([done], path)
+        path.write_bytes(path.read_bytes().replace(b"pf", b"p\xff", 1))
+        with pytest.raises(ConfigError) as caught:
+            read_summary_csv(path)
+        assert str(caught.value).startswith(f"{path} is not UTF-8 text")
 
     @staticmethod
     def _second_row_with(tmp_path, column, cell):
@@ -750,6 +886,12 @@ class TestConfigFiles:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config_file(tmp_path / "nope.yaml")
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"seed: 3\n# \xff\n")
+        with pytest.raises(ConfigError, match="is not UTF-8 text"):
+            load_config_file(path)
 
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
