@@ -8,16 +8,16 @@ control held constant), with the Brownian contribution added once at the
 end of each step.  It picks one of two kernels; no caller chooses.
 
 - :func:`rk4_states`, the array kernel, advances every row of a state
-  array together and yields each step's state in one of two reused
-  buffers.  Its stage states, stage slopes and scratch are allocated once
-  per call and every ufunc writes into one of them (the output passed
-  positionally, which numpy parses faster than ``out=``), so a step costs
-  a fixed number of ufunc calls, about 50, and no allocation.  A model
-  may supply ``drift_into(columns, out_columns, scratch)``, the drift
-  written through column views of the stage arrays (computed once per
-  call) into the slope's columns; Lorenz-63 does (:func:`l63_drift_into`),
-  and :func:`l63_drift` is a wrapper over the same form.  Any other
-  model's ``drift`` is called on each stage and copied into the slope.
+  array together and writes each step's state straight into the path it
+  returns.  Its stage states, stage slopes and scratch are allocated once
+  per call and every ufunc writes into one of them or into the path (the
+  output passed positionally, which numpy parses faster than ``out=``),
+  so a step costs a fixed number of ufunc calls, about 50, and no
+  allocation.  A Lorenz-63 model (one with ``l63_coefficients``) has its
+  drift written through column views of the stage arrays into the
+  slope's columns (:func:`l63_drift_into`; :func:`l63_drift` is a wrapper
+  over the same form).  Any other model's ``drift`` is called on each
+  stage and copied into the slope.
 - The few-row kernel integrates a Lorenz-63 model (one with
   ``l63_coefficients``) on at most SMALL_ROWS rows, row by row on Python
   floats, in the array kernel's operation order.  Below that width the
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -105,8 +105,10 @@ def l63_drift_into(
 
 
 def _columns(a: Array) -> tuple:
-    """Views of ``a`` along its last axis, 0-d arrays for a single row."""
-    return tuple(a[..., i] for i in range(a.shape[-1]))
+    """The x, y and z views of a Lorenz-63 state array ``a``, 0-d arrays
+    for a single row.  Taken once per RK4 step, so spelled out: a
+    generator over the last axis costs about three times as much."""
+    return a[..., 0], a[..., 1], a[..., 2]
 
 
 def l63_drift(state: Array, params: L63Params = L63Params()) -> Array:
@@ -165,12 +167,11 @@ class SdeModel:
     """Ito diffusion dX = f(X) dt + sigma dW with constant dispersion.
 
     ``diffusion`` is sigma sigma^T, kept explicit because the feedback
-    control and the weight formulas want it directly.  ``drift_into``,
-    when given, is the drift in the column form :func:`rk4_states` steps
-    with (see :func:`l63_drift_into`); it must round as ``drift`` does.
+    control and the weight formulas want it directly.
     ``l63_coefficients``, (alpha, gamma, beta) when ``drift`` is the
-    Lorenz-63 field, lets :func:`rk4_path` integrate few rows on Python
-    floats.
+    Lorenz-63 field, lets :func:`rk4_states` step that field in column
+    form (:func:`l63_drift_into`) and :func:`rk4_path` integrate few rows
+    on Python floats.
     """
 
     dimension: int
@@ -178,7 +179,6 @@ class SdeModel:
     drift_jacobian: Callable[[Array], Array]
     dispersion: Array
     diffusion: Array
-    drift_into: Callable[[tuple, tuple, Array], None] | None = None
     l63_coefficients: tuple[float, float, float] | None = None
 
     def __post_init__(self):
@@ -221,7 +221,6 @@ def lorenz63(
         drift_jacobian=lambda x: l63_jacobian(x, params),
         dispersion=dispersion,
         diffusion=diffusion,
-        drift_into=l63_drift_into(params.alpha, params.gamma, params.beta),
         l63_coefficients=(
             float(params.alpha), float(params.gamma), float(params.beta)
         ),
@@ -259,8 +258,8 @@ def rk4_states(
     n_steps: int,
     control: Array | None = None,
     noise: Array | None = None,
-) -> Iterator[Array]:
-    """Yield the state after each of ``n_steps`` RK4 steps of f + control.
+) -> Array:
+    """The state at every one of ``n_steps`` RK4 steps of f + control.
 
     ``x0`` is (..., d), one row per state; ``control`` broadcasts against
     it and is held over every step (None means f alone); ``noise[s]``,
@@ -268,27 +267,26 @@ def rk4_states(
     d).  Each step rounds as x + (dt/6) (k1 + 2 (k2 + k3) + k4) + noise[s]
     with k_i = f(stage_i) + control, the classical order.
 
-    The yielded array is one of two buffers the steps alternate between:
-    it holds its state until the step after next, and the next step reads
-    it, so a caller may edit its rows in place to change what follows and
-    must copy what it keeps.  ``x0`` is only read.  Overflow propagates as
-    inf or nan; callers decide how to check it, and set numpy's error
-    state around the loop.
+    Returns a new (n_steps + 1,) + x0.shape path, ``x0`` at index 0; step
+    s reads path[s] and writes path[s + 1].  ``x0`` is only read.
+    Overflow propagates as inf or nan; callers decide how to check it, and
+    set numpy's error state around the call.
     """
     x = np.asarray(x0, dtype=float)
-    stage, k1, k2, k3, k4, *states = (np.empty(x.shape) for _ in range(7))
-    if model.drift_into is None:
+    path = np.empty((n_steps + 1,) + x.shape)
+    path[0] = x
+    stage, k1, k2, k3, k4 = (np.empty(x.shape) for _ in range(5))
+    if model.l63_coefficients is None:
         def drift_into(y, k, _):
             np.copyto(k, model.drift(y))
 
         def columns(a):  # the generic drift takes whole arrays
             return a
     else:
-        drift_into = model.drift_into
+        drift_into = l63_drift_into(*model.l63_coefficients)
         columns = _columns
-    # views, once per call, of every array a stage reads or writes
-    x_cols, stage_cols, k1_cols = columns(x), columns(stage), columns(k1)
-    state_cols = [columns(a) for a in states]
+    # views, once per call, of every stage array a step reads or writes
+    stage_cols, k1_cols = columns(stage), columns(k1)
     scratch = np.empty(x.shape[:-1])
     # 0-d step factors cost a ufunc call less than Python floats
     half, full, sixth, two = (
@@ -298,8 +296,8 @@ def rk4_states(
              (k4, columns(k4), full)]
     add, mul = np.add, np.multiply  # the last argument is the output
     for s in range(n_steps):
-        out = states[s % 2]
-        drift_into(x_cols, k1_cols, scratch)
+        x, out = path[s], path[s + 1]
+        drift_into(columns(x), k1_cols, scratch)
         if control is not None:
             add(k1, control, k1)
         k = k1
@@ -318,8 +316,7 @@ def rk4_states(
         add(x, k1, out)
         if noise is not None:
             add(out, noise[s], out)
-        yield out
-        x, x_cols = out, state_cols[s % 2]
+    return path
 
 
 # rk4_path integrates Lorenz-63 on Python floats up to this many rows; the
@@ -422,14 +419,8 @@ def rk4_path(
         )
         path = np.array(rows).reshape(len(starts), n_steps + 1, d)
         return np.ascontiguousarray(path.transpose(1, 0, 2)).reshape(shape)
-    path = np.empty(shape)
-    path[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, y in enumerate(
-            rk4_states(model, x, dt, n_steps, control, noise), 1
-        ):
-            path[s] = y  # the stepper's buffer, overwritten two steps on
-    return path
+        return rk4_states(model, x, dt, n_steps, control, noise)
 
 
 def advect_particles(

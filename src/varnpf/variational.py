@@ -20,24 +20,13 @@ misfit's second-order term, so with large residuals it converges only
 linearly; once an accepted step lowers the cost by less than NEWTON_SWITCH
 relative to it, each step solves (N + sum_k w_k Hess F_k) p = -g instead,
 with w = -H^T C^-1 (y - H F(x)) and the flow's Hessians from second
-differences of an 18-point stencil (for d = 3) that rides in the same
-flows.  The step is projected onto a box around the prior mean and
-shortened by Armijo backtracking; when the full step stays in the box and
-its predicted decrease is below the tolerance, the solve stops before
-flowing it.
-
-Past a few rows a flow's cost is mostly per step, not per row: 50 steps
-of the array RK4 kernel take about 0.9 ms on 16 rows, 1.0 ms on 88 and
-2.3 ms on 880 (a 2-vCPU x86 host).  So each iteration makes a single
-batched flow: the clipped candidate at every backtracking step length,
-plus the difference points and stencils of the leading candidates.  The
-step lengths are then scanned in order, as a sequential search would try
-them.  The observation model's products round row by row, so all
-candidates' misfits come from one call; with a drift that acts row by
-row, as Lorenz-63's does, the iterates are then bit for bit
-those of the one-trial-at-a-time search.  Only an accepted step beyond
-the look-ahead needs a second flow, for its difference points.  The flow
-keeps every step of every row, so the best iterate's trajectory, which
+differences of an 18-point stencil (for d = 3) that rides in the gradient
+points' flow.  The step is projected onto a box around the prior mean and
+shortened by Armijo backtracking, one step length at a time: each trial
+flows alone, on rk4_path's few-row kernel, and most line searches accept
+the full step.  When the full step stays in the box and its predicted
+decrease is below the tolerance, the solve stops before flowing it.  The
+accepted trial's flow is kept, so the best iterate's trajectory, which
 the pseudo observation path samples, needs no flow of its own.
 """
 
@@ -69,15 +58,6 @@ def regularize_covariance(cov: Array, eps: float = 1e-6) -> Array:
     if smallest < eps or condition > 1e8:
         return cov + eps * np.eye(cov.shape[0])
     return cov
-
-
-def flow_path(model: SdeModel, x: Array, n_steps: int, dt: float) -> Array:
-    """Drift-only RK4 state at every step, start included.
-
-    Broadcasts over rows: shape (n_steps + 1,) + x.shape.  A row that blows
-    up comes back non-finite, without a warning.
-    """
-    return rk4_path(model, x, dt, n_steps)
 
 
 @dataclass(frozen=True)
@@ -116,12 +96,6 @@ class VariationalProblem:
         )
 
 
-def _flow_rows(states: Array, problem: VariationalProblem) -> Array:
-    """The drift-only flow of (B, d) states over the interval at every
-    step, start included, (S + 1, B, d); blow-ups stay non-finite."""
-    return flow_path(problem.model, states, problem.n_steps, problem.dt)
-
-
 def _costs_at(states: Array, ends: Array, problem: VariationalProblem) -> Array:
     """Cost of (B, d) states whose flow endpoints are ``ends``, shape (B,)."""
     dx = states - problem.prior_mean
@@ -137,7 +111,8 @@ def _costs_at(states: Array, ends: Array, problem: VariationalProblem) -> Array:
 def _cost_batch(states: Array, problem: VariationalProblem) -> Array:
     """Cost at a batch of candidate initial states, shape (B,)."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    return _costs_at(states, _flow_rows(states, problem)[-1], problem)
+    ends = rk4_path(problem.model, states, problem.dt, problem.n_steps)[-1]
+    return _costs_at(states, ends, problem)
 
 
 def variational_cost(x: Array, problem: VariationalProblem) -> float:
@@ -270,17 +245,14 @@ class VariationalResult:
     flow: Array | None = None
     # rows x drift evaluations of the solve's flows, RK4 stages
     drift_evals: int = 0
-    # the solve's flows: the start's, one per line search and one per
-    # accepted step beyond the look-ahead
+    # the solve's flows: the start's, one per trial and one per accepted
+    # step
     flows: int = 0
 
 
 # Armijo step lengths 1, 1/2, ..., 2**-39 (the last one >= 1e-12), tried
 # in this order
 STEP_LENGTHS = 0.5 ** np.arange(40)
-# leading step lengths whose gradient points and stencils share the
-# trials' flow
-GRADIENT_LOOKAHEAD = 2
 # Newton steps take over once an accepted step lowers the cost by less
 # than this relative amount
 NEWTON_SWITCH = 1e-4
@@ -305,33 +277,32 @@ def minimize_cost(
     solve stops before flowing it), the iteration cap, or a failed line
     search ("stalled"); the best iterate seen is always returned and its
     cost never exceeds the cost at the starting point.  ``cost_evals``
-    counts the evaluations a one-trial-at-a-time line search would make,
-    not the rows flowed ahead of need; ``drift_evals`` counts every row
-    flowed, times RK4_STAGES per step, and ``flows`` the flows themselves.
+    counts the cost evaluations made; ``drift_evals`` counts every row
+    flowed, times RK4_STAGES per step, and ``flows`` the flows themselves:
+    the start's, one per trial step length and one per accepted step, for
+    its gradient points and, when the next step is a Newton step, its
+    stencil.
 
     ``flow`` of the result is the drift-only flow of ``x_opt`` at every
     step of the interval, taken without another flow: from the start's
-    flow, or from the accepted candidate's row of the line-search flow
-    (also when the step was accepted beyond the look-ahead).  Pass it to
-    build_pseudo_path.
+    flow, or the accepted trial's own.  Pass it to build_pseudo_path.
 
     The gradient is a central difference with h = max(1e-6, 1e-8 |x_i|),
     whose rounding noise is near 1e-8 at costs of order 1-10.  A
     ``gradient_tol`` below about 1e-7 is under that noise floor, so such a
     solve may not stop on "gradient" and ends on "cost_decrease" instead.
     """
+    model, dt, n_steps = problem.model, problem.dt, problem.n_steps
     lower, upper = problem.lower, problem.upper
     x = np.clip(problem.prior_mean if x0 is None else np.asarray(x0, float),
                 lower, upper)
     d = x.shape[0]
-    n_trials = STEP_LENGTHS.shape[0]
-    block = 2 * d + 2 * d * d  # gradient points and stencil of one point
 
     # the start's cost and gradient share one flow; no stencil, since the
     # first step is never a Newton step
     points, h = _gradient_points(x)
     rows = np.concatenate([x[None, :], points])
-    path = _flow_rows(rows, problem)
+    path = rk4_path(model, rows, dt, n_steps)
     ends = path[-1]
     flows, flowed = 1, len(rows)
     flow = path[:, 0].copy()
@@ -350,72 +321,56 @@ def minimize_cost(
             break
 
         curvature = (
-            _flow_curvature(center, stencil_ends, h2, problem)
+            _flow_curvature(flow[-1], stencil_ends, h2, problem)
             if newton else None
         )
         direction = _step_direction(g, point_ends, h, problem, curvature)
-        candidates = np.clip(
-            x + STEP_LENGTHS[:, None] * direction, lower, upper
-        )
+        full = x + direction
         predicted = 0.5 * abs(float(g @ direction)) / max(abs(current), 1.0)
-        if (np.array_equal(candidates[0], x + direction)
+        if (np.array_equal(np.clip(full, lower, upper), full)
                 and predicted < cost_decrease_tol):
             status = "cost_decrease"
             break
 
-        # one flow for every trial of the backtracking search, plus the
-        # gradient points and stencils of the leading trials; the scan
-        # below then takes the same decisions in the same order as trying
-        # them one by one.
-        ahead = [
-            _difference_points(c) for c in candidates[:GRADIENT_LOOKAHEAD]
-        ]
-        rows = np.concatenate([candidates] + [p for p, _, _ in ahead])
-        path = _flow_rows(rows, problem)
-        ends = path[-1]
-        flows += 1
-        flowed += len(rows)
-        costs = _costs_at(candidates, ends[:n_trials], problem)
-
-        accepted = -1
-        for k in range(n_trials):
-            step = candidates[k] - x
+        accepted = False
+        for length in STEP_LENGTHS:
+            candidate = np.clip(x + length * direction, lower, upper)
+            step = candidate - x
             if not np.any(step):
                 break  # projection swallowed the whole step
+            row = candidate[None]
+            trial_path = rk4_path(model, row, dt, n_steps)[:, 0]
+            flows += 1
+            flowed += 1
             evals += 1
-            if costs[k] <= current + 1e-4 * float(g @ step):
-                accepted = k
+            trial = float(_costs_at(row, trial_path[-1:], problem)[0])
+            if trial <= current + 1e-4 * float(g @ step):
+                accepted = True
                 break
-        if accepted < 0:
+        if not accepted:
             status = "stalled"
             break
 
-        candidate = candidates[accepted]
-        trial = float(costs[accepted])
-        center = ends[accepted]
-        evals += 2 * d
-        if accepted < GRADIENT_LOOKAHEAD:
-            points, h, h2 = ahead[accepted]
-            lo = n_trials + block * accepted
-            near = ends[lo : lo + block]
-        else:
-            points, h, h2 = _difference_points(candidate)
-            near = _flow_rows(points, problem)[-1]
-            flows += 1
-            flowed += len(points)
-        point_ends, stencil_ends = near[: 2 * d], near[2 * d :]
-        new_g = _central_difference(
-            _costs_at(points[: 2 * d], point_ends, problem), h
-        )
-
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)
-        x, current, g = candidate, trial, new_g
-        flow = path[:, accepted].copy()
-        if relative < cost_decrease_tol:
+        stop = relative < cost_decrease_tol
+        newton = newton or relative < NEWTON_SWITCH
+        # the stencil's one consumer is the next step, when it is a
+        # Newton step
+        points, h, h2 = _difference_points(candidate)
+        rows = points if newton and not stop else points[: 2 * d]
+        near = rk4_path(model, rows, dt, n_steps)[-1]
+        flows += 1
+        flowed += len(rows)
+        evals += 2 * d
+        point_ends, stencil_ends = near[: 2 * d], near[2 * d :]
+        g = _central_difference(
+            _costs_at(points[: 2 * d], point_ends, problem), h
+        )
+        x, current, flow = candidate, trial, trial_path
+        if stop:
             status = "cost_decrease"
             break
-        newton = newton or relative < NEWTON_SWITCH
     else:
         iterations = max_iterations
 
@@ -468,7 +423,7 @@ def build_pseudo_path(
     if total % n_segments:
         raise ValueError("segments must divide the interval evenly")
     if flow is None:
-        flow = flow_path(model, x0, total, dt)
+        flow = rk4_path(model, x0, dt, total)
     elif len(flow) <= total:
         raise ValueError("flow is shorter than the interval")
     states = np.array(flow[: total + 1 : total // n_segments])

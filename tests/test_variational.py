@@ -14,10 +14,9 @@ import pytest
 
 from varnpf import variational
 from varnpf.ensemble import ObservationModel
-from varnpf.sde import SdeModel, lorenz63
+from varnpf.sde import RK4_STAGES, SdeModel, lorenz63, rk4_path
 from varnpf.variational import (
     BLOWUP_COST,
-    GRADIENT_LOOKAHEAD,
     NEWTON_SWITCH,
     VariationalProblem,
     VariationalResult,
@@ -26,7 +25,6 @@ from varnpf.variational import (
     _projected_gradient,
     _step_direction,
     build_pseudo_path,
-    flow_path,
     minimize_cost,
     regularize_covariance,
     variational_cost,
@@ -213,8 +211,8 @@ class TestNewtonSteps:
         points, h, h2 = _difference_points(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ends = flow_path(cliff, points, problem.n_steps, problem.dt)[-1]
-            center = flow_path(cliff, x, problem.n_steps, problem.dt)[-1]
+            ends = rk4_path(cliff, points, problem.dt, problem.n_steps)[-1]
+            center = rk4_path(cliff, x, problem.dt, problem.n_steps)[-1]
             curvature = _flow_curvature(center, ends[6:], h2, problem)
             g = variational_gradient(x, problem)
             got = _step_direction(g, ends[:6], h, problem, curvature)
@@ -351,11 +349,12 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
     below ``cost_decrease_tol``.  ``newton=False`` gives the plain
     Gauss-Newton search: no switch and no predicted stop.  Returns the
     result and a log: the accepted backtracking depth per iteration, the
-    flows a batched search would make (one at the start, one per line
-    search, one per step accepted beyond the look-ahead), the Newton steps
-    taken (and how many of them followed a step that lowered the cost by
-    NEWTON_SWITCH or more) and whether the predicted decrease stopped the
-    search.
+    flows minimize_cost makes and the rows they carry (the start and its
+    2d gradient points; one row per trial priced; per accepted step its 2d
+    gradient points, plus its 2d^2 stencil when the next step is a Newton
+    step), the Newton steps taken (and how many of them followed a step
+    that lowered the cost by NEWTON_SWITCH or more) and whether the
+    predicted decrease stopped the search.
     """
     lower, upper = problem.lower, problem.upper
     obs_model = problem.obs_model
@@ -364,8 +363,8 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
     x = np.clip(problem.prior_mean, lower, upper)
     d = x.shape[0]
     evals = [0]
-    log = {"depths": [], "flows": 1, "newton_steps": 0, "held": 0,
-           "predicted": False}
+    log = {"depths": [], "flows": 1, "rows": 1 + 2 * d, "newton_steps": 0,
+           "held": 0, "predicted": False}
 
     def cost(y):
         evals[0] += 1
@@ -376,14 +375,14 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         return variational_gradient(y, problem)
 
     def end(y):
-        return flow_path(problem.model, y, problem.n_steps, problem.dt)[-1]
+        return rk4_path(problem.model, y, problem.dt, problem.n_steps)[-1]
 
     def jacobian(y):
         # flow Jacobian from variational_gradient's own difference points
         h = np.maximum(1e-6, 1e-8 * np.abs(y))
         points = np.concatenate([y + np.diag(h), y - np.diag(h)])
-        ends = flow_path(
-            problem.model, points, problem.n_steps, problem.dt
+        ends = rk4_path(
+            problem.model, points, problem.dt, problem.n_steps
         )[-1]
         with np.errstate(over="ignore", invalid="ignore"):
             return ((ends[:d] - ends[d:]) / (2.0 * h)[:, None]).T
@@ -456,7 +455,6 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
             status = "cost_decrease"
             log["predicted"] = True
             break
-        log["flows"] += 1
         alpha = 1.0
         depth = 0
         accepted = False
@@ -466,6 +464,8 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
             if not np.any(step):
                 break
             trial = cost(candidate)
+            log["flows"] += 1
+            log["rows"] += 1
             if trial <= current + 1e-4 * float(g @ step):
                 accepted = True
                 break
@@ -475,15 +475,17 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
             status = "stalled"
             break
         log["depths"].append(depth)
-        log["flows"] += depth >= GRADIENT_LOOKAHEAD
         new_g = grad(candidate)
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)
         x, current, g = candidate, trial, new_g
-        if relative < cost_decrease_tol:
+        stop = relative < cost_decrease_tol
+        switched = newton and (switched or relative < NEWTON_SWITCH)
+        log["flows"] += 1
+        log["rows"] += 2 * d + (2 * d * d if switched and not stop else 0)
+        if stop:
             status = "cost_decrease"
             break
-        switched = newton and (switched or relative < NEWTON_SWITCH)
     else:
         iterations = max_iterations
     pg = _projected_gradient(x, g, lower, upper)
@@ -497,13 +499,13 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
 def counted_flows(monkeypatch):
     """Count the flows minimize_cost makes from here on."""
     calls = []
-    flow_rows = variational._flow_rows
+    flow = variational.rk4_path
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return flow_rows(*args, **kwargs)
+        return flow(*args, **kwargs)
 
-    monkeypatch.setattr(variational, "_flow_rows", counting)
+    monkeypatch.setattr(variational, "rk4_path", counting)
     return calls
 
 
@@ -535,16 +537,16 @@ def assert_same_solve(got, want, problem):
     assert got.status == want.status
     assert repr(got.gradient_norm) == repr(want.gradient_norm)
     # the best iterate's flow, taken from the start's flow or the
-    # accepted row of a line-search flow, is x_opt's own
-    fresh = flow_path(problem.model, want.x_opt, problem.n_steps, problem.dt)
+    # accepted trial's, is x_opt's own
+    fresh = rk4_path(problem.model, want.x_opt, problem.dt, problem.n_steps)
     assert got.flow.tobytes() == fresh.tobytes()
 
 
 class TestBatchedLineSearch:
     def test_bitwise_equal_to_sequential_search(self, monkeypatch):
         rng = np.random.default_rng(2024)
-        seen = {"deep": 0, "stalled": 0, "pinned": 0, "newton": 0,
-                "predicted": 0}
+        seen = {"rejected": 0, "stalled": 0, "pinned": 0, "newton": 0,
+                "predicted": 0, "measured": 0}
         flows = counted_flows(monkeypatch)
         for _ in range(40):
             problem = random_l63_problem(rng)
@@ -555,16 +557,21 @@ class TestBatchedLineSearch:
             want, log = sequential_minimize(problem, max_iterations=cap)
             assert_same_solve(got, want, problem)
             assert n_flows == log["flows"] == got.flows
-            seen["deep"] += any(
-                k >= GRADIENT_LOOKAHEAD for k in log["depths"]
+            assert got.drift_evals == (
+                RK4_STAGES * problem.n_steps * log["rows"]
             )
+            seen["rejected"] += any(k >= 1 for k in log["depths"])
             seen["stalled"] += got.status == "stalled"
             seen["pinned"] += bool(np.any(
                 (got.x_opt == problem.lower) | (got.x_opt == problem.upper)
             ))
             seen["newton"] += log["newton_steps"] > 0
             seen["predicted"] += log["predicted"]
-        # the seeded set covers each path through the scan
+            # a measured stop flows no stencil for its last step
+            seen["measured"] += (
+                got.status == "cost_decrease" and not log["predicted"]
+            )
+        # the seeded set covers each path through the search
         assert all(seen.values()), seen
 
     def test_newton_steps_stay_on_after_the_switch(self):
@@ -589,8 +596,8 @@ class TestSolveFlow:
             assert res.status == "gradient" and res.iterations == 1
             start = np.clip(problem.prior_mean, problem.lower, problem.upper)
             assert np.array_equal(res.x_opt, start)
-            fresh = flow_path(
-                problem.model, start, problem.n_steps, problem.dt
+            fresh = rk4_path(
+                problem.model, start, problem.dt, problem.n_steps
             )
             assert res.flow.shape == (problem.n_steps + 1, 3)
             assert res.flow.tobytes() == fresh.tobytes()
@@ -618,7 +625,7 @@ class TestSolveFlow:
         model = lorenz63()
         obs = ObservationModel(operator=np.eye(3), noise_cov=np.eye(3))
         x0 = np.array([1.0, 1.0, 20.0])
-        flow = flow_path(model, x0, 49, 0.01)
+        flow = rk4_path(model, x0, 0.01, 49)
         with pytest.raises(ValueError):
             build_pseudo_path(model, obs, x0, 0.0, 0.5, 5, 0.01, flow=flow)
 
@@ -723,7 +730,7 @@ class TestPseudoPath:
     def test_flow_matches_stepwise_integration(self):
         model = lorenz63()
         x = np.array([[0.5, -0.5, 22.0], [2.0, 1.0, 18.0]])
-        out = flow_path(model, x, 30, 0.01)[-1]
+        out = rk4_path(model, x, 0.01, 30)[-1]
         silent = np.zeros((30, 3))
         for row in range(2):
             traj = one_row_path(model, x[row], np.zeros(3), silent, 0.01)
