@@ -49,7 +49,6 @@ from pathlib import Path
 from secrets import token_hex
 
 import numpy as np
-import yaml
 
 from .harness import (
     RECORD_AXES,
@@ -433,6 +432,8 @@ def write_meta(meta: dict, path) -> None:
 
 def load_config_file(path) -> ExperimentConfig:
     """Parse a YAML experiment config, rejecting unknown keys."""
+    import yaml
+
     try:
         with _reading(path) as fh:
             text = fh.read()
@@ -450,5 +451,7 @@ def load_config_file(path) -> ExperimentConfig:
 
 
 def write_config_file(config: ExperimentConfig, path) -> None:
+    import yaml
+
     with _replacing(path) as fh:
         yaml.safe_dump(_plain(config.to_dict()), fh, sort_keys=False)

@@ -36,7 +36,9 @@ from .ensemble import (  # noqa: F401
 )
 from .bootstrap_pf import _close_cycle, _interval_steps
 from .sde import RK4_STAGES, SdeModel, advect_particles, rk4_path, whole_steps
-from .seeding import child_sequence, stream_generator
+from .seeding import child_keys, key_generator
+# perfbench/layertrace.py still looks stream_generator up in this module
+from .seeding import stream_generator  # noqa: F401
 
 Array = np.ndarray
 
@@ -118,7 +120,10 @@ def _propagate_with_sensitivity(
     calls per pass: one at every path state, which serves as one step's end
     and the next step's start, and one at every chord midpoint.  The Psi
     steps then read them; their stacked 3x3 products stay np.matmul, which
-    an explicit sum of three terms would round differently.  The noise term
+    an explicit sum of three terms would round differently.  Each Psi step
+    writes its products, scalings and sums into five (k * b, d, d) buffers
+    allocated once per pass, in the order the RK4 formula reads, so it
+    rounds as the same expression with fresh arrays would.  The noise term
     is a matrix product, which rounds differently for different row
     counts; one stacked matmul over the increments multiplies each (b, d)
     batch on its own, so it rounds as a batch alone does.  When the drift
@@ -140,17 +145,32 @@ def _propagate_with_sensitivity(
         model, np.broadcast_to(np.asarray(x, dtype=float), (n, d)), dt,
         n_steps, noise=noise,
     )
+    p1, p2, p3, p4, arg = (np.empty((n, d, d)) for _ in range(5))
     # blown-up realizations go non-finite here and are dropped by
     # _combine_terms, so their overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
         ends = model.drift_jacobian(path)
         mids = model.drift_jacobian(0.5 * (path[:-1] + path[1:]))
+        # fund += sixth * (p1 + 2 (p2 + p3) + p4), with p1 = ends[s] fund,
+        # p2 = mids[s] (fund + half p1), p3 = mids[s] (fund + half p2) and
+        # p4 = ends[s + 1] (fund + dt p3), each operation into a buffer
         for s in range(n_steps):
-            p1 = ends[s] @ fund
-            p2 = mids[s] @ (fund + half * p1)
-            p3 = mids[s] @ (fund + half * p2)
-            p4 = ends[s + 1] @ (fund + dt * p3)
-            fund = fund + sixth * (p1 + 2.0 * (p2 + p3) + p4)
+            np.matmul(ends[s], fund, p1)
+            np.multiply(half, p1, arg)
+            np.add(fund, arg, arg)
+            np.matmul(mids[s], arg, p2)
+            np.multiply(half, p2, arg)
+            np.add(fund, arg, arg)
+            np.matmul(mids[s], arg, p3)
+            np.multiply(dt, p3, arg)
+            np.add(fund, arg, arg)
+            np.matmul(ends[s + 1], arg, p4)
+            np.add(p2, p3, arg)
+            np.multiply(2.0, arg, arg)
+            np.add(p1, arg, arg)
+            np.add(arg, p4, arg)
+            np.multiply(sixth, arg, arg)
+            np.add(fund, arg, fund)
     return path[-1].reshape(k, b, d), fund.reshape(k, b, d, d)
 
 
@@ -525,7 +545,9 @@ def _nudged_sweep(
     is read only at the terminal reweight, after the last target_fn call,
     so it may be a view of a target that target_fn fills.  Each live
     particle then solves for its control with adaptive_control, drawing
-    from its own ``child_sequence(control_seqs[i], j)`` generator; a
+    from its own stream, that of ``child_sequence(control_seqs[i], j)``;
+    only its derivation is batched, one child_keys call per cycle for
+    every particle and subinterval, and a key_generator per solve.  A
     subinterval's solves advance together, one propagation pass per round
     (see _solve_controls), and the sweep sums the work they report: the
     realization steps used and spare, the passes, and their drift
@@ -551,6 +573,7 @@ def _nudged_sweep(
         raise ValueError("steps per interval must divide into subintervals")
     sub_steps = n_steps // m_sub
     dt_sub = sub_steps * dt
+    keys = child_keys(control_seqs, m_sub)
 
     states = np.array(ensemble.states)
     step_states = np.empty((n_steps + 1, n, d))
@@ -580,10 +603,7 @@ def _nudged_sweep(
         live = np.flatnonzero(alive)
         estimates, work = _solve_controls(
             model, obs_model, t_j, states[live], horizon_end, target_obs,
-            config,
-            [stream_generator(child_sequence(control_seqs[i], j))
-             for i in live.tolist()],
-            dt,
+            config, [key_generator(keys[i, j]) for i in live.tolist()], dt,
         )
         counters.update(work)
         if estimates:

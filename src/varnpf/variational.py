@@ -20,14 +20,15 @@ misfit's second-order term, so with large residuals it converges only
 linearly; once an accepted step lowers the cost by less than NEWTON_SWITCH
 relative to it, each step solves (N + sum_k w_k Hess F_k) p = -g instead,
 with w = -H^T C^-1 (y - H F(x)) and the flow's Hessians from second
-differences of an 18-point stencil (for d = 3) that rides in the gradient
-points' flow.  The step is projected onto a box around the prior mean and
-shortened by Armijo backtracking, one step length at a time: each trial
-flows alone, on rk4_path's few-row kernel, and most line searches accept
-the full step.  When the full step stays in the box and its predicted
-decrease is below the tolerance, the solve stops before flowing it.  The
-accepted trial's flow is kept, so the best iterate's trajectory, which
-the pseudo observation path samples, needs no flow of its own.
+differences of an 18-point stencil (for d = 3), flowed only once the
+gradient test has not stopped the solve.  The step is projected onto a
+box around the prior mean and shortened by Armijo backtracking, one step
+length at a time: each trial flows alone, on rk4_path's few-row kernel,
+and most line searches accept the full step.  When the full step stays
+in the box and its predicted decrease is below the tolerance, the solve
+stops before flowing it.  The accepted trial's flow is kept, so the best
+iterate's trajectory, which the pseudo observation path samples, needs
+no flow of its own.
 """
 
 from __future__ import annotations
@@ -147,22 +148,20 @@ def _projected_gradient(x: Array, g: Array, lower: Array, upper: Array) -> Array
     return pg
 
 
-def _difference_points(x: Array) -> tuple[Array, Array, Array]:
-    """The 2d gradient points around ``x``, then its 2d^2 second-difference
-    stencil, and the steps of each: (points, h, h2).
+def _stencil_points(x: Array) -> tuple[Array, Array]:
+    """The 2d^2 second-difference stencil around ``x`` and its steps h2.
 
     With h2 = 1e-3 max(1, |x_i|), the stencil is x +- h2_i e_i for every
     axis, then x + s h2_i e_i + t h2_j e_j for i < j, with (s, t) = (+, +),
     (+, -), (-, +) and (-, -) in turn.
     """
-    points, h = _gradient_points(x)
     h2 = 1e-3 * np.maximum(1.0, np.abs(x))
     step = np.diag(h2)
     i, j = np.triu_indices(x.shape[0], 1)
     up, down = x + step[i], x - step[i]
     stencil = [x + step, x - step, up + step[j], up - step[j],
                down + step[j], down - step[j]]
-    return np.concatenate([points] + stencil), h, h2
+    return np.concatenate(stencil), h2
 
 
 def _flow_curvature(
@@ -173,7 +172,7 @@ def _flow_curvature(
 
     w = -H^T C^-1 (y - H F(x)) weighs the Hessians of the flow's components
     F_k, each from second differences of the stencil endpoints
-    ``stencil_ends`` (see _difference_points) around ``center`` = F(x).  A
+    ``stencil_ends`` (see _stencil_points) around ``center`` = F(x).  A
     blown-up endpoint leaves it non-finite, without a warning.
     """
     d = h2.shape[0]
@@ -245,8 +244,9 @@ class VariationalResult:
     flow: Array | None = None
     # rows x drift evaluations of the solve's flows, RK4 stages
     drift_evals: int = 0
-    # the solve's flows: the start's, one per trial and one per accepted
-    # step
+    # the solve's flows: the start's, one per trial, one per accepted
+    # step (its gradient points) and one per Newton-mode iteration past
+    # the gradient test (its stencil)
     flows: int = 0
 
 
@@ -279,9 +279,9 @@ def minimize_cost(
     cost never exceeds the cost at the starting point.  ``cost_evals``
     counts the cost evaluations made; ``drift_evals`` counts every row
     flowed, times RK4_STAGES per step, and ``flows`` the flows themselves:
-    the start's, one per trial step length and one per accepted step, for
-    its gradient points and, when the next step is a Newton step, its
-    stencil.
+    the start's, one per trial step length, one per accepted step for its
+    gradient points, and one per Newton-mode iteration that the gradient
+    test does not stop, for its stencil.
 
     ``flow`` of the result is the drift-only flow of ``x_opt`` at every
     step of the interval, taken without another flow: from the start's
@@ -320,10 +320,13 @@ def minimize_cost(
             status = "gradient"
             break
 
-        curvature = (
-            _flow_curvature(flow[-1], stencil_ends, h2, problem)
-            if newton else None
-        )
+        curvature = None
+        if newton:
+            stencil, h2 = _stencil_points(x)
+            stencil_ends = rk4_path(model, stencil, dt, n_steps)[-1]
+            flows += 1
+            flowed += len(stencil)
+            curvature = _flow_curvature(flow[-1], stencil_ends, h2, problem)
         direction = _step_direction(g, point_ends, h, problem, curvature)
         full = x + direction
         predicted = 0.5 * abs(float(g @ direction)) / max(abs(current), 1.0)
@@ -353,22 +356,15 @@ def minimize_cost(
 
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)
-        stop = relative < cost_decrease_tol
         newton = newton or relative < NEWTON_SWITCH
-        # the stencil's one consumer is the next step, when it is a
-        # Newton step
-        points, h, h2 = _difference_points(candidate)
-        rows = points if newton and not stop else points[: 2 * d]
-        near = rk4_path(model, rows, dt, n_steps)[-1]
+        points, h = _gradient_points(candidate)
+        point_ends = rk4_path(model, points, dt, n_steps)[-1]
         flows += 1
-        flowed += len(rows)
+        flowed += 2 * d
         evals += 2 * d
-        point_ends, stencil_ends = near[: 2 * d], near[2 * d :]
-        g = _central_difference(
-            _costs_at(points[: 2 * d], point_ends, problem), h
-        )
+        g = _central_difference(_costs_at(points, point_ends, problem), h)
         x, current, flow = candidate, trial, trial_path
-        if stop:
+        if relative < cost_decrease_tol:
             status = "cost_decrease"
             break
     else:

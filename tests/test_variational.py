@@ -20,9 +20,10 @@ from varnpf.variational import (
     NEWTON_SWITCH,
     VariationalProblem,
     VariationalResult,
-    _difference_points,
     _flow_curvature,
+    _gradient_points,
     _projected_gradient,
+    _stencil_points,
     _step_direction,
     build_pseudo_path,
     minimize_cost,
@@ -208,16 +209,20 @@ class TestNewtonSteps:
         obs = ObservationModel(operator=np.eye(3), noise_cov=np.eye(3))
         x = np.array([1.0, 0.0, 0.0])
         problem = make_problem(cliff, x, np.eye(3), obs, np.full(3, 0.5))
-        points, h, h2 = _difference_points(x)
+        points, h = _gradient_points(x)
+        stencil, h2 = _stencil_points(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             ends = rk4_path(cliff, points, problem.dt, problem.n_steps)[-1]
+            stencil_ends = rk4_path(
+                cliff, stencil, problem.dt, problem.n_steps
+            )[-1]
             center = rk4_path(cliff, x, problem.dt, problem.n_steps)[-1]
-            curvature = _flow_curvature(center, ends[6:], h2, problem)
+            curvature = _flow_curvature(center, stencil_ends, h2, problem)
             g = variational_gradient(x, problem)
-            got = _step_direction(g, ends[:6], h, problem, curvature)
-            gauss_newton = _step_direction(g, ends[:6], h, problem)
-        assert np.all(np.isfinite(ends[:6]))
+            got = _step_direction(g, ends, h, problem, curvature)
+            gauss_newton = _step_direction(g, ends, h, problem)
+        assert np.all(np.isfinite(ends))
         assert not np.all(np.isfinite(curvature))
         assert np.array_equal(got, gauss_newton)
         assert not np.array_equal(gauss_newton, -g)
@@ -351,10 +356,11 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
     result and a log: the accepted backtracking depth per iteration, the
     flows minimize_cost makes and the rows they carry (the start and its
     2d gradient points; one row per trial priced; per accepted step its 2d
-    gradient points, plus its 2d^2 stencil when the next step is a Newton
-    step), the Newton steps taken (and how many of them followed a step
-    that lowered the cost by NEWTON_SWITCH or more) and whether the
-    predicted decrease stopped the search.
+    gradient points; per Newton-mode iteration that the gradient test
+    does not stop, its 2d^2 stencil), the Newton steps taken (and how many
+    of them followed a step that lowered the cost by NEWTON_SWITCH or
+    more), whether the predicted decrease stopped the search and whether
+    the gradient test stopped it in Newton mode.
     """
     lower, upper = problem.lower, problem.upper
     obs_model = problem.obs_model
@@ -364,7 +370,7 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
     d = x.shape[0]
     evals = [0]
     log = {"depths": [], "flows": 1, "rows": 1 + 2 * d, "newton_steps": 0,
-           "held": 0, "predicted": False}
+           "held": 0, "predicted": False, "newton_gradient": False}
 
     def cost(y):
         evals[0] += 1
@@ -433,12 +439,15 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         pg = _projected_gradient(x, g, lower, upper)
         if np.max(np.abs(pg)) < gradient_tol:
             status = "gradient"
+            log["newton_gradient"] = switched
             break
         with np.errstate(over="ignore", invalid="ignore"):
             hj = H @ jacobian(x)
             normal = problem._prior_prec + hj.T @ noise_prec @ hj
         direction = None
         if switched:
+            log["flows"] += 1
+            log["rows"] += 2 * d * d
             direction = solve(normal + curvature(x), g, definite=True)
             log["newton_steps"] += direction is not None
             log["held"] += direction is not None and (
@@ -482,7 +491,7 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         stop = relative < cost_decrease_tol
         switched = newton and (switched or relative < NEWTON_SWITCH)
         log["flows"] += 1
-        log["rows"] += 2 * d + (2 * d * d if switched and not stop else 0)
+        log["rows"] += 2 * d
         if stop:
             status = "cost_decrease"
             break
@@ -546,7 +555,7 @@ class TestBatchedLineSearch:
     def test_bitwise_equal_to_sequential_search(self, monkeypatch):
         rng = np.random.default_rng(2024)
         seen = {"rejected": 0, "stalled": 0, "pinned": 0, "newton": 0,
-                "predicted": 0, "measured": 0}
+                "predicted": 0, "measured": 0, "newton_gradient": 0}
         flows = counted_flows(monkeypatch)
         for _ in range(40):
             problem = random_l63_problem(rng)
@@ -571,6 +580,8 @@ class TestBatchedLineSearch:
             seen["measured"] += (
                 got.status == "cost_decrease" and not log["predicted"]
             )
+            # nor does a Newton-mode gradient stop for the next step
+            seen["newton_gradient"] += log["newton_gradient"]
         # the seeded set covers each path through the search
         assert all(seen.values()), seen
 
