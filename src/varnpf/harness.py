@@ -38,7 +38,10 @@ from .seeding import (
     PROPAGATION,
     RESAMPLE,
     TRUTH,
+    child_keys,
+    key_generator,
     stream_generator,
+    stream_key,
     stream_sequence,
 )
 from .var_npf import VarNpfSettings, var_npf_assimilation_cycle
@@ -470,10 +473,15 @@ def run_experiment(
         init_rng.standard_normal((n, d))
     )
     ens = ParticleEnsemble(states0, np.full(n, 1.0 / n), 0.0)
-    prop_rngs = [
-        stream_generator(stream_sequence(seed, PROPAGATION, ic, run, i))
-        for i in range(n)
-    ]
+    # (n, steps, d): particle i's increments over the whole run, drawn at
+    # once from its own stream (child i of the propagation key) and the
+    # same bits as drawing them a cycle at a time
+    prop_keys = child_keys([stream_key(seed, PROPAGATION, ic, run)], n)[0]
+    noise = np.empty((n, total, d))
+    for i, key in enumerate(prop_keys):
+        noise[i] = sample_brownian_path(
+            key_generator(key), total, d, config.dt
+        )
     resample_rng = stream_generator(
         stream_sequence(seed, RESAMPLE, ic, run)
     )
@@ -507,10 +515,8 @@ def run_experiment(
     for k in range(n_cycles):
         t0k = truth.times[k * span]
         t1k = truth.times[(k + 1) * span]
-        # (n, span, d): particle i's increments from its own stream
-        increments = np.stack([
-            sample_brownian_path(rng, span, d, config.dt) for rng in prop_rngs
-        ])
+        # (n, span, d): this cycle's steps of the particles' increments
+        increments = noise[:, k * span:(k + 1) * span]
         y_k = truth.observations[k]
         try:
             if config.filter_name == "pf":
@@ -521,9 +527,7 @@ def run_experiment(
                 )
             else:
                 control_seqs = [
-                    stream_sequence(
-                        seed, CONTROL, filter_code, ic, run, k, i
-                    )
+                    stream_key(seed, CONTROL, filter_code, ic, run, k, i)
                     for i in range(n)
                 ]
                 if config.filter_name == "npf":

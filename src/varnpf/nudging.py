@@ -36,7 +36,7 @@ from .ensemble import (  # noqa: F401
 )
 from .bootstrap_pf import _close_cycle, _interval_steps
 from .sde import RK4_STAGES, SdeModel, advect_particles, rk4_path, whole_steps
-from .seeding import child_keys, key_generator
+from .seeding import KeySource, child_keys, key_generator
 # perfbench/layertrace.py still looks stream_generator up in this module
 from .seeding import stream_generator  # noqa: F401
 
@@ -526,7 +526,7 @@ def _nudged_sweep(
     config: NudgingConfig,
     increments: Array,
     dt: float,
-    control_seqs: Sequence[np.random.SeedSequence],
+    control_seqs: Sequence[KeySource],
     resample_rng: np.random.Generator,
     resample: bool = True,
     resample_threshold: float = 0.5,
@@ -679,7 +679,7 @@ def npf_assimilation_cycle(
     config: NudgingConfig,
     increments: Array,
     dt: float,
-    control_seqs: Sequence[np.random.SeedSequence],
+    control_seqs: Sequence[KeySource],
     resample_rng: np.random.Generator,
     resample: bool = True,
     resample_threshold: float = 0.5,

@@ -234,6 +234,9 @@ def sample_brownian_path(
 
     Each row is N(0, dt I).  Drawing the increments ahead of the
     integrator is what makes runs repeatable and lets filters share noise.
+    One draw of n steps gives the same bits as consecutive draws of pieces
+    summing to n from the same generator, so a run draws each particle's
+    increments for all its cycles in one call.
     """
     return rng.normal(0.0, np.sqrt(dt), size=(n_steps, dim))
 

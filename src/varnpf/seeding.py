@@ -6,19 +6,22 @@ adding realizations in one place never shifts the noise anywhere else.
 The truth stream carries no filter code: paired comparisons across filters
 rely on identical truths and observations.
 
-The control solves need many short-lived streams (one per particle and
-subinterval), so their Philox keys are derived in a batch: child_keys
-runs numpy's SeedSequence mixing on uint32 arrays, for every particle and
-child index at once, and key_generator seeds a Philox with one of those
-keys directly.  The streams are the ones child_sequence and
-stream_generator give, bit for bit; those two stay the reference.  A
-key_generator generator holds no SeedSequence, so it cannot ``spawn``.
+A run needs a stream per particle (its propagation noise) and the
+control solves one per particle and subinterval, so their Philox keys are
+derived in a batch: child_keys runs numpy's SeedSequence mixing on uint32
+arrays, for every sequence and child index at once, and key_generator
+seeds a Philox with one of those keys directly.  The sequences it reads
+need not be built: a StreamKey (stream_key) carries the entropy and spawn
+key of one without mixing its pool.  The streams are the ones
+child_sequence and stream_generator give, bit for bit; those two stay the
+reference.  A key_generator generator holds no SeedSequence, so it cannot
+``spawn``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -53,9 +56,24 @@ def stream_sequence(base_seed: int, *key: int) -> np.random.SeedSequence:
     )
 
 
-def child_sequence(
-    seq: np.random.SeedSequence, *key: int
-) -> np.random.SeedSequence:
+class StreamKey(NamedTuple):
+    """The entropy and spawn key of a SeedSequence, unbuilt: all that
+    child_keys and child_sequence read of one."""
+
+    entropy: int
+    spawn_key: tuple[int, ...]
+
+
+# what child_keys and child_sequence take
+KeySource = StreamKey | np.random.SeedSequence
+
+
+def stream_key(base_seed: int, *key: int) -> StreamKey:
+    """The key of ``stream_sequence(base_seed, *key)``, for child_keys."""
+    return StreamKey(int(base_seed), tuple(int(k) for k in key))
+
+
+def child_sequence(seq: KeySource, *key: int) -> np.random.SeedSequence:
     """Extend a sequence's key without mutating spawn state."""
     return np.random.SeedSequence(
         entropy=seq.entropy,
@@ -142,17 +160,15 @@ def _entropy_pool(entropy: int):
     return pool, k
 
 
-def child_keys(
-    seqs: Sequence[np.random.SeedSequence], count: int
-) -> np.ndarray:
+def child_keys(seqs: Sequence[KeySource], count: int) -> np.ndarray:
     """Philox keys of children 0 .. count - 1 of each sequence.
 
     Entry [i, j] of the (len(seqs), count, 2) uint64 result equals
     ``child_sequence(seqs[i], j).generate_state(2, np.uint64)``, the key
     stream_generator seeds Philox with.  The entropy (an int, as
-    stream_sequence gives) is mixed once per distinct value and kept,
-    each spawn key across the sequences that share its word count, and
-    the child index across all children at once.
+    stream_sequence and stream_key give) is mixed once per distinct value
+    and kept, each spawn key across the sequences that share its word
+    count, and the child index across all children at once.
     """
     keys = np.empty((len(seqs), count, 2), dtype=np.uint64)
     groups: dict = {}

@@ -30,6 +30,7 @@ from .nudging import (
     NudgingConfig, _nudged_sweep, check_int, npf_assimilation_cycle,
 )
 from .sde import SdeModel
+from .seeding import KeySource
 from .variational import (
     VariationalProblem,
     VariationalResult,
@@ -76,7 +77,7 @@ def var_npf_assimilation_cycle(
     settings: VarNpfSettings,
     increments: Array,
     dt: float,
-    control_seqs: Sequence[np.random.SeedSequence],
+    control_seqs: Sequence[KeySource],
     resample_rng: np.random.Generator,
     resample: bool = True,
     resample_threshold: float = 0.5,

@@ -1,7 +1,9 @@
-"""Batched control keys against numpy's own SeedSequence.
+"""Batched stream keys against numpy's own SeedSequence.
 
 child_keys re-implements SeedSequence's mixing on uint32 arrays, so a
 numpy release that changed SeedSequence would fail here first, by name.
+A run draws each particle's propagation increments once, over the whole
+run, so a stream's one long draw must equal its draws cycle by cycle.
 """
 
 import numpy as np
@@ -9,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varnpf.sde import sample_brownian_path
 from varnpf.seeding import (
     CONTROL,
+    PROPAGATION,
+    StreamKey,
     child_keys,
     child_sequence,
     key_generator,
     stream_generator,
+    stream_key,
     stream_sequence,
 )
 
@@ -49,6 +55,16 @@ class TestChildKeys:
         for i, seq in enumerate(seqs):
             for j in range(count):
                 assert np.array_equal(got[i, j], reference_key(seq, j))
+        # the unbuilt keys, alone and mixed with the sequences
+        keys = [StreamKey(e, tuple(k)) for e, k in rows]
+        assert child_keys(keys, count).tobytes() == got.tobytes()
+        mixed = [keys[i] if i % 2 else seqs[i] for i in range(len(seqs))]
+        assert child_keys(mixed, count).tobytes() == got.tobytes()
+        for key, seq in zip(keys, seqs):
+            assert np.array_equal(
+                child_sequence(key, count).generate_state(4),
+                child_sequence(seq, count).generate_state(4),
+            )
 
     def test_edge_words(self):
         # zero entropy, entropy of exactly four and five words, an empty
@@ -62,6 +78,14 @@ class TestChildKeys:
         for i, seq in enumerate(seqs):
             for j in range(3):
                 assert np.array_equal(got[i, j], reference_key(seq, j))
+
+    def test_stream_key_is_the_sequence_key(self):
+        key = stream_key(7, CONTROL, 2, 0, 1, 5, 3)
+        seq = stream_sequence(7, CONTROL, 2, 0, 1, 5, 3)
+        assert (key.entropy, key.spawn_key) == (seq.entropy, seq.spawn_key)
+        assert child_keys([key], 4).tobytes() == child_keys(
+            [seq], 4
+        ).tobytes()
 
     def test_no_sequences_or_children(self):
         seq = stream_sequence(0, CONTROL, 1)
@@ -94,3 +118,27 @@ class TestKeyGenerator:
         rng = key_generator(child_keys([stream_sequence(9, CONTROL)], 1)[0, 0])
         with pytest.raises(TypeError):
             rng.spawn(1)
+
+
+class TestWholeRunDraws:
+    """One whole-run draw per particle equals its per-cycle draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64),
+        st.lists(st.integers(min_value=1, max_value=60), min_size=1,
+                 max_size=6),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([0.01, 0.001, 0.25]),
+    )
+    def test_one_draw_is_the_cycles_draws(self, seed, spans, dim, dt):
+        prefix = stream_key(seed, PROPAGATION, 3, 1)
+        keys = child_keys([prefix], 3)[0]
+        for i, key in enumerate(keys):
+            whole = sample_brownian_path(key_generator(key), sum(spans), dim,
+                                         dt)
+            rng = stream_generator(stream_sequence(seed, PROPAGATION, 3, 1, i))
+            cycles = np.concatenate([
+                sample_brownian_path(rng, span, dim, dt) for span in spans
+            ])
+            assert whole.tobytes() == cycles.tobytes()
