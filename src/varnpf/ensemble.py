@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sde import SMALL_ROWS
+
 Array = np.ndarray
 
 
@@ -60,8 +62,20 @@ def quadratic_form(r: Array, matrix: Array) -> Array:
     One running sum over (i outer, j inner) of r_i M_ij r_j, so each row
     rounds as it would alone, however many rows are stacked; a three-operand
     einsum does not for every size.  Like an einsum, it stays silent when a
-    row overflows.
+    row overflows.  On at most SMALL_ROWS rows the same sum runs on Python
+    floats, which round as numpy does (see sde); a 1-d ``r`` gives a numpy
+    float64 either way.
     """
+    if r.size <= SMALL_ROWS * r.shape[-1]:
+        m = matrix.tolist()
+        sums = []
+        for row in r.reshape(-1, r.shape[-1]).tolist():
+            total = 0.0
+            for r_i, m_i in zip(row, m):
+                for m_ij, r_j in zip(m_i, row):
+                    total = total + r_i * m_ij * r_j
+            sums.append(total)
+        return np.array(sums).reshape(r.shape[:-1])[()]
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(r.shape[-1]):

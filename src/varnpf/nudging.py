@@ -213,19 +213,32 @@ def _combine_terms(
     A solve with no usable realization, or whose phi underflows, is
     floored: phi = PHI_FLOOR and a zero control.  Every reduction runs
     along one solve's own axis, so a solve rounds the same alone as in a
-    stack.
+    stack.  A stack whose realizations are all finite skips the masks,
+    which would select every value unchanged.
     """
-    ok = np.isfinite(g) & np.all(np.isfinite(term), axis=-1)
-    usable = ok.any(axis=-1)
-    g_min = np.where(usable, np.where(ok, g, np.inf).min(axis=-1), 0.0)
-    s = np.where(ok, np.exp(-(np.where(ok, g, 0.0) - g_min[..., None])), 0.0)
-    a = np.where(usable, s.mean(axis=-1), 1.0)
-    b = (s[..., None] * np.where(ok[..., None], term, 0.0)).mean(axis=-2)
+    usable = None
+    if g.shape[-1] and np.isfinite(g).all() and np.isfinite(term).all():
+        g_min = g.min(axis=-1)
+        s = np.exp(-(g - g_min[..., None]))
+        a = s.mean(axis=-1)
+        b = (s[..., None] * term).mean(axis=-2)
+    else:
+        ok = np.isfinite(g) & np.all(np.isfinite(term), axis=-1)
+        usable = ok.any(axis=-1)
+        g_min = np.where(usable, np.where(ok, g, np.inf).min(axis=-1), 0.0)
+        s = np.where(
+            ok, np.exp(-(np.where(ok, g, 0.0) - g_min[..., None])), 0.0
+        )
+        a = np.where(usable, s.mean(axis=-1), 1.0)
+        b = (s[..., None] * np.where(ok[..., None], term, 0.0)).mean(axis=-2)
     scale = np.exp(-g_min)
     phi = scale * a
-    grad = np.where(usable[..., None], -scale[..., None] * b, 0.0)
+    grad = -scale[..., None] * b
     control = (diffusion @ (-(b / a[..., None]))[..., None])[..., 0]
-    floored = ~usable | (phi == 0.0)
+    floored = phi == 0.0
+    if usable is not None:
+        grad = np.where(usable[..., None], grad, 0.0)
+        floored |= ~usable
     return (
         np.where(floored, PHI_FLOOR, phi),
         grad,
@@ -323,7 +336,8 @@ def _solve_controls(
 
     Since convergence compares two estimates, no solve stops before its
     second batch (unless ``max_batches`` is 1), so round 0 draws
-    min(2, max_batches) batches per solve.  Each later round looks ahead:
+    min(2, max_batches) batches per solve, in one ``normal`` call, which
+    gives the bits of one call per batch.  Each later round looks ahead:
     every solve that has not yet settled draws min(CONTROL_LOOKAHEAD,
     max_batches - drawn) batches, each by its own ``normal`` call.  Each
     round's batches propagate in one pass, each row from its own solve
@@ -383,9 +397,14 @@ def _solve_controls(
         # none
         marks = {}
         for r, i in enumerate(active.tolist()):
+            if not drawn:
+                increments[r] = rngs[i].normal(
+                    0.0, scale, size=(k, b, n_steps, d)
+                )
+                continue
             marks[i] = []
             for q in range(k):
-                if q and drawn:
+                if q:
                     marks[i].append(rngs[i].bit_generator.state)
                 increments[r, q] = rngs[i].normal(
                     0.0, scale, size=(b, n_steps, d)

@@ -22,13 +22,24 @@ end of each step.  It picks one of two kernels; no caller chooses.
   ``l63_coefficients``) on at most SMALL_ROWS rows, row by row on Python
   floats, in the array kernel's operation order.  Below that width the
   numpy calls' fixed cost, not the arithmetic, sets the array kernel's
-  time: on 1 to 32 rows a 10-step advection takes 0.22-0.34 ms and a
-  50-step flow 0.92-1.4 ms.  The float kernel's time grows with the rows
-  instead, by about 1 us per row and step.  The two cross between 16 and
-  18 rows for the advection and between 18 and 20 for the flow (best of
-  15 on a 2-vCPU x86 host, CPython 3.11, numpy 2.4); on one row the float
-  kernel is 14-25 times faster, and the 350-step truth takes 0.5 ms
-  instead of 11 ms.
+  time; the float kernel's grows with the rows instead, by about 1 us
+  per row and step.  Best of 15, in ms, floats / arrays, on a 2-vCPU x86
+  host (CPython 3.11, numpy 2.4):
+
+      rows   10-step advection   50-step flow   50-step noisy flow
+         1     0.030 / 0.297     0.048 / 1.315     0.057 / 1.334
+         8     0.119 / 0.219     0.362 / 0.860     0.418 / 0.881
+        16     0.223 / 0.229     0.720 / 0.883     0.831 / 0.905
+        18     0.249 / 0.233     0.816 / 0.898     0.931 / 0.914
+        20     0.276 / 0.235     0.895 / 0.925     1.043 / 0.913
+        24     0.323 / 0.235     1.074 / 0.894     1.246 / 0.914
+        40     0.532 / 0.261     1.801 / 0.912     2.079 / 0.938
+
+  The kernels cross near 17 rows for the advection, 18 for the noisy
+  flow (a control solve's realizations) and 21 for the drift-only flow
+  (a variational fit's), so SMALL_ROWS = 18 takes the fit's 18-point
+  Newton stencil onto floats.  The 350-step truth takes 0.5 ms instead
+  of 11 ms.
 
 Both kernels give the same bits.  Python floats and numpy's elementwise
 ufuncs both round once per IEEE operation, and CPython never fuses two
@@ -322,9 +333,9 @@ def rk4_states(
     return path
 
 
-# rk4_path integrates Lorenz-63 on Python floats up to this many rows; the
-# two kernels' times cross near 16-20 rows (see the module docstring)
-SMALL_ROWS = 16
+# rk4_path integrates Lorenz-63, and ensemble.quadratic_form sums, on
+# Python floats up to this many rows (see the module docstring)
+SMALL_ROWS = 18
 
 
 def _l63_float_rows(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from varnpf.ensemble import (
     ObservationModel,
@@ -11,9 +12,11 @@ from varnpf.ensemble import (
     bayes_reweight,
     effective_sample_size,
     empirical_moments,
+    quadratic_form,
     systematic_offspring_counts,
     systematic_resample,
 )
+from varnpf.sde import SMALL_ROWS
 
 
 def uniform_ensemble(states):
@@ -242,3 +245,57 @@ class TestValidation:
                 - model.neg_log_likelihood(x - e, y)
             ) / (2.0 * h)
             assert np.isclose(grad[j], fd, rtol=1e-5, atol=1e-8)
+
+
+def _quadratic_form_reference(r, matrix):
+    """The running sum over (i outer, j inner) of r_i M_ij r_j, on whole
+    numpy columns."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(r.shape[-1]):
+            for j in range(r.shape[-1]):
+                total = total + r[..., i] * matrix[i, j] * r[..., j]
+    return total
+
+
+def _same_values(got, want):
+    """Equal bytes, except that a nan need only meet a nan."""
+    nan = np.isnan(got)
+    return (np.array_equal(nan, np.isnan(want))
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+class TestQuadraticForm:
+    """quadratic_form rounds each row as it would alone, on either side of
+    SMALL_ROWS, where it moves from Python floats to numpy columns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_as_if_alone(self, data):
+        n = data.draw(st.integers(1, SMALL_ROWS + 8), label="rows")
+        d = data.draw(st.integers(1, 4), label="dimension")
+        # up to 1e200, so that some rows overflow to inf or nan
+        r = data.draw(arrays(float, (n, d), elements=st.floats(-1e200, 1e200)))
+        matrix = data.draw(
+            arrays(float, (d, d), elements=st.floats(-1e3, 1e3))
+        )
+        got = quadratic_form(r, matrix)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert _same_values(got, _quadratic_form_reference(r, matrix))
+        stacked = quadratic_form(r.reshape(1, n, d), matrix)
+        assert stacked.shape == (1, n) and _same_values(stacked[0], got)
+        for i in range(n):
+            alone = quadratic_form(r[i], matrix)
+            assert type(alone) is np.float64
+            assert _same_values(np.array([alone]), got[i : i + 1])
+
+    @pytest.mark.parametrize("n", [1, SMALL_ROWS, SMALL_ROWS + 1])
+    def test_overflowing_rows_are_silent(self, n):
+        matrix = np.array([[1.0, -2.0], [-2.0, 1.0]])
+        r = np.ones((n, 2))
+        r[0] = [1e200, 1e200]  # inf - inf: nan
+        r[-1, 0] = 1e200  # inf
+        got = quadratic_form(r, matrix)  # RuntimeWarnings raise here
+        want = _quadratic_form_reference(r, matrix)
+        assert np.isnan(got[0]) and (n == 1 or got[-1] == np.inf)
+        assert _same_values(got, want)

@@ -1103,20 +1103,25 @@ class TestStackedHelpers:
         diffusion = lorenz63().diffusion
         g = rng.exponential(scale=5.0, size=(40, rows)) - 1.0
         term = rng.normal(scale=3.0, size=(40, rows, 3))
+        finite = g.copy(), term.copy()  # the common case: nothing blown up
         g[1, 0] = np.inf  # one realization blown up
         term[2, -1, 1] = np.nan
         g[3] = np.nan  # every realization blown up
         g[4] += 800.0  # phi underflows
         g[5, :] = 800.0
         g[5, -1] = 700.0  # underflow in all but one realization
-        phi, grad, control, floored = _combine_terms(g, term, diffusion)
-        for i in range(40):
-            want = _combine_terms_oracle(g[i], term[i], diffusion)
-            assert phi[i].tobytes() == np.float64(want[0]).tobytes()
-            assert grad[i].tobytes() == want[1].tobytes()
-            assert control[i].tobytes() == want[2].tobytes()
-            assert floored[i] == want[3]
-        assert floored[3] and floored[4] and not floored[0]
+        flags = []
+        for g, term in [(g, term), finite]:
+            phi, grad, control, floored = _combine_terms(g, term, diffusion)
+            for i in range(40):
+                want = _combine_terms_oracle(g[i], term[i], diffusion)
+                assert phi[i].tobytes() == np.float64(want[0]).tobytes()
+                assert grad[i].tobytes() == want[1].tobytes()
+                assert control[i].tobytes() == want[2].tobytes()
+                assert floored[i] == want[3]
+            flags.append(floored)
+        assert flags[0][3] and flags[0][4] and not flags[0][0]
+        assert not flags[1].any()
 
     def test_rn_increments_match_per_particle(self):
         rng = np.random.default_rng(5)

@@ -457,16 +457,16 @@ class TestFewRowKernel:
 
     @pytest.mark.parametrize("with_control", [False, True])
     def test_both_sides_of_the_threshold(self, float_rows, with_control):
-        assert sde.SMALL_ROWS == 16
-        model, x0, control, noise = self._case("l63", 17)
+        small = sde.SMALL_ROWS
+        model, x0, control, noise = self._case("l63", small + 1)
         control = control if with_control else None
         wide = rk4_path(model, x0, 0.01, 40, control, noise)
         narrow = rk4_path(
-            model, x0[:16], 0.01, 40,
-            None if control is None else control[:16], noise[:, :16],
+            model, x0[:small], 0.01, 40,
+            None if control is None else control[:small], noise[:, :small],
         )
-        assert float_rows == [16]  # the 17 rows took the array kernel
-        assert narrow.tobytes() == wide[:, :16].tobytes()
+        assert float_rows == [small]  # the wider call took the array kernel
+        assert narrow.tobytes() == wide[:, :small].tobytes()
 
     @pytest.mark.parametrize("name", ["ou", "l63_generic"])
     def test_other_models_take_the_array_kernel(self, float_rows, name):
@@ -478,23 +478,25 @@ class TestFewRowKernel:
         assert got[1:].tobytes() == want.tobytes()
 
     def test_advection_freezes_a_failed_row_on_both_kernels(self, float_rows):
+        small = sde.SMALL_ROWS
+        lost = [2, small - 1]
         model = lorenz63()
         rng = np.random.default_rng(12)
-        states = rng.normal(scale=8.0, size=(17, 3)) + [0.0, 0.0, 25.0]
-        states[[2, 15]] = [[1e8, 1e8, 1e8], [-3e7, 2e7, 1e8]]
-        controls = rng.normal(size=(17, 3))
-        incs = rng.normal(scale=0.1, size=(17, 10, 3))
+        states = rng.normal(scale=8.0, size=(small + 1, 3)) + [0.0, 0.0, 25.0]
+        states[lost] = [[1e8, 1e8, 1e8], [-3e7, 2e7, 1e8]]
+        controls = rng.normal(size=(small + 1, 3))
+        incs = rng.normal(scale=0.1, size=(small + 1, 10, 3))
         wide, wide_failed = advect_particles(
             model, states, controls, incs, 0.01
         )
         narrow, narrow_failed = advect_particles(
-            model, states[:16], controls[:16], incs[:16], 0.01
+            model, states[:small], controls[:small], incs[:small], 0.01
         )
-        assert float_rows == [16]
-        assert wide_failed == narrow_failed == [2, 15]
+        assert float_rows == [small]
+        assert wide_failed == narrow_failed == lost
         assert np.all(np.isfinite(wide))
-        assert np.all(wide[:, [2, 15]] == states[[2, 15]])
-        assert narrow.tobytes() == wide[:, :16].tobytes()
+        assert np.all(wide[:, lost] == states[lost])
+        assert narrow.tobytes() == wide[:, :small].tobytes()
 
 
 class TestStackedNoise:
