@@ -37,9 +37,9 @@ end of each step.  It picks one of two kernels; no caller chooses.
 
   The kernels cross near 17 rows for the advection, 18 for the noisy
   flow (a control solve's realizations) and 21 for the drift-only flow
-  (a variational fit's), so SMALL_ROWS = 18 takes the fit's 18-point
-  Newton stencil onto floats.  The 350-step truth takes 0.5 ms instead
-  of 11 ms.
+  (a variational fit's, whose flows carry at most 7 rows), so
+  SMALL_ROWS = 18 sits at the first two crossovers.  The 350-step truth
+  takes 0.5 ms instead of 11 ms.
 
 Both kernels give the same bits.  Python floats and numpy's elementwise
 ufuncs both round once per IEEE operation, and CPython never fuses two

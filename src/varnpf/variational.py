@@ -10,19 +10,15 @@ with F the deterministic flow over the observation interval.  The minimizer
 seeds the pseudo observation path that guides the nudged filter.
 
 The solver is a box-constrained Gauss-Newton descent, the outer loop of
-incremental 4D-Var, that turns to Newton steps where Gauss-Newton crawls.
-Each Gauss-Newton step solves N p = -g, with N = P + J^T H^T C^-1 H J, P
-the regularized prior precision, H and C from the observation model and g
+incremental 4D-Var.  Each step solves N p = -g, with N = P + J^T H^T C^-1 H J,
+P the regularized prior precision, H and C from the observation model and g
 the central-difference gradient.  Column i of the flow Jacobian J is
 (F(x + h_i e_i) - F(x - h_i e_i)) / 2 h_i, from the endpoints the
 gradient's own difference points already flowed.  Gauss-Newton drops the
 misfit's second-order term, so with large residuals it converges only
-linearly; once an accepted step lowers the cost by less than NEWTON_SWITCH
-relative to it, each step solves (N + sum_k w_k Hess F_k) p = -g instead,
-with w = -H^T C^-1 (y - H F(x)) and the flow's Hessians from second
-differences of an 18-point stencil (for d = 3), flowed only once the
-gradient test has not stopped the solve.  The step is projected onto a
-box around the prior mean and shortened by Armijo backtracking, one step
+linearly; the fit only seeds a pseudo observation path, so it does not
+chase the last digits of the minimum.  The step is projected onto a box
+around the prior mean and shortened by Armijo backtracking, one step
 length at a time: each trial flows alone, on rk4_path's few-row kernel,
 and most line searches accept the full step.  When the full step stays
 in the box and its predicted decrease is below the tolerance, the solve
@@ -89,7 +85,6 @@ class VariationalProblem:
         prec = np.linalg.inv(reg)
         spread = self.bound_sigmas * np.sqrt(np.diag(reg))
         object.__setattr__(self, "_prior_prec", prec)
-        object.__setattr__(self, "_regularized_cov", reg)
         object.__setattr__(self, "lower", mean - spread)
         object.__setattr__(self, "upper", mean + spread)
         object.__setattr__(
@@ -148,88 +143,30 @@ def _projected_gradient(x: Array, g: Array, lower: Array, upper: Array) -> Array
     return pg
 
 
-def _stencil_points(x: Array) -> tuple[Array, Array]:
-    """The 2d^2 second-difference stencil around ``x`` and its steps h2.
-
-    With h2 = 1e-3 max(1, |x_i|), the stencil is x +- h2_i e_i for every
-    axis, then x + s h2_i e_i + t h2_j e_j for i < j, with (s, t) = (+, +),
-    (+, -), (-, +) and (-, -) in turn.
-    """
-    h2 = 1e-3 * np.maximum(1.0, np.abs(x))
-    step = np.diag(h2)
-    i, j = np.triu_indices(x.shape[0], 1)
-    up, down = x + step[i], x - step[i]
-    stencil = [x + step, x - step, up + step[j], up - step[j],
-               down + step[j], down - step[j]]
-    return np.concatenate(stencil), h2
-
-
-def _flow_curvature(
-    center: Array, stencil_ends: Array, h2: Array,
-    problem: VariationalProblem,
-) -> Array:
-    """sum_k w_k Hess F_k, the flow's own part of the misfit Hessian.
-
-    w = -H^T C^-1 (y - H F(x)) weighs the Hessians of the flow's components
-    F_k, each from second differences of the stencil endpoints
-    ``stencil_ends`` (see _stencil_points) around ``center`` = F(x).  A
-    blown-up endpoint leaves it non-finite, without a warning.
-    """
-    d = h2.shape[0]
-    i, j = np.triu_indices(d, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = problem.obs_model.nll_gradient(center, problem.observation)
-        plus, minus = stencil_ends[:d], stencil_ends[d : 2 * d]
-        pp, pm, mp, mm = np.split(stencil_ends[2 * d :], 4)
-        axis = (plus - 2.0 * center + minus) / (h2 * h2)[:, None]
-        cross = (pp - pm - mp + mm) / (4.0 * h2[i] * h2[j])[:, None]
-        curvature = np.empty((d, d))
-        curvature[np.diag_indices(d)] = axis @ w
-        curvature[i, j] = curvature[j, i] = cross @ w
-    return curvature
-
-
-def _solve_step(matrix: Array, g: Array, definite: bool = False):
-    """p with matrix p = -g, or None when matrix is not finite (or, with
-    ``definite``, not positive definite) or p is no finite descent
-    direction."""
-    if not np.all(np.isfinite(matrix)):
-        return None
-    try:
-        if definite:
-            np.linalg.cholesky(matrix)
-        p = np.linalg.solve(matrix, -g)
-    except np.linalg.LinAlgError:
-        return None
-    return p if np.all(np.isfinite(p)) and p @ g < 0.0 else None
-
-
 def _step_direction(
-    g: Array, ends: Array, h: Array, problem: VariationalProblem,
-    curvature: Array | None = None,
+    g: Array, ends: Array, h: Array, problem: VariationalProblem
 ) -> Array:
-    """The Newton, else the Gauss-Newton, else the steepest descent step.
+    """The Gauss-Newton step, else -g.
 
-    N = P + J^T H^T C^-1 H J is the Gauss-Newton normal matrix, with J the
-    central-difference flow Jacobian from the flow endpoints ``ends`` of
-    the 2d gradient points with steps ``h``.  Given ``curvature`` (see
-    _flow_curvature), the step solves (N + curvature) p = -g, unless that
-    matrix is not finite and positive definite or p is no descent
-    direction; then it solves N p = -g, and when that p is unusable too it
-    is -g.  A blown-up endpoint makes its matrix non-finite, which falls
-    back without a warning.
+    The step solves N p = -g, with N = P + J^T H^T C^-1 H J the
+    Gauss-Newton normal matrix and J the central-difference flow Jacobian
+    from the flow endpoints ``ends`` of the 2d gradient points with steps
+    ``h``.  When N is not finite or singular, or p is no descent
+    direction, the step is -g.  A blown-up endpoint makes N non-finite,
+    which falls back without a warning.
     """
     d = h.shape[0]
     obs = problem.obs_model
     with np.errstate(over="ignore", invalid="ignore"):
         hj = obs.operator @ ((ends[:d] - ends[d:]) / (2.0 * h)[:, None]).T
         normal = problem._prior_prec + hj.T @ obs._noise_prec @ hj
-        p = None
-        if curvature is not None:
-            p = _solve_step(normal + curvature, g, definite=True)
-        if p is None:
-            p = _solve_step(normal, g)
-    return -g if p is None else p
+        if not np.all(np.isfinite(normal)):
+            return -g
+        try:
+            p = np.linalg.solve(normal, -g)
+        except np.linalg.LinAlgError:
+            return -g
+        return p if np.all(np.isfinite(p)) and p @ g < 0.0 else -g
 
 
 @dataclass(frozen=True)
@@ -244,18 +181,14 @@ class VariationalResult:
     flow: Array | None = None
     # rows x drift evaluations of the solve's flows, RK4 stages
     drift_evals: int = 0
-    # the solve's flows: the start's, one per trial, one per accepted
-    # step (its gradient points) and one per Newton-mode iteration past
-    # the gradient test (its stencil)
+    # the solve's flows: the start's, one per trial and one per accepted
+    # step (its gradient points)
     flows: int = 0
 
 
 # Armijo step lengths 1, 1/2, ..., 2**-39 (the last one >= 1e-12), tried
 # in this order
 STEP_LENGTHS = 0.5 ** np.arange(40)
-# Newton steps take over once an accepted step lowers the cost by less
-# than this relative amount
-NEWTON_SWITCH = 1e-4
 
 
 def minimize_cost(
@@ -267,10 +200,8 @@ def minimize_cost(
 ) -> VariationalResult:
     """Minimize the variational cost inside the coordinate box.
 
-    Steps along the Gauss-Newton direction until an accepted step lowers
-    the cost by less than NEWTON_SWITCH relative to it, and along the
-    Newton direction from then on (see _step_direction); either falls
-    back as that function says.  Terminates on a small projected gradient,
+    Steps along the Gauss-Newton direction, or -g where that fails (see
+    _step_direction).  Terminates on a small projected gradient,
     a relative cost decrease below ``cost_decrease_tol`` (measured, or
     predicted: when the full step stays inside the box and its model
     decrease 0.5 |g^T p| / max(|cost|, 1) is below the tolerance, the
@@ -279,9 +210,8 @@ def minimize_cost(
     cost never exceeds the cost at the starting point.  ``cost_evals``
     counts the cost evaluations made; ``drift_evals`` counts every row
     flowed, times RK4_STAGES per step, and ``flows`` the flows themselves:
-    the start's, one per trial step length, one per accepted step for its
-    gradient points, and one per Newton-mode iteration that the gradient
-    test does not stop, for its stencil.
+    the start's, one per trial step length and one per accepted step for
+    its gradient points.
 
     ``flow`` of the result is the drift-only flow of ``x_opt`` at every
     step of the interval, taken without another flow: from the start's
@@ -298,8 +228,7 @@ def minimize_cost(
                 lower, upper)
     d = x.shape[0]
 
-    # the start's cost and gradient share one flow; no stencil, since the
-    # first step is never a Newton step
+    # the start's cost and gradient share one flow
     points, h = _gradient_points(x)
     rows = np.concatenate([x[None, :], points])
     path = rk4_path(model, rows, dt, n_steps)
@@ -312,7 +241,6 @@ def minimize_cost(
     evals = 1 + 2 * d
     status = "max_iterations"
     iterations = 0
-    newton = False
 
     for iterations in range(1, max_iterations + 1):
         pg = _projected_gradient(x, g, lower, upper)
@@ -320,14 +248,7 @@ def minimize_cost(
             status = "gradient"
             break
 
-        curvature = None
-        if newton:
-            stencil, h2 = _stencil_points(x)
-            stencil_ends = rk4_path(model, stencil, dt, n_steps)[-1]
-            flows += 1
-            flowed += len(stencil)
-            curvature = _flow_curvature(flow[-1], stencil_ends, h2, problem)
-        direction = _step_direction(g, point_ends, h, problem, curvature)
+        direction = _step_direction(g, point_ends, h, problem)
         full = x + direction
         predicted = 0.5 * abs(float(g @ direction)) / max(abs(current), 1.0)
         if (np.array_equal(np.clip(full, lower, upper), full)
@@ -356,7 +277,6 @@ def minimize_cost(
 
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)
-        newton = newton or relative < NEWTON_SWITCH
         points, h = _gradient_points(candidate)
         point_ends = rk4_path(model, points, dt, n_steps)[-1]
         flows += 1

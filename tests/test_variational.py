@@ -17,13 +17,9 @@ from varnpf.ensemble import ObservationModel
 from varnpf.sde import RK4_STAGES, SdeModel, lorenz63, rk4_path
 from varnpf.variational import (
     BLOWUP_COST,
-    NEWTON_SWITCH,
     VariationalProblem,
     VariationalResult,
-    _flow_curvature,
-    _gradient_points,
     _projected_gradient,
-    _stencil_points,
     _step_direction,
     build_pseudo_path,
     minimize_cost,
@@ -174,6 +170,24 @@ class TestGaussNewtonDirection:
                 got = _step_direction(g, ends, h, problem)
             assert np.array_equal(got, -g)
 
+    def test_step_solves_the_normal_equations(self):
+        obs = ObservationModel(
+            operator=np.eye(3), noise_cov=np.diag([1.0, 0.5, 2.0])
+        )
+        problem = make_problem(
+            zero_drift_model(), np.zeros(3), np.diag([2.0, 1.0, 4.0]), obs,
+            np.ones(3),
+        )
+        h = np.full(3, 1e-6)
+        ends = np.concatenate([np.diag(h), -np.diag(h)])  # J = I
+        g = np.array([1.0, -2.0, 0.5])
+        J = np.eye(3)
+        H, noise_prec = obs.operator, np.linalg.inv(obs.noise_cov)
+        normal = problem._prior_prec + J.T @ H.T @ noise_prec @ H @ J
+        got = _step_direction(g, ends, h, problem)
+        assert np.array_equal(got, np.linalg.solve(normal, -g))
+        assert not np.allclose(got, -g)
+
     def test_blown_up_gradient_point_solves_without_warning(self):
         # the drift is infinite right of x_0 = 1, so the first gradient
         # point of a start at x_0 = 1 blows up and the other five do not
@@ -192,80 +206,6 @@ class TestGaussNewtonDirection:
             res = minimize_cost(problem)
         assert res.cost_opt <= variational_cost(mu, problem)
         assert np.all(np.isfinite(res.x_opt))
-
-
-class TestNewtonSteps:
-    def test_blown_up_stencil_point_falls_back_to_gauss_newton(self):
-        # the drift is infinite right of 1.0005, so the stencil points of
-        # a start at x_0 = 1 that step right along axis 0 blow up, while
-        # the gradient points (steps of 1e-6) do not
-        cliff = SdeModel(
-            dimension=3,
-            drift=lambda x: np.where(x > 1.0005, np.inf, 0.0),
-            drift_jacobian=lambda x: np.zeros(x.shape[:-1] + (3, 3)),
-            dispersion=np.eye(3),
-            diffusion=np.eye(3),
-        )
-        obs = ObservationModel(operator=np.eye(3), noise_cov=np.eye(3))
-        x = np.array([1.0, 0.0, 0.0])
-        problem = make_problem(cliff, x, np.eye(3), obs, np.full(3, 0.5))
-        points, h = _gradient_points(x)
-        stencil, h2 = _stencil_points(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            ends = rk4_path(cliff, points, problem.dt, problem.n_steps)[-1]
-            stencil_ends = rk4_path(
-                cliff, stencil, problem.dt, problem.n_steps
-            )[-1]
-            center = rk4_path(cliff, x, problem.dt, problem.n_steps)[-1]
-            curvature = _flow_curvature(center, stencil_ends, h2, problem)
-            g = variational_gradient(x, problem)
-            got = _step_direction(g, ends, h, problem, curvature)
-            gauss_newton = _step_direction(g, ends, h, problem)
-        assert np.all(np.isfinite(ends))
-        assert not np.all(np.isfinite(curvature))
-        assert np.array_equal(got, gauss_newton)
-        assert not np.array_equal(gauss_newton, -g)
-
-    def test_newton_step_needs_a_positive_definite_matrix(self):
-        obs = ObservationModel(operator=np.eye(3), noise_cov=np.eye(3))
-        problem = make_problem(
-            zero_drift_model(), np.zeros(3), np.eye(3), obs, np.ones(3)
-        )
-        h = np.full(3, 1e-6)
-        ends = np.concatenate([np.diag(h), -np.diag(h)])  # J = I
-        g = np.array([1.0, -2.0, 0.5])
-        normal = 2.0 * np.eye(3)
-        gauss_newton = _step_direction(g, ends, h, problem)
-        assert np.allclose(gauss_newton, np.linalg.solve(normal, -g))
-        curvature = np.diag([1.0, 2.0, 3.0])
-        newton = _step_direction(g, ends, h, problem, curvature)
-        assert np.array_equal(
-            newton, np.linalg.solve(normal + curvature, -g)
-        )
-        # indefinite: N + curvature has a negative eigenvalue
-        indefinite = np.diag([-3.0, 0.0, 0.0])
-        got = _step_direction(g, ends, h, problem, indefinite)
-        assert np.array_equal(got, gauss_newton)
-
-    def test_never_above_gauss_newton_and_fewer_flows(self, monkeypatch):
-        # a seeded set with crawling Gauss-Newton solves (tens of
-        # iterations on a large-residual fit)
-        rng = np.random.default_rng(7)
-        flows = counted_flows(monkeypatch)
-        newton_flows = gauss_newton_flows = 0
-        slowest = 0
-        for _ in range(30):
-            problem = random_l63_problem(rng)
-            flows.clear()
-            got = minimize_cost(problem)
-            newton_flows += len(flows)
-            want, log = sequential_minimize(problem, newton=False)
-            gauss_newton_flows += log["flows"]
-            slowest = max(slowest, want.iterations)
-            assert got.cost_opt <= want.cost_opt + 1e-7, (got, want)
-        assert slowest >= 40
-        assert newton_flows < gauss_newton_flows
 
 
 class TestGradientConsistency:
@@ -345,22 +285,17 @@ class TestSolverContract:
 
 
 def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
-                        cost_decrease_tol=1e-9, newton=True):
-    """One-trial-at-a-time search, kept here only as an oracle.
+                        cost_decrease_tol=1e-9):
+    """One-trial-at-a-time Gauss-Newton search, kept here only as an oracle.
 
-    Gauss-Newton steps until an accepted step lowers the cost by less than
-    NEWTON_SWITCH relative to it, Newton steps from then on, and a stop
-    before the line search when the full step's predicted decrease is
-    below ``cost_decrease_tol``.  ``newton=False`` gives the plain
-    Gauss-Newton search: no switch and no predicted stop.  Returns the
-    result and a log: the accepted backtracking depth per iteration, the
-    flows minimize_cost makes and the rows they carry (the start and its
-    2d gradient points; one row per trial priced; per accepted step its 2d
-    gradient points; per Newton-mode iteration that the gradient test
-    does not stop, its 2d^2 stencil), the Newton steps taken (and how many
-    of them followed a step that lowered the cost by NEWTON_SWITCH or
-    more), whether the predicted decrease stopped the search and whether
-    the gradient test stopped it in Newton mode.
+    Gauss-Newton steps, each shortened by Armijo backtracking, and a stop
+    before the line search when the full step stays in the box and its
+    predicted decrease is below ``cost_decrease_tol``.  Returns the result
+    and a log: the accepted backtracking depth per iteration, the flows
+    minimize_cost makes and the rows they carry (the start and its 2d
+    gradient points; one row per trial priced; per accepted step its 2d
+    gradient points), and whether the predicted decrease stopped the
+    search.
     """
     lower, upper = problem.lower, problem.upper
     obs_model = problem.obs_model
@@ -369,8 +304,7 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
     x = np.clip(problem.prior_mean, lower, upper)
     d = x.shape[0]
     evals = [0]
-    log = {"depths": [], "flows": 1, "rows": 1 + 2 * d, "newton_steps": 0,
-           "held": 0, "predicted": False, "newton_gradient": False}
+    log = {"depths": [], "flows": 1, "rows": 1 + 2 * d, "predicted": False}
 
     def cost(y):
         evals[0] += 1
@@ -379,9 +313,6 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
     def grad(y):
         evals[0] += 2 * y.shape[0]
         return variational_gradient(y, problem)
-
-    def end(y):
-        return rk4_path(problem.model, y, problem.dt, problem.n_steps)[-1]
 
     def jacobian(y):
         # flow Jacobian from variational_gradient's own difference points
@@ -393,35 +324,11 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         with np.errstate(over="ignore", invalid="ignore"):
             return ((ends[:d] - ends[d:]) / (2.0 * h)[:, None]).T
 
-    def curvature(y):
-        # sum_k w_k Hess F_k, each Hessian entry a second difference
-        h = 1e-3 * np.maximum(1.0, np.abs(y))
-        center = end(y)
-        hess = np.empty((d, d, d))
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = obs_model.nll_gradient(center, problem.observation)
-            for i in range(d):
-                e_i = np.zeros(d)
-                e_i[i] = h[i]
-                hess[i, i] = (
-                    end(y + e_i) - 2.0 * center + end(y - e_i)
-                ) / (h[i] * h[i])
-                for j in range(i + 1, d):
-                    e_j = np.zeros(d)
-                    e_j[j] = h[j]
-                    hess[i, j] = hess[j, i] = (
-                        end(y + e_i + e_j) - end(y + e_i - e_j)
-                        - end(y - e_i + e_j) + end(y - e_i - e_j)
-                    ) / (4.0 * h[i] * h[j])
-            return hess @ w
-
-    def solve(matrix, g, definite=False):
+    def solve(matrix, g):
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.all(np.isfinite(matrix)):
                 return None
             try:
-                if definite:
-                    np.linalg.cholesky(matrix)
                 p = np.linalg.solve(matrix, -g)
             except np.linalg.LinAlgError:
                 return None
@@ -431,36 +338,23 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
 
     current = cost(x)
     g = grad(x)
-    switched = False
-    relative = 0.0
     status = "max_iterations"
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         pg = _projected_gradient(x, g, lower, upper)
         if np.max(np.abs(pg)) < gradient_tol:
             status = "gradient"
-            log["newton_gradient"] = switched
             break
         with np.errstate(over="ignore", invalid="ignore"):
             hj = H @ jacobian(x)
             normal = problem._prior_prec + hj.T @ noise_prec @ hj
-        direction = None
-        if switched:
-            log["flows"] += 1
-            log["rows"] += 2 * d * d
-            direction = solve(normal + curvature(x), g, definite=True)
-            log["newton_steps"] += direction is not None
-            log["held"] += direction is not None and (
-                relative >= NEWTON_SWITCH
-            )
-        if direction is None:
-            direction = solve(normal, g)
+        direction = solve(normal, g)
         if direction is None:
             direction = -g
         full = x + direction
         inside = np.all((lower <= full) & (full <= upper))
         predicted = 0.5 * abs(float(g @ direction)) / max(abs(current), 1.0)
-        if newton and inside and predicted < cost_decrease_tol:
+        if inside and predicted < cost_decrease_tol:
             status = "cost_decrease"
             log["predicted"] = True
             break
@@ -488,11 +382,9 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)
         x, current, g = candidate, trial, new_g
-        stop = relative < cost_decrease_tol
-        switched = newton and (switched or relative < NEWTON_SWITCH)
         log["flows"] += 1
         log["rows"] += 2 * d
-        if stop:
+        if relative < cost_decrease_tol:
             status = "cost_decrease"
             break
     else:
@@ -554,8 +446,8 @@ def assert_same_solve(got, want, problem):
 class TestBatchedLineSearch:
     def test_bitwise_equal_to_sequential_search(self, monkeypatch):
         rng = np.random.default_rng(2024)
-        seen = {"rejected": 0, "stalled": 0, "pinned": 0, "newton": 0,
-                "predicted": 0, "measured": 0, "newton_gradient": 0}
+        seen = {"rejected": 0, "stalled": 0, "pinned": 0, "predicted": 0,
+                "measured": 0, "gradient": 0}
         flows = counted_flows(monkeypatch)
         for _ in range(40):
             problem = random_l63_problem(rng)
@@ -574,28 +466,13 @@ class TestBatchedLineSearch:
             seen["pinned"] += bool(np.any(
                 (got.x_opt == problem.lower) | (got.x_opt == problem.upper)
             ))
-            seen["newton"] += log["newton_steps"] > 0
             seen["predicted"] += log["predicted"]
-            # a measured stop flows no stencil for its last step
             seen["measured"] += (
                 got.status == "cost_decrease" and not log["predicted"]
             )
-            # nor does a Newton-mode gradient stop for the next step
-            seen["newton_gradient"] += log["newton_gradient"]
+            seen["gradient"] += got.status == "gradient"
         # the seeded set covers each path through the search
         assert all(seen.values()), seen
-
-    def test_newton_steps_stay_on_after_the_switch(self):
-        # a Newton step can lower the cost by NEWTON_SWITCH or more again;
-        # the solver keeps taking Newton steps all the same
-        rng = np.random.default_rng(7)
-        held = 0
-        for _ in range(8):
-            problem = random_l63_problem(rng)
-            want, log = sequential_minimize(problem)
-            assert_same_solve(minimize_cost(problem), want, problem)
-            held += log["held"]
-        assert held
 
 
 class TestSolveFlow:
