@@ -9,7 +9,7 @@ a variationally fitted state instead.
 
 __version__ = "0.1.0"
 
-from .bootstrap_pf import pf_assimilation_cycle
+from .bootstrap_pf import RunContext, pf_assimilation_cycle
 from .diagnostics import CycleDiagnostics, CycleFailure
 from .ensemble import (
     EnsembleMoments,

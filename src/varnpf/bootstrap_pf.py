@@ -1,6 +1,14 @@
-"""Bootstrap particle filter: advect, reweight, maybe resample."""
+"""Bootstrap particle filter: advect, reweight, maybe resample.
+
+Every filter's cycle is ``cycle(ensemble, ctx, k) -> (ensemble,
+CycleDiagnostics)``: observation interval k of the run whose RunContext
+is ``ctx``.  All three end in _close_cycle.
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,94 +26,122 @@ from .sde import (  # noqa: F401
     SdeModel,
     advect_particles,
     integrate_path,
-    whole_steps,
 )
+from .seeding import KeySource
+
+if TYPE_CHECKING:
+    from .nudging import NudgingConfig
+    from .var_npf import VarNpfSettings
 
 Array = np.ndarray
 
 
-def _interval_steps(
-    increments: Array, ensemble: ParticleEnsemble, t_start: float,
-    t_end: float, dt: float,
-) -> int:
-    """Steps of size ``dt`` in [t_start, t_end].
+@dataclass(frozen=True)
+class RunContext:
+    """What every cycle of one run reads; run_experiment builds it once.
 
-    Raises ValueError unless ``increments`` is (n, steps, d), one row of
-    Wiener increments per particle of the ensemble.
+    The run has T = len(times) - 1 steps of size ``dt`` and L =
+    len(observations) observation intervals of S = T / L steps each.
+    Cycle k runs from times[kS] to times[(k + 1)S], advects particle i
+    along its Wiener increments noise[i, kS:(k + 1)S] and assimilates
+    observations[k].  It resamples (systematic, one uniform draw from
+    ``resample_rng``) when ``resample`` is set and ESS <
+    ``resample_threshold`` * n.  The nudged cycles read ``nudging``, the
+    guided one ``variational`` too, and particle i's control solves in
+    cycle k draw from the children of ``control`` extended by (k, i).
+    Raises ValueError unless ``noise`` is (n, T, d), with d the model's
+    dimension, and T divides into the L intervals.
     """
-    n, d = ensemble.states.shape
-    n_steps = whole_steps(t_start, t_end, dt)
-    if np.shape(increments) != (n, n_steps, d):
-        raise ValueError(
-            f"increments must be (particles, steps, dimension) = "
-            f"({n}, {n_steps}, {d}) for [{t_start}, {t_end}], "
-            f"got {np.shape(increments)}"
-        )
-    return n_steps
+
+    model: SdeModel
+    obs_model: ObservationModel
+    dt: float
+    times: Array  # (T + 1,)
+    observations: Array  # (L, m)
+    noise: Array  # (n, T, d)
+    resample_rng: np.random.Generator
+    resample: bool
+    resample_threshold: float
+    nudging: NudgingConfig
+    variational: VarNpfSettings
+    control: KeySource
+
+    def __post_init__(self):
+        n_steps = len(self.times) - 1
+        want = (len(self.noise), n_steps, self.model.dimension)
+        if np.shape(self.noise) != want:
+            raise ValueError(
+                f"increments must be (particles, steps, dimension) = "
+                f"{want} for [{self.times[0]}, {self.times[-1]}], "
+                f"got {np.shape(self.noise)}"
+            )
+        if n_steps % len(self.observations):
+            raise ValueError(
+                f"{n_steps} steps do not divide into "
+                f"{len(self.observations)} observation intervals"
+            )
+
+    def bounds(self, k: int) -> tuple[float, float]:
+        """Cycle k's start and end times."""
+        span = (len(self.times) - 1) // len(self.observations)
+        return self.times[k * span], self.times[(k + 1) * span]
+
+    def increments(self, k: int, ensemble: ParticleEnsemble) -> Array:
+        """Cycle k's (n, S, d) increments; raises ValueError unless
+        ``ensemble`` has their n particles."""
+        span = self.noise.shape[1] // len(self.observations)
+        increments = self.noise[:, k * span:(k + 1) * span]
+        if ensemble.n_particles != len(increments):
+            raise ValueError(
+                f"increments must be (particles, steps, dimension) = "
+                f"({ensemble.n_particles}, {span}, {self.model.dimension}) "
+                f"for cycle {k}, got {increments.shape}"
+            )
+        return increments
 
 
 def pf_assimilation_cycle(
-    ensemble: ParticleEnsemble,
-    model: SdeModel,
-    obs_model: ObservationModel,
-    observation: Array,
-    t_start: float,
-    t_end: float,
-    increments: Array,
-    dt: float,
-    resample_rng: np.random.Generator,
-    resample: bool = True,
-    resample_threshold: float = 0.5,
+    ensemble: ParticleEnsemble, ctx: RunContext, k: int
 ) -> tuple[ParticleEnsemble, CycleDiagnostics]:
-    """One observation interval of the bootstrap filter.
+    """Cycle k of the bootstrap filter.
 
     The posterior weights from the previous cycle stay in force during
-    advection; the Bayes update happens only at ``t_end``.  ``increments``
-    holds each particle's Wiener increments over the interval, shape
-    (n, S, d) with S steps of size ``dt``.  Resampling is
-    systematic and fires when ESS < threshold * n (one uniform draw, taken
-    from ``resample_rng`` only when it fires).
+    advection; the Bayes update happens only at the cycle's end.
     """
-    _interval_steps(increments, ensemble, t_start, t_end, dt)
     trajs, failures = advect_particles(
-        model, ensemble.states, np.zeros_like(ensemble.states), increments,
-        dt,
+        ctx.model, ensemble.states, np.zeros_like(ensemble.states),
+        ctx.increments(k, ensemble), ctx.dt,
     )
     return _close_cycle(
-        ensemble, trajs, failures, obs_model, observation, t_start, t_end,
-        resample_rng, resample, resample_threshold,
+        ensemble, ctx, k, trajs, failures, ctx.observations[k]
     )
 
 
 def _close_cycle(
     ensemble: ParticleEnsemble,
+    ctx: RunContext,
+    k: int,
     step_states: Array,
     failures: list[int],
-    obs_model: ObservationModel,
     observation: Array,
-    t_start: float,
-    t_end: float,
-    resample_rng: np.random.Generator,
-    resample: bool,
-    resample_threshold: float,
     counters: dict | None = None,
     timings: dict | None = None,
     solves: dict | None = None,
     **nudged,
 ) -> tuple[ParticleEnsemble, CycleDiagnostics]:
-    """The end of an observation interval, the same for every filter.
+    """The end of cycle k, the same for every filter.
 
     ``step_states`` (S + 1, n, d) is the advected trajectory of
     ``ensemble`` and ``failures`` the particles it lost.  ``counters`` and
     ``timings`` hold the work done before the close; the advection adds
     RK4_STAGES * n * S drift evaluations.  Failed particles get zero
     weight; if none is left, CycleFailure carries the counters, timings
-    and ``solves``.  Then the Bayes update with the observation
-    likelihood, times exp(log_rn - max log_rn) when ``nudged`` holds the
-    change-of-measure ``log_rn``, and a systematic resample when ESS <
-    threshold * n (one uniform draw, taken from ``resample_rng`` only when
-    it fires).  ``solves`` (its per-solve arrays) and ``nudged`` hold a
-    nudged cycle's other CycleDiagnostics fields.
+    and ``solves``.  Then the Bayes update with the likelihood of
+    ``observation``, times
+    exp(log_rn - max log_rn) when ``nudged`` holds the change-of-measure
+    ``log_rn``, and the context's resampling rule.  ``solves`` (its
+    per-solve arrays) and ``nudged`` hold a nudged cycle's other
+    CycleDiagnostics fields.
     """
     n_steps = step_states.shape[0] - 1
     n = step_states.shape[1]
@@ -124,6 +160,7 @@ def _close_cycle(
                 solves,
             )
         carried = carried / total
+    t_start, t_end = ctx.bounds(k)
     advected = ParticleEnsemble(step_states[-1], carried, t_end)
     prior_ness = effective_sample_size(carried)
 
@@ -131,13 +168,15 @@ def _close_cycle(
     # uniform shift before exponentiation; the reweight normalizes it away
     factors = None if log_rn is None else np.exp(log_rn - log_rn.max())
     posterior, collapsed = bayes_reweight(
-        advected, observation, obs_model, factors
+        advected, observation, ctx.obs_model, factors
     )
     posterior_ness = effective_sample_size(posterior.weights)
 
     resampled = False
-    if resample and posterior_ness < resample_threshold * n:
-        posterior = systematic_resample(posterior, resample_rng.random())
+    if ctx.resample and posterior_ness < ctx.resample_threshold * n:
+        posterior = systematic_resample(
+            posterior, ctx.resample_rng.random()
+        )
         resampled = True
 
     diag = CycleDiagnostics(

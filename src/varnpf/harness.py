@@ -19,10 +19,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bootstrap_pf import pf_assimilation_cycle
+from .bootstrap_pf import RunContext, pf_assimilation_cycle
 from .diagnostics import CycleDiagnostics, CycleFailure
 from .ensemble import ObservationModel, ParticleEnsemble
-from .nudging import NudgingConfig, check_int, npf_assimilation_cycle
+from .nudging import (
+    NudgingConfig, check_bool, check_int, npf_assimilation_cycle,
+)
 from .sde import (
     IntegrationError,
     L63Params,
@@ -73,6 +75,15 @@ BENCHMARK_ICS: tuple[tuple[float, float, float], ...] = (
 _IDENTITY3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _DEFAULT_OBS_COV = ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0))
 _DEFAULT_DIFFUSION = ((2.0, 1.0, 0.5), (1.0, 2.0, 1.0), (0.5, 1.0, 2.0))
+
+
+def _numeric_shape(value, key: str) -> tuple:
+    """The array shape of a numeric config value; ConfigError names
+    ``key`` when the value is not a numeric array."""
+    try:
+        return np.asarray(value, dtype=float).shape
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a numeric array") from None
 
 
 def _freeze(value):
@@ -149,10 +160,14 @@ class ExperimentConfig:
                 ("run_index", 0),
             ):
                 check_int(getattr(self, key), key, minimum)
+            check_bool(self.resample, "resample")
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if self.dt <= 0.0 or self.dt_obs <= 0.0 or self.t_final <= 0.0:
-            raise ConfigError("dt, dt_obs, t_final must be positive")
+        for key in ("dt", "dt_obs", "t_final"):
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise ConfigError(f"{key} must be positive and finite")
+        if np.isnan(self.resample_threshold):
+            raise ConfigError("resample_threshold must not be nan")
         if self.ensemble_cov_scale <= 0.0:
             raise ConfigError("ensemble_cov_scale must be positive")
         ratio = self.dt_obs / self.dt
@@ -161,8 +176,21 @@ class ExperimentConfig:
         ratio = self.t_final / self.dt_obs
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError("t_final must be a whole multiple of dt_obs")
-        if len(self.truth_init) != 3:
-            raise ConfigError("truth_init must have three components")
+        for key in ("truth_init", "ensemble_mean"):
+            value = getattr(self, key)
+            if value is not None and _numeric_shape(value, key) != (3,):
+                raise ConfigError(f"{key} must have three components")
+        operator = _numeric_shape(self.obs_operator, "obs_operator")
+        if len(operator) != 2 or operator[1] != 3 or operator[0] < 1:
+            raise ConfigError(
+                f"obs_operator must have shape (m, 3), got {operator}"
+            )
+        m = operator[0]
+        if _numeric_shape(self.obs_noise_cov, "obs_noise_cov") != (m, m):
+            raise ConfigError(
+                f"obs_noise_cov must have shape ({m}, {m}), one row and "
+                f"column per row of obs_operator"
+            )
         if name in ("npf", "var_npf"):
             if self.steps_per_interval % self.nudging.subintervals != 0:
                 raise ConfigError(
@@ -438,12 +466,17 @@ def run_experiment(
 ) -> ExperimentRecord:
     """Run one filter over the full horizon and collect every series.
 
-    ``runtime['total']`` covers the assimilation loop only; generating the
-    truth is timed separately since it is shared by paired runs.  The
-    control and variational runtimes sum the cycles' timings.  A cycle
-    abort (all particles failing) marks the record failed instead of
-    raising, so sweeps can count and move on; the failing cycle's
-    counters, timings and per-solve arrays still count.
+    The run's RunContext is built once: the models, the truth's times and
+    observations, every particle's increments for the whole run, the
+    resampling stream, the settings and the root of the control keys.
+    The filter's cycle then runs as ``cycle(ensemble, ctx, k)`` for each
+    observation interval k.  ``runtime['total']`` covers the assimilation
+    loop only; generating the truth is timed separately since it is
+    shared by paired runs.  The control and variational runtimes sum the
+    cycles' timings.  A cycle abort (all particles failing) marks the
+    record failed instead of raising, so sweeps can count and move on;
+    the failing cycle's counters, timings and per-solve arrays still
+    count.
     """
     model = config.build_model()
     obs_model = config.build_obs_model()
@@ -455,7 +488,6 @@ def run_experiment(
     seed = config.seed
     ic = config.ic_index
     run = config.run_index
-    filter_code = FILTER_CODES[config.filter_name]
 
     tic_truth = time.perf_counter()
     if truth is None:
@@ -482,9 +514,30 @@ def run_experiment(
         noise[i] = sample_brownian_path(
             key_generator(key), total, d, config.dt
         )
-    resample_rng = stream_generator(
-        stream_sequence(seed, RESAMPLE, ic, run)
+    ctx = RunContext(
+        model=model,
+        obs_model=obs_model,
+        dt=config.dt,
+        times=truth.times,
+        observations=truth.observations,
+        noise=noise,
+        resample_rng=stream_generator(
+            stream_sequence(seed, RESAMPLE, ic, run)
+        ),
+        resample=config.resample,
+        resample_threshold=config.resample_threshold,
+        nudging=config.nudging,
+        variational=config.variational,
+        control=stream_key(
+            seed, CONTROL, FILTER_CODES[config.filter_name], ic, run
+        ),
     )
+    # looked up per call, so a wrapper set on this module's globals sees it
+    cycle = {
+        "pf": pf_assimilation_cycle,
+        "npf": npf_assimilation_cycle,
+        "var_npf": var_npf_assimilation_cycle,
+    }[config.filter_name]
 
     extent = {
         "time": total + 1, "step": total, "cycle": n_cycles, "particle": n,
@@ -513,37 +566,8 @@ def run_experiment(
     failure_message = None
 
     for k in range(n_cycles):
-        t0k = truth.times[k * span]
-        t1k = truth.times[(k + 1) * span]
-        # (n, span, d): this cycle's steps of the particles' increments
-        increments = noise[:, k * span:(k + 1) * span]
-        y_k = truth.observations[k]
         try:
-            if config.filter_name == "pf":
-                ens, diag = pf_assimilation_cycle(
-                    ens, model, obs_model, y_k, t0k, t1k, increments,
-                    config.dt, resample_rng,
-                    config.resample, config.resample_threshold,
-                )
-            else:
-                control_seqs = [
-                    stream_key(seed, CONTROL, filter_code, ic, run, k, i)
-                    for i in range(n)
-                ]
-                if config.filter_name == "npf":
-                    ens, diag = npf_assimilation_cycle(
-                        ens, model, obs_model, y_k, t0k, t1k,
-                        config.nudging, increments, config.dt,
-                        control_seqs, resample_rng,
-                        config.resample, config.resample_threshold,
-                    )
-                else:
-                    ens, diag = var_npf_assimilation_cycle(
-                        ens, model, obs_model, y_k, t0k, t1k,
-                        config.nudging, config.variational, increments,
-                        config.dt, control_seqs, resample_rng,
-                        config.resample, config.resample_threshold,
-                    )
+            ens, diag = cycle(ens, ctx, k)
         except CycleFailure as err:
             failed = True
             failure_message = f"cycle {k}: {err}"

@@ -13,6 +13,9 @@ with Psi the fundamental matrix of the drift linearized along eta.  The
 feedback control is u = (1/phi) R grad phi with R the diffusion matrix,
 and applying it tilts the path measure, which the weights must repay
 through the change-of-measure factor accumulated by rn_log_increment.
+
+npf_assimilation_cycle(ensemble, ctx, k), cycle k of the nudged filter
+on a bootstrap_pf.RunContext, steers toward observation k.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from .ensemble import (  # noqa: F401
     bayes_reweight,
     systematic_resample,
 )
-from .bootstrap_pf import _close_cycle, _interval_steps
+from .bootstrap_pf import RunContext, _close_cycle
 from .sde import RK4_STAGES, SdeModel, advect_particles, rk4_path, whole_steps
-from .seeding import KeySource, child_keys, key_generator
+from .seeding import child_keys, key_generator, stream_key
 # perfbench/layertrace.py still looks stream_generator up in this module
 from .seeding import stream_generator  # noqa: F401
 
@@ -60,6 +63,13 @@ def check_int(value, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
+def check_bool(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is a bool, so a switch given as a
+    string or a number fails at load instead of reading as truthy."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, not {value!r}")
+
+
 @dataclass(frozen=True)
 class NudgingConfig:
     """Knobs for the batch-adaptive control solver and the rollback rule."""
@@ -75,6 +85,8 @@ class NudgingConfig:
             check_int(getattr(self, name), name, 1)
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
+        if np.isnan(self.rollback_log_threshold):
+            raise ValueError("rollback_log_threshold must not be nan")
 
 
 @dataclass(frozen=True)
@@ -536,63 +548,53 @@ def rollback_test(candidate_log_increment: float, config: NudgingConfig) -> bool
 
 def _nudged_sweep(
     ensemble: ParticleEnsemble,
-    model: SdeModel,
-    obs_model: ObservationModel,
+    ctx: RunContext,
+    k: int,
     target_fn: Callable[[int, Array, Array], tuple[Array, float, dict, dict]],
     reweight_obs: Array,
-    t_start: float,
-    t_end: float,
-    config: NudgingConfig,
-    increments: Array,
-    dt: float,
-    control_seqs: Sequence[KeySource],
-    resample_rng: np.random.Generator,
-    resample: bool = True,
-    resample_threshold: float = 0.5,
 ) -> tuple[ParticleEnsemble, CycleDiagnostics]:
-    """Subinterval loop shared by the nudged cycles.
+    """Subinterval loop of cycle k, shared by the nudged cycles.
 
-    ``increments`` holds each particle's Wiener increments over the
-    interval, shape (n, S, d) with S steps of size ``dt``; subinterval j
-    advects along its slice of them.
-    ``target_fn(j, states, weights) -> (target_obs, horizon_end, counters,
-    timings)`` is consulted once per subinterval before the control
-    solves, so a guided cycle can refresh its target mid-interval; the
-    sweep sums the CycleDiagnostics counters and timings it reports (a
-    fit's work and seconds; empty when it did none).  The increments and
-    ``control_seqs`` are checked before its first call.  ``reweight_obs``
-    is read only at the terminal reweight, after the last target_fn call,
-    so it may be a view of a target that target_fn fills.  Each live
-    particle then solves for its control with adaptive_control, drawing
-    from its own stream, that of ``child_sequence(control_seqs[i], j)``;
-    only its derivation is batched, one child_keys call per cycle for
-    every particle and subinterval, and a key_generator per solve.  A
-    subinterval's solves advance together, one propagation pass per round
-    (see _solve_controls), and the sweep sums the work they report: the
-    realization steps used and spare, the passes, and their drift
-    evaluations.  ``drift_evals`` thus counts the rows times drift
-    evaluations of the guidance, of the solves and of the advection.  The
-    rollback candidates
-    -0.5 |sigma^T grad phi / phi|^2 dt_sub, step ratios and
-    change-of-measure increments of all live particles are arrays too,
-    each particle rounding as it would alone; each solve that did not floor
-    still meets its own rollback_test.  Controls are held constant within a
-    subinterval; the weights repay each applied control through the
-    accumulated change-of-measure factor at the terminal reweight.  The
-    sweep ends in bootstrap_pf._close_cycle, which adds the advection's
-    drift evaluations and keeps the cycle's work when it fails.
+    Subinterval j advects along its slice of the cycle's increments.
+    ``target_fn(j, states, weights) -> (target_obs, horizon_end,
+    counters, timings)`` is consulted once per subinterval, after the
+    increments are checked and before the control solves, so a guided
+    cycle can refresh its target mid-interval; the sweep sums the
+    CycleDiagnostics counters and timings it reports (a fit's work and
+    seconds; empty when it did none).  ``reweight_obs`` is read only at
+    the terminal reweight, so it may be a view of a target that target_fn
+    fills.  Each live particle i solves for its control with
+    adaptive_control, drawing from its own stream, child j of the
+    context's ``control`` root extended by (k, i); one child_keys call
+    derives every particle's and subinterval's key, and a key_generator
+    per solve seeds its Philox.  A subinterval's solves advance together,
+    one propagation pass per round (see _solve_controls), and the sweep
+    sums the work they report, so ``drift_evals`` counts the rows times
+    drift evaluations of the guidance, the solves and the advection.  The
+    rollback candidates -0.5 |sigma^T grad phi / phi|^2 dt_sub, step
+    ratios and change-of-measure increments of all live particles are
+    arrays, each particle rounding as it would alone; each solve that did
+    not floor still meets its own rollback_test.  Controls are held
+    constant within a subinterval; the weights repay each applied control
+    through the accumulated change-of-measure factor at the terminal
+    reweight, in bootstrap_pf._close_cycle, which also adds the
+    advection's drift evaluations and keeps the cycle's work when it
+    fails.
     """
-    n = ensemble.n_particles
-    d = ensemble.dimension
-    n_steps = _interval_steps(increments, ensemble, t_start, t_end, dt)
-    if len(control_seqs) != n:
-        raise ValueError("need one control stream per particle")
+    increments = ctx.increments(k, ensemble)
+    n, n_steps, d = increments.shape
+    model, config, dt = ctx.model, ctx.nudging, ctx.dt
     m_sub = config.subintervals
     if n_steps % m_sub:
         raise ValueError("steps per interval must divide into subintervals")
     sub_steps = n_steps // m_sub
     dt_sub = sub_steps * dt
-    keys = child_keys(control_seqs, m_sub)
+    t_start = ctx.bounds(k)[0]
+    root = ctx.control
+    keys = child_keys(
+        [stream_key(root.entropy, *root.spawn_key, k, i) for i in range(n)],
+        m_sub,
+    )
 
     states = np.array(ensemble.states)
     step_states = np.empty((n_steps + 1, n, d))
@@ -621,7 +623,7 @@ def _nudged_sweep(
         tic_c = time.perf_counter()
         live = np.flatnonzero(alive)
         estimates, work = _solve_controls(
-            model, obs_model, t_j, states[live], horizon_end, target_obs,
+            model, ctx.obs_model, t_j, states[live], horizon_end, target_obs,
             config, [key_generator(keys[i, j]) for i in live.tolist()], dt,
         )
         counters.update(work)
@@ -673,9 +675,8 @@ def _nudged_sweep(
         )
 
     return _close_cycle(
-        ensemble, step_states, np.flatnonzero(~alive).tolist(), obs_model,
-        reweight_obs, t_start, t_end, resample_rng, resample,
-        resample_threshold,
+        ensemble, ctx, k, step_states, np.flatnonzero(~alive).tolist(),
+        reweight_obs,
         # the run record keeps this work even when the cycle fails
         counters, timings,
         solves=dict(batches_used=batches_used, phi_floored=floors,
@@ -689,33 +690,18 @@ def _nudged_sweep(
 
 
 def npf_assimilation_cycle(
-    ensemble: ParticleEnsemble,
-    model: SdeModel,
-    obs_model: ObservationModel,
-    observation: Array,
-    t_start: float,
-    t_end: float,
-    config: NudgingConfig,
-    increments: Array,
-    dt: float,
-    control_seqs: Sequence[KeySource],
-    resample_rng: np.random.Generator,
-    resample: bool = True,
-    resample_threshold: float = 0.5,
+    ensemble: ParticleEnsemble, ctx: RunContext, k: int
 ) -> tuple[ParticleEnsemble, CycleDiagnostics]:
-    """Nudged particle filter over one observation interval.
+    """Cycle k of the nudged particle filter.
 
-    Every subinterval solves for a feedback control toward the upcoming
+    Every subinterval solves for a feedback control toward the cycle's
     observation over the whole remaining horizon, so early subintervals
-    integrate long realization bundles.  ``increments`` (n, S, d) and
-    ``dt`` are the particles' Wiener increments, as in the bootstrap cycle.
+    integrate long realization bundles.
     """
+    observation = ctx.observations[k]
+    t_end = ctx.bounds(k)[1]
 
     def target_fn(j, states, weights):
         return observation, t_end, {}, {}
 
-    return _nudged_sweep(
-        ensemble, model, obs_model, target_fn, observation,
-        t_start, t_end, config, increments, dt, control_seqs, resample_rng,
-        resample, resample_threshold,
-    )
+    return _nudged_sweep(ensemble, ctx, k, target_fn, observation)

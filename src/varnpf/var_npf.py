@@ -16,21 +16,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from .bootstrap_pf import RunContext
 from .diagnostics import CycleDiagnostics
-from .ensemble import (
-    ObservationModel,
-    ParticleEnsemble,
-    empirical_moments,
-)
+from .ensemble import ParticleEnsemble, empirical_moments
 from .nudging import (
-    NudgingConfig, _nudged_sweep, check_int, npf_assimilation_cycle,
+    _nudged_sweep, check_bool, check_int, npf_assimilation_cycle,
 )
-from .sde import SdeModel
-from .seeding import KeySource
 from .variational import (
     VariationalProblem,
     VariationalResult,
@@ -64,25 +58,17 @@ class VarNpfSettings:
         if not self.bound_sigmas > 0.0:
             raise ValueError("bound_sigmas must be positive")
         check_int(self.max_iterations, "max_iterations", 1)
+        for name in (
+            "resolve_per_subinterval", "reweight_with_pseudo",
+            "skip_variational",
+        ):
+            check_bool(getattr(self, name), name)
 
 
 def var_npf_assimilation_cycle(
-    ensemble: ParticleEnsemble,
-    model: SdeModel,
-    obs_model: ObservationModel,
-    observation: Array,
-    t_start: float,
-    t_end: float,
-    config: NudgingConfig,
-    settings: VarNpfSettings,
-    increments: Array,
-    dt: float,
-    control_seqs: Sequence[KeySource],
-    resample_rng: np.random.Generator,
-    resample: bool = True,
-    resample_threshold: float = 0.5,
+    ensemble: ParticleEnsemble, ctx: RunContext, k: int
 ) -> tuple[ParticleEnsemble, CycleDiagnostics]:
-    """One observation interval of the variationally guided nudged filter.
+    """Cycle k of the variationally guided nudged filter.
 
     Steps: pseudo observation targets -> per-subinterval one-step-ahead
     control solves -> terminal Bayes reweight with the change-of-measure
@@ -93,25 +79,24 @@ def var_npf_assimilation_cycle(
     from the fit's flow, and reports the fit's iterations, cost
     evaluations, flows, drift evaluations and seconds, which the sweep
     sums (into the CycleFailure of a failing cycle too).  The recorded
-    status and cost are the last fit's.  A stalled variational solve is recorded and its
-    best iterate used; the guidance does not have to be optimal to be
-    useful.  ``increments`` (n, S, d) and ``dt`` are the particles' Wiener
-    increments, as in the bootstrap cycle.
+    status and cost are the last fit's.  A stalled variational solve is
+    recorded and its best iterate used; the guidance does not have to be
+    optimal to be useful.  The settings are the context's
+    ``variational``; ``skip_variational`` makes the cycle the nudged
+    filter's, with the status "skipped".
     """
-    observation = np.asarray(observation, dtype=float)
-    m_sub = config.subintervals
-    dt_sub = (t_end - t_start) / m_sub
-
+    settings = ctx.variational
     if settings.skip_variational:
-        posterior, diag = npf_assimilation_cycle(
-            ensemble, model, obs_model, observation, t_start, t_end,
-            config, increments, dt, control_seqs, resample_rng,
-            resample, resample_threshold,
-        )
+        posterior, diag = npf_assimilation_cycle(ensemble, ctx, k)
         diag.variational_status = "skipped"
         diag.timings["variational"] = 0.0
         return posterior, diag
 
+    model, obs_model, dt = ctx.model, ctx.obs_model, ctx.dt
+    observation = ctx.observations[k]
+    t_start, t_end = ctx.bounds(k)
+    m_sub = ctx.nudging.subintervals
+    dt_sub = (t_end - t_start) / m_sub
     targets = np.empty((m_sub, observation.shape[-1]))
     fits: list[VariationalResult] = []
 
@@ -150,11 +135,7 @@ def var_npf_assimilation_cycle(
 
     # a view: the reweight reads the last target as the sweep left it
     reweight_obs = targets[-1] if settings.reweight_with_pseudo else observation
-    posterior, diag = _nudged_sweep(
-        ensemble, model, obs_model, target_fn, reweight_obs,
-        t_start, t_end, config, increments, dt, control_seqs,
-        resample_rng, resample, resample_threshold,
-    )
+    posterior, diag = _nudged_sweep(ensemble, ctx, k, target_fn, reweight_obs)
     diag.pseudo_targets = targets
     diag.variational_status = fits[-1].status
     diag.variational_cost = fits[-1].cost_opt

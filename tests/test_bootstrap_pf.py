@@ -9,7 +9,7 @@ from varnpf.ensemble import ObservationModel, ParticleEnsemble
 from varnpf.sde import IntegrationError, lorenz63, sample_brownian_path
 from varnpf.seeding import stream_generator, stream_sequence
 
-from oracle import one_row_path
+from oracle import cycle_context, one_row_path
 
 DT = 0.01
 
@@ -37,10 +37,10 @@ class TestCycle:
         rng = np.random.default_rng(0)
         ens = spread_ensemble(rng, 1)
         incs = make_increments(rng, 1)
-        post, diag = pf_assimilation_cycle(
-            ens, lorenz63(), make_obs(), np.array([0.0, 0.0, 25.0]),
-            0.0, 0.5, incs, DT, np.random.default_rng(1),
-        )
+        post, diag = pf_assimilation_cycle(ens, cycle_context(
+            lorenz63(), make_obs(), np.array([0.0, 0.0, 25.0]), incs,
+            np.random.default_rng(1),
+        ), 0)
         assert np.array_equal(post.weights, [1.0])
         assert diag.posterior_ness == 1.0
         assert not diag.resampled
@@ -51,11 +51,10 @@ class TestCycle:
         w = rng.dirichlet(np.ones(5))
         ens = ParticleEnsemble(states, w)
         incs = make_increments(rng, 5)
-        post, diag = pf_assimilation_cycle(
-            ens, lorenz63(), make_obs(scale=1e8), np.zeros(3),
-            0.0, 0.5, incs, DT, np.random.default_rng(3),
-            resample=False,
-        )
+        post, diag = pf_assimilation_cycle(ens, cycle_context(
+            lorenz63(), make_obs(scale=1e8), np.zeros(3), incs,
+            np.random.default_rng(3), resample=False,
+        ), 0)
         assert np.allclose(post.weights, w, atol=1e-6)
 
     def test_weights_unchanged_during_advection(self):
@@ -63,17 +62,18 @@ class TestCycle:
         ens = spread_ensemble(rng, 8)
         model, obs = lorenz63(), make_obs()
         resample_rng = np.random.default_rng(5)
-        incs1 = make_increments(rng, 8)
-        post1, diag1 = pf_assimilation_cycle(
-            ens, model, obs, np.array([0.0, 0.0, 25.0]),
-            0.0, 0.5, incs1, DT, resample_rng,
+        # two cycles, over [0, 0.5] and [0.5, 1]
+        ctx = cycle_context(
+            model, obs, [[0.0, 0.0, 25.0], [1.0, 1.0, 24.0]],
+            np.concatenate(
+                [make_increments(rng, 8), make_increments(rng, 8)], axis=1
+            ),
+            resample_rng,
         )
+        post1, diag1 = pf_assimilation_cycle(ens, ctx, 0)
         assert np.array_equal(diag1.carried_weights, ens.weights)
-        incs2 = make_increments(rng, 8)
-        post2, diag2 = pf_assimilation_cycle(
-            post1, model, obs, np.array([1.0, 1.0, 24.0]),
-            0.5, 1.0, incs2, DT, resample_rng,
-        )
+        post2, diag2 = pf_assimilation_cycle(post1, ctx, 1)
+        assert (diag2.t_start, diag2.t_end) == (0.5, 1.0)
         assert np.array_equal(diag2.carried_weights, post1.weights)
         assert np.isclose(
             diag2.prior_ness,
@@ -87,10 +87,9 @@ class TestCycle:
         y = np.array([2.0, -1.0, 24.0])
         out = []
         for _ in range(2):
-            post, diag = pf_assimilation_cycle(
-                ens, lorenz63(), make_obs(), y, 0.0, 0.5, incs, DT,
-                np.random.default_rng(7),
-            )
+            post, diag = pf_assimilation_cycle(ens, cycle_context(
+                lorenz63(), make_obs(), y, incs, np.random.default_rng(7),
+            ), 0)
             out.append((post.states, post.weights, diag.step_states))
         assert np.array_equal(out[0][0], out[1][0])
         assert np.array_equal(out[0][1], out[1][1])
@@ -109,10 +108,10 @@ class TestCycle:
             y = y + rng.multivariate_normal(np.zeros(3), obs.noise_cov)
             ens = spread_ensemble(rng, 10, center=truth)
             incs = make_increments(rng, 10)
-            post, diag = pf_assimilation_cycle(
-                ens, model, obs, y, 0.0, 0.5, incs, DT,
-                np.random.default_rng(8), resample=False,
-            )
+            post, diag = pf_assimilation_cycle(ens, cycle_context(
+                model, obs, y, incs, np.random.default_rng(8),
+                resample=False,
+            ), 0)
             assert diag.prior_ness == 10.0
             values.append(diag.posterior_ness / 10.0)
         mean_ness = float(np.mean(values))
@@ -127,10 +126,10 @@ class TestFailures:
         states[2] = [1e8, 1e8, 1e8]  # blows up inside one step
         ens = ParticleEnsemble(states, np.full(4, 0.25))
         incs = make_increments(rng, 4)
-        post, diag = pf_assimilation_cycle(
-            ens, lorenz63(), make_obs(), np.array([0.0, 0.0, 25.0]),
-            0.0, 0.5, incs, DT, np.random.default_rng(10), resample=False,
-        )
+        post, diag = pf_assimilation_cycle(ens, cycle_context(
+            lorenz63(), make_obs(), np.array([0.0, 0.0, 25.0]), incs,
+            np.random.default_rng(10), resample=False,
+        ), 0)
         assert diag.particle_failures == [2]
         assert post.weights[2] == 0.0
         assert np.isclose(post.weights.sum(), 1.0)
@@ -141,10 +140,10 @@ class TestFailures:
         rng = np.random.default_rng(11)
         incs = make_increments(rng, 3)
         with pytest.raises(CycleFailure):
-            pf_assimilation_cycle(
-                ens, lorenz63(), make_obs(), np.zeros(3),
-                0.0, 0.5, incs, DT, np.random.default_rng(12),
-            )
+            pf_assimilation_cycle(ens, cycle_context(
+                lorenz63(), make_obs(), np.zeros(3), incs,
+                np.random.default_rng(12),
+            ), 0)
 
     def test_advect_freezes_failed_particles(self):
         rng = np.random.default_rng(13)
@@ -227,9 +226,9 @@ class TestResampling:
         # a far observation makes one particle dominate
         y_far = np.array([40.0, 40.0, 80.0])
         r1 = np.random.default_rng(15)
-        post, diag = pf_assimilation_cycle(
-            ens, model, obs, y_far, 0.0, 0.5, make_increments(rng, 10), DT, r1
-        )
+        post, diag = pf_assimilation_cycle(ens, cycle_context(
+            model, obs, y_far, make_increments(rng, 10), r1
+        ), 0)
         assert diag.posterior_ness < 5.0
         assert diag.resampled
         assert np.array_equal(post.weights, np.full(10, 0.1))
@@ -239,20 +238,20 @@ class TestResampling:
         ens = spread_ensemble(rng, 10)
         r_used = np.random.default_rng(99)
         r_ref = np.random.default_rng(99)
-        post, diag = pf_assimilation_cycle(
-            ens, lorenz63(), make_obs(scale=1e8), np.zeros(3),
-            0.0, 0.5, make_increments(rng, 10), DT, r_used,
-        )
+        post, diag = pf_assimilation_cycle(ens, cycle_context(
+            lorenz63(), make_obs(scale=1e8), np.zeros(3),
+            make_increments(rng, 10), r_used,
+        ), 0)
         assert not diag.resampled
         assert r_used.random() == r_ref.random()
 
     def test_resample_disabled_is_respected(self):
         rng = np.random.default_rng(17)
         ens = spread_ensemble(rng, 10)
-        post, diag = pf_assimilation_cycle(
-            ens, lorenz63(), make_obs(), np.array([40.0, 40.0, 80.0]),
-            0.0, 0.5, make_increments(rng, 10), DT, np.random.default_rng(18),
+        post, diag = pf_assimilation_cycle(ens, cycle_context(
+            lorenz63(), make_obs(), np.array([40.0, 40.0, 80.0]),
+            make_increments(rng, 10), np.random.default_rng(18),
             resample=False,
-        )
+        ), 0)
         assert not diag.resampled
         assert not np.array_equal(post.weights, np.full(10, 0.1))

@@ -20,6 +20,23 @@ def write_config(tmp_path, **kwargs):
     return path
 
 
+def assert_config_error(tmp_path, capsys, text, key, command):
+    """``command`` on a var_npf config with ``text`` appended exits 1 with
+    a config error naming ``key``, before writing anything."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"filter_name: var_npf\nt_final: 0.5\n{text}\n")
+    out = tmp_path / "out"
+    argv = ["--config", str(path), "--out", str(out)]
+    if command == "mc":
+        argv += ["--runs", "1", "--filters", "pf"]
+    code = main([command, *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "config error" in captured.err
+    assert key in captured.err
+    assert not out.exists()
+
+
 class TestRunCommand:
     def test_run_writes_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=70)
@@ -229,18 +246,33 @@ class TestErrorPaths:
     def test_bad_integer_setting_exits_one(
         self, tmp_path, capsys, text, key, command
     ):
-        path = tmp_path / "bad.yaml"
-        path.write_text(f"filter_name: var_npf\nt_final: 0.5\n{text}\n")
-        out = tmp_path / "out"
-        argv = ["--config", str(path), "--out", str(out)]
-        if command == "mc":
-            argv += ["--runs", "1", "--filters", "pf"]
-        code = main([command, *argv])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "config error" in captured.err
-        assert key in captured.err
-        assert not out.exists()
+        assert_config_error(tmp_path, capsys, text, key, command)
+
+    @pytest.mark.parametrize("text, key", [
+        ("t_final: .inf", "t_final"),
+        ("dt: .nan", "dt"),
+        ("dt_obs: .inf", "dt_obs"),
+        ("obs_operator: [[1, 0, 0], [0, 1, 0]]", "obs_noise_cov"),
+        ("obs_operator: [1, 0, 0]", "obs_operator"),
+        ("obs_operator: [[1, 0], [0, 1]]\nobs_noise_cov: [[1, 0], [0, 1]]",
+         "obs_operator"),
+        ("ensemble_mean: [1.0, 2.0]", "ensemble_mean"),
+        ("truth_init: [a, b, c]", "truth_init"),
+        ("resample_threshold: .nan", "resample_threshold"),
+        ("nudging:\n  rollback_log_threshold: .nan", "rollback_log_threshold"),
+        ('resample: "false"', "resample"),
+        ("resample: 0", "resample"),
+        ("variational:\n  skip_variational: 1", "skip_variational"),
+        ('variational:\n  reweight_with_pseudo: "true"',
+         "reweight_with_pseudo"),
+        ("variational:\n  resolve_per_subinterval: yes_please",
+         "resolve_per_subinterval"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "mc"])
+    def test_malformed_setting_exits_one(
+        self, tmp_path, capsys, text, key, command
+    ):
+        assert_config_error(tmp_path, capsys, text, key, command)
 
     def test_negative_seed_override_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=70)

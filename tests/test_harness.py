@@ -2,10 +2,12 @@
 
 import dataclasses
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from varnpf import harness
 from varnpf.harness import (
     BENCHMARK_ICS,
     COUNTER,
@@ -32,6 +34,10 @@ from varnpf.var_npf import VarNpfSettings
 from oracle import one_row_path
 
 ZERO3 = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+CYCLES = (
+    "pf_assimilation_cycle", "npf_assimilation_cycle",
+    "var_npf_assimilation_cycle",
+)
 
 
 def quick_config(**kwargs):
@@ -78,6 +84,15 @@ class TestConfig:
             )
         with pytest.raises(ConfigError):
             ExperimentConfig(particles=0)
+
+    @pytest.mark.parametrize("threshold", [np.inf, -np.inf])
+    def test_infinite_thresholds_stay_legal(self, threshold):
+        cfg = ExperimentConfig.from_dict({
+            "resample_threshold": threshold,
+            "nudging": {"rollback_log_threshold": threshold},
+        })
+        assert cfg.resample_threshold == threshold
+        assert cfg.nudging.rollback_log_threshold == threshold
 
     def test_grid_properties(self):
         cfg = ExperimentConfig()
@@ -148,6 +163,21 @@ class TestRunExperiment:
         assert np.array_equal(a.step_states, b.step_states)
         assert np.array_equal(a.step_weights, b.step_weights)
         assert a.truth_digest == b.truth_digest
+
+    @pytest.mark.parametrize("filter_name", ["pf", "npf", "var_npf"])
+    def test_cycle_looked_up_at_call_time(self, monkeypatch, filter_name):
+        # a wrapper set on the module's globals after import sees every
+        # cycle, as layer tracers rely on
+        calls = Counter()
+        for name in CYCLES:
+            def counted(*args, _name=name, _cycle=getattr(harness, name)):
+                calls[_name] += 1
+                return _cycle(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        cfg = quick_config(filter_name=filter_name, t_final=1.0)
+        assert not run_experiment(cfg).failed
+        assert calls == {f"{filter_name}_assimilation_cycle": cfg.n_intervals}
 
     def test_observation_rows_hold_the_posterior(self):
         cfg = quick_config(seed=10, t_final=1.0)

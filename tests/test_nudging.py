@@ -44,10 +44,16 @@ from varnpf.sde import (
     sample_brownian_path,
     whole_steps,
 )
-from varnpf.seeding import child_sequence, stream_generator, stream_sequence
+from varnpf.seeding import (
+    CONTROL,
+    child_sequence,
+    stream_generator,
+    stream_key,
+    stream_sequence,
+)
 from varnpf.var_npf import VarNpfSettings, var_npf_assimilation_cycle
 
-from oracle import rk4_step
+from oracle import CYCLES, cycle_context, rk4_step
 
 
 def ou_model(rate=1.0, noise=1.0):
@@ -834,16 +840,21 @@ def _assert_same_cycle(got, want):
             assert repr(a) == repr(b), f.name
 
 
-def _nudged_sweep_oracle(
-    ensemble, model, obs_model, target_fn, reweight_obs, t_start, t_end,
-    config, increments, dt, control_seqs, resample_rng, resample=True,
-    resample_threshold=0.5,
-):
-    """The subinterval loop one particle at a time: each solve, its
-    rollback test, its step ratios and its change-of-measure increment on
-    their own, with the norms and sums written for one vector."""
+def _nudged_sweep_oracle(ensemble, ctx, k, target_fn, reweight_obs):
+    """The subinterval loop of cycle k one particle at a time: each solve,
+    its rollback test, its step ratios and its change-of-measure increment
+    on their own, with the norms and sums written for one vector.  It
+    reads the context's fields itself, and particle i's control stream in
+    subinterval j is child j of its own SeedSequence, the control root's
+    key extended by (k, i)."""
+    model, obs_model, config, dt = (
+        ctx.model, ctx.obs_model, ctx.nudging, ctx.dt
+    )
     n, d = ensemble.states.shape
-    n_steps = increments.shape[1]
+    n_steps = ctx.noise.shape[1] // len(ctx.observations)
+    increments = ctx.noise[:, k * n_steps:(k + 1) * n_steps]
+    t_start, t_end = ctx.times[k * n_steps], ctx.times[(k + 1) * n_steps]
+    root = ctx.control
     m_sub = config.subintervals
     sub_steps = n_steps // m_sub
     dt_sub = sub_steps * dt
@@ -872,7 +883,9 @@ def _nudged_sweep_oracle(
         sub_v = np.zeros((n, d))
         live = [i for i in range(n) if i not in failed]
         for i in live:
-            rng = stream_generator(child_sequence(control_seqs[i], j))
+            rng = stream_generator(child_sequence(
+                stream_sequence(root.entropy, *root.spawn_key, k, i), j
+            ))
             est = _adaptive_control_oracle(
                 model, obs_model, t_j, states[i], horizon_end, target_obs,
                 config, rng, dt,
@@ -940,8 +953,8 @@ def _nudged_sweep_oracle(
     )
     posterior_ness = effective_sample_size(posterior.weights)
     resampled = False
-    if resample and posterior_ness < resample_threshold * n:
-        posterior = systematic_resample(posterior, resample_rng.random())
+    if ctx.resample and posterior_ness < ctx.resample_threshold * n:
+        posterior = systematic_resample(posterior, ctx.resample_rng.random())
         resampled = True
     return posterior, CycleDiagnostics(
         t_start=t_start,
@@ -991,12 +1004,13 @@ class TestCycleOracle:
             [sample_brownian_path(rng, 25, 3, 0.01) for _ in range(6)]
         )
         y = obs.observe(center + np.array([2.0, -1.0, 1.5]))
-        seqs = [stream_sequence(13, 4, i) for i in range(6)]
-        args = (ens, model, obs, y, 0.0, 0.25, config)
-        tail = (incs, 0.01, seqs, np.random.default_rng(14))
+        ctx = cycle_context(
+            model, obs, y, incs, np.random.default_rng(14), nudging=config,
+            control=stream_key(13, CONTROL),
+        )
         if filter_name == "npf":
-            return npf_assimilation_cycle(*args, *tail)
-        return var_npf_assimilation_cycle(*args, VarNpfSettings(), *tail)
+            return npf_assimilation_cycle(ens, ctx, 0)
+        return var_npf_assimilation_cycle(ens, ctx, 0)
 
     @pytest.mark.parametrize("filter_name", ["npf", "var_npf"])
     @_EACH_OPERATOR
@@ -1280,15 +1294,17 @@ class TestConfigValidation:
 
 
 class TestIncrementCheck:
-    """Every cycle checks its (n, S, d) increments against the steps of
-    size dt that [t_start, t_end] holds."""
+    """A context checks its (n, T, d) increments against its time grid,
+    the model's dimension and its observation intervals once, when it is
+    built, and every cycle checks them against the ensemble it is
+    handed."""
 
     @pytest.mark.parametrize("filter_name", ["pf", "npf", "var_npf"])
     @pytest.mark.parametrize("shape, t_end", [
         ((4, 50, 3), 0.5),  # one particle short
         ((5, 40, 3), 0.5),  # too few steps
         ((5, 50, 2), 0.5),  # wrong dimension
-        ((5, 50, 3), 0.505),  # not a whole number of steps
+        ((5, 50, 3), 0.505),  # [0, t_end] needs a 51st, partial step
     ])
     def test_rejects_increments_off_the_interval(
         self, filter_name, shape, t_end
@@ -1299,23 +1315,25 @@ class TestIncrementCheck:
         )
         ens = ParticleEnsemble(states, np.full(5, 0.2))
         obs = ObservationModel(operator=np.eye(3), noise_cov=2.0 * np.eye(3))
-        args = (ens, lorenz63(), obs, np.array([0.0, 0.0, 25.0]), 0.0, t_end)
+        # the grid of [0, t_end]: steps of 0.01, the last one partial
+        times = np.append(np.arange(0.0, t_end - 1e-9, 0.01), t_end)
         incs = rng.normal(0.0, 0.1, size=shape)
-        seqs = [stream_sequence(43, 4, i) for i in range(5)]
-        resample_rng = np.random.default_rng(44)
-        message = "increments must be|whole number of steps"
-        with pytest.raises(ValueError, match=message):
-            if filter_name == "pf":
-                pf_assimilation_cycle(*args, incs, 0.01, resample_rng)
-            elif filter_name == "npf":
-                npf_assimilation_cycle(
-                    *args, NudgingConfig(), incs, 0.01, seqs, resample_rng
-                )
-            else:
-                var_npf_assimilation_cycle(
-                    *args, NudgingConfig(), VarNpfSettings(), incs, 0.01,
-                    seqs, resample_rng,
-                )
+        with pytest.raises(ValueError, match="increments must be"):
+            CYCLES[filter_name](ens, cycle_context(
+                lorenz63(), obs, np.array([0.0, 0.0, 25.0]), incs,
+                np.random.default_rng(44), times=times,
+                control=stream_key(43, CONTROL),
+            ), 0)
+
+    @pytest.mark.parametrize("observations", [3, 4, 7])
+    def test_rejects_steps_off_the_intervals(self, observations):
+        rng = np.random.default_rng(48)
+        with pytest.raises(ValueError, match="do not divide into"):
+            cycle_context(
+                lorenz63(), ObservationModel(np.eye(3), 2.0 * np.eye(3)),
+                np.zeros((observations, 3)), rng.normal(size=(5, 50, 3)),
+                np.random.default_rng(49),
+            )
 
     @pytest.mark.parametrize("resolve", [False, True])
     def test_var_npf_checks_before_the_variational_solve(
@@ -1332,13 +1350,13 @@ class TestIncrementCheck:
         ens = ParticleEnsemble(states, np.full(5, 0.2))
         obs = ObservationModel(operator=np.eye(3), noise_cov=2.0 * np.eye(3))
         settings = VarNpfSettings(resolve_per_subinterval=resolve)
+        ctx = cycle_context(
+            lorenz63(), obs, np.array([0.0, 0.0, 25.0]),
+            rng.normal(size=(4, 50, 3)), np.random.default_rng(47),
+            variational=settings, control=stream_key(46, CONTROL),
+        )
         with pytest.raises(ValueError, match="increments must be"):
-            var_npf_assimilation_cycle(
-                ens, lorenz63(), obs, np.array([0.0, 0.0, 25.0]), 0.0, 0.5,
-                NudgingConfig(), settings, rng.normal(size=(4, 50, 3)),
-                0.01, [stream_sequence(46, i) for i in range(5)],
-                np.random.default_rng(47),
-            )
+            var_npf_assimilation_cycle(ens, ctx, 0)
 
 
 class TestCycleReduction:
@@ -1355,16 +1373,14 @@ class TestCycleReduction:
         )
         y = np.array([0.0, 0.0, 25.0])
         config = NudgingConfig(rollback_log_threshold=np.inf)
-        seqs = [stream_sequence(40, 4, i) for i in range(5)]
 
-        post_pf, diag_pf = pf_assimilation_cycle(
-            ens, model, obs, y, 0.0, 0.5, incs, 0.01,
-            np.random.default_rng(41),
-        )
-        post_npf, diag_npf = npf_assimilation_cycle(
-            ens, model, obs, y, 0.0, 0.5, config, incs, 0.01, seqs,
-            np.random.default_rng(41),
-        )
+        post_pf, diag_pf = pf_assimilation_cycle(ens, cycle_context(
+            model, obs, y, incs, np.random.default_rng(41),
+        ), 0)
+        post_npf, diag_npf = npf_assimilation_cycle(ens, cycle_context(
+            model, obs, y, incs, np.random.default_rng(41), nudging=config,
+            control=stream_key(40, CONTROL),
+        ), 0)
         assert np.array_equal(post_pf.states, post_npf.states)
         assert np.array_equal(post_pf.weights, post_npf.weights)
         assert np.array_equal(diag_pf.step_states, diag_npf.step_states)

@@ -2,9 +2,9 @@
 
 run_experiment derives every particle's propagation key in one batch and
 draws its increments once for the whole run.  The reference below builds
-every stream from its own SeedSequence and draws each particle's
-increments afresh every cycle, and the records must agree bit for bit,
-including a run that fails part-way.
+every stream from its own SeedSequence, the control streams' root too,
+and draws each particle's increments afresh every cycle, and the records
+must agree bit for bit, including a run that fails part-way.
 """
 
 import dataclasses
@@ -12,7 +12,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from varnpf.bootstrap_pf import pf_assimilation_cycle
 from varnpf.diagnostics import CycleFailure
 from varnpf.ensemble import ParticleEnsemble
 from varnpf.harness import (
@@ -21,7 +20,6 @@ from varnpf.harness import (
     generate_truth_and_observations,
     run_experiment,
 )
-from varnpf.nudging import npf_assimilation_cycle
 from varnpf.sde import sample_brownian_path
 from varnpf.seeding import (
     CONTROL,
@@ -32,18 +30,18 @@ from varnpf.seeding import (
     stream_generator,
     stream_sequence,
 )
-from varnpf.var_npf import var_npf_assimilation_cycle
+
+from oracle import CYCLES, cycle_context
 
 
 def reference_run(config, truth):
     """step_states, step_weights, ensemble_mean and failure message of a
-    run that draws each particle's increments per cycle."""
+    run that draws each particle's increments per cycle and builds each
+    stream from its own SeedSequence."""
     model = config.build_model()
-    obs_model = config.build_obs_model()
     n, d = config.particles, model.dimension
     span, total = config.steps_per_interval, config.n_steps
     seed, ic, run = config.seed, config.ic_index, config.run_index
-    code = FILTER_CODES[config.filter_name]
     mean0 = np.asarray(
         config.truth_init if config.ensemble_mean is None
         else config.ensemble_mean,
@@ -58,39 +56,32 @@ def reference_run(config, truth):
         stream_generator(stream_sequence(seed, PROPAGATION, ic, run, i))
         for i in range(n)
     ]
-    resample_rng = stream_generator(stream_sequence(seed, RESAMPLE, ic, run))
+    # cycle k's steps of every particle, drawn cycle after cycle
+    noise = np.concatenate([
+        np.stack([
+            sample_brownian_path(rng, span, d, config.dt) for rng in prop_rngs
+        ])
+        for _ in range(config.n_intervals)
+    ], axis=1)
+    ctx = cycle_context(
+        model, config.build_obs_model(), truth.observations, noise,
+        stream_generator(stream_sequence(seed, RESAMPLE, ic, run)),
+        dt=config.dt, resample=config.resample,
+        resample_threshold=config.resample_threshold,
+        nudging=config.nudging, variational=config.variational,
+        control=stream_sequence(
+            seed, CONTROL, FILTER_CODES[config.filter_name], ic, run
+        ),
+    )
+    assert ctx.times.tobytes() == truth.times.tobytes()
+    cycle = CYCLES[config.filter_name]
     step_states = np.full((total + 1, n, d), np.nan)
     step_weights = np.full((total + 1, n), np.nan)
     step_states[0], step_weights[0] = ens.states, ens.weights
     failure = None
     for k in range(config.n_intervals):
-        t0, t1 = truth.times[k * span], truth.times[(k + 1) * span]
-        y = truth.observations[k]
-        increments = np.stack([
-            sample_brownian_path(rng, span, d, config.dt) for rng in prop_rngs
-        ])
-        seqs = [
-            stream_sequence(seed, CONTROL, code, ic, run, k, i)
-            for i in range(n)
-        ]
-        tail = (config.resample, config.resample_threshold)
         try:
-            if config.filter_name == "pf":
-                ens, diag = pf_assimilation_cycle(
-                    ens, model, obs_model, y, t0, t1, increments, config.dt,
-                    resample_rng, *tail,
-                )
-            elif config.filter_name == "npf":
-                ens, diag = npf_assimilation_cycle(
-                    ens, model, obs_model, y, t0, t1, config.nudging,
-                    increments, config.dt, seqs, resample_rng, *tail,
-                )
-            else:
-                ens, diag = var_npf_assimilation_cycle(
-                    ens, model, obs_model, y, t0, t1, config.nudging,
-                    config.variational, increments, config.dt, seqs,
-                    resample_rng, *tail,
-                )
+            ens, diag = cycle(ens, ctx, k)
         except CycleFailure as err:
             failure = f"cycle {k}: {err}"
             break

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from varnpf import var_npf
-from varnpf.bootstrap_pf import pf_assimilation_cycle
 from varnpf.diagnostics import CycleFailure
 from varnpf.ensemble import ObservationModel, ParticleEnsemble, empirical_moments
 from varnpf.nudging import NudgingConfig, npf_assimilation_cycle
 from varnpf.sde import SdeModel, lorenz63, sample_brownian_path
-from varnpf.seeding import CONTROL, stream_sequence
+from varnpf.seeding import CONTROL, stream_key
 from varnpf.var_npf import VarNpfSettings, var_npf_assimilation_cycle
 from varnpf.variational import (
     VariationalProblem,
     build_pseudo_path,
     minimize_cost,
 )
+
+from oracle import CYCLES, cycle_context
 
 DT = 0.01
 
@@ -38,26 +39,26 @@ def setup_cycle(seed=11, n=8):
     return model, obs_model, ensemble, incs, observation
 
 
-def control_seqs(seed, filter_code, n):
-    return [stream_sequence(seed, CONTROL, filter_code, 0, 0, 0, i)
-            for i in range(n)]
+def control_root(seed, filter_code):
+    """The control root of run (ic 0, run 0) of a filter: cycle 0 draws
+    particle i's control streams from stream_sequence(seed, CONTROL,
+    filter_code, 0, 0, 0, i)."""
+    return stream_key(seed, CONTROL, filter_code, 0, 0)
 
 
 class TestSkipVariationalReduction:
     def test_bitwise_equal_to_nudged_cycle(self):
         model, obs_model, ens, incs, y = setup_cycle()
-        config = NudgingConfig()
-        seqs = control_seqs(90, 1, ens.n_particles)
+        root = control_root(90, 1)
 
-        post_npf, diag_npf = npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config, incs, DT, seqs,
-            np.random.default_rng(91),
-        )
-        post_var, diag_var = var_npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(skip_variational=True), incs, DT, seqs,
-            np.random.default_rng(91),
-        )
+        post_npf, diag_npf = npf_assimilation_cycle(ens, cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(91),
+            control=root,
+        ), 0)
+        post_var, diag_var = var_npf_assimilation_cycle(ens, cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(91),
+            variational=VarNpfSettings(skip_variational=True), control=root,
+        ), 0)
         assert np.array_equal(post_npf.states, post_var.states)
         assert np.array_equal(post_npf.weights, post_var.weights)
         assert np.array_equal(diag_npf.log_rn, diag_var.log_rn)
@@ -71,19 +72,15 @@ class TestSkipVariationalReduction:
 class TestGuidedCycle:
     def test_short_horizons_cut_realization_steps(self):
         model, obs_model, ens, incs, y = setup_cycle()
-        config = NudgingConfig()
 
-        _, diag_npf = npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config, incs, DT,
-            control_seqs(92, 1, ens.n_particles),
-            np.random.default_rng(93),
-        )
-        _, diag_var = var_npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(), incs, DT,
-            control_seqs(92, 2, ens.n_particles),
-            np.random.default_rng(93),
-        )
+        _, diag_npf = npf_assimilation_cycle(ens, cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(93),
+            control=control_root(92, 1),
+        ), 0)
+        _, diag_var = var_npf_assimilation_cycle(ens, cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(93),
+            control=control_root(92, 2),
+        ), 0)
         assert 0 < diag_var.counters["realization_steps"] < (
             diag_npf.counters["realization_steps"]
         )
@@ -93,11 +90,11 @@ class TestGuidedCycle:
         config = NudgingConfig()
         settings = VarNpfSettings()
 
-        _, diag = var_npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config, settings, incs, DT,
-            control_seqs(94, 2, ens.n_particles),
-            np.random.default_rng(95),
-        )
+        _, diag = var_npf_assimilation_cycle(ens, cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(95),
+            nudging=config, variational=settings,
+            control=control_root(94, 2),
+        ), 0)
         moments = empirical_moments(ens)
         problem = VariationalProblem(
             model=model,
@@ -124,12 +121,10 @@ class TestGuidedCycle:
 
     def test_posterior_tracks_weighted_answer(self):
         model, obs_model, ens, incs, y = setup_cycle()
-        post, diag = var_npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, NudgingConfig(),
-            VarNpfSettings(), incs, DT,
-            control_seqs(96, 2, ens.n_particles),
-            np.random.default_rng(97),
-        )
+        post, diag = var_npf_assimilation_cycle(ens, cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(97),
+            control=control_root(96, 2),
+        ), 0)
         assert np.isclose(post.weights.sum(), 1.0)
         assert np.all(np.isfinite(post.states))
         assert diag.posterior_ness >= 1.0
@@ -141,12 +136,12 @@ class TestAblationFlags:
         config = NudgingConfig()
         outputs = []
         for flag in (False, True):
-            _, diag = var_npf_assimilation_cycle(
-                ens, model, obs_model, y, 0.0, 0.5, config,
-                VarNpfSettings(reweight_with_pseudo=flag), incs, DT,
-                control_seqs(98, 2, ens.n_particles),
-                np.random.default_rng(99), resample=False,
-            )
+            _, diag = var_npf_assimilation_cycle(ens, cycle_context(
+                model, obs_model, y, incs, np.random.default_rng(99),
+                nudging=config,
+                variational=VarNpfSettings(reweight_with_pseudo=flag),
+                control=control_root(98, 2), resample=False,
+            ), 0)
             outputs.append(diag)
         base, ablated = outputs
         # same controls, same noise: identical trajectories ...
@@ -167,18 +162,16 @@ class TestAblationFlags:
         monkeypatch.setattr(var_npf, "minimize_cost", recording_minimize)
         model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
-        _, once = var_npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(), incs, DT,
-            control_seqs(100, 2, ens.n_particles),
-            np.random.default_rng(101),
-        )
-        _, refreshed = var_npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(resolve_per_subinterval=True), incs, DT,
-            control_seqs(100, 2, ens.n_particles),
-            np.random.default_rng(101),
-        )
+        _, once = var_npf_assimilation_cycle(ens, cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(101),
+            nudging=config, control=control_root(100, 2),
+        ), 0)
+        _, refreshed = var_npf_assimilation_cycle(ens, cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(101),
+            nudging=config,
+            variational=VarNpfSettings(resolve_per_subinterval=True),
+            control=control_root(100, 2),
+        ), 0)
         # the first refit starts from the same moments over the same
         # interval as the single fit, so both agree bit for bit
         assert len(results) == 1 + config.subintervals
@@ -228,12 +221,12 @@ class TestAblationFlags:
         monkeypatch.setattr(var_npf, "build_pseudo_path", checked_build)
         model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
-        _, diag = var_npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(resolve_per_subinterval=resolve), incs, DT,
-            control_seqs(104, 2, ens.n_particles),
-            np.random.default_rng(105),
-        )
+        _, diag = var_npf_assimilation_cycle(ens, cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(105),
+            nudging=config,
+            variational=VarNpfSettings(resolve_per_subinterval=resolve),
+            control=control_root(104, 2),
+        ), 0)
         assert len(paths_built) == len(results) == (
             config.subintervals if resolve else 1
         )
@@ -257,12 +250,12 @@ class TestAblationFlags:
         monkeypatch.setattr(var_npf, "minimize_cost", recording_minimize)
         model, obs_model, ens, incs, y = setup_cycle()
         config = NudgingConfig()
-        _, diag = var_npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, config,
-            VarNpfSettings(resolve_per_subinterval=True), incs, DT,
-            control_seqs(102, 2, ens.n_particles),
-            np.random.default_rng(103),
-        )
+        _, diag = var_npf_assimilation_cycle(ens, cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(103),
+            nudging=config,
+            variational=VarNpfSettings(resolve_per_subinterval=True),
+            control=control_root(102, 2),
+        ), 0)
         assert len(results) == config.subintervals
         iterations = diag.counters["variational_iterations"]
         cost_evals = diag.counters["variational_cost_evals"]
@@ -301,21 +294,12 @@ class TestDriftEvals:
     @staticmethod
     def _cycle(filter_name, model, ens, settings=VarNpfSettings()):
         _, obs_model, _, incs, y = setup_cycle()
-        seqs = control_seqs(94, 2, ens.n_particles)
-        rng = np.random.default_rng(95)
-        if filter_name == "pf":
-            return pf_assimilation_cycle(
-                ens, model, obs_model, y, 0.0, 0.5, incs, DT, rng
-            )
-        if filter_name == "npf":
-            return npf_assimilation_cycle(
-                ens, model, obs_model, y, 0.0, 0.5, NudgingConfig(), incs,
-                DT, seqs, rng,
-            )
-        return var_npf_assimilation_cycle(
-            ens, model, obs_model, y, 0.0, 0.5, NudgingConfig(), settings,
-            incs, DT, seqs, rng,
+        ctx = cycle_context(
+            model, obs_model, y, incs, np.random.default_rng(95),
+            variational=settings or VarNpfSettings(),
+            control=control_root(94, 2),
         )
+        return CYCLES[filter_name](ens, ctx, 0)
 
     @pytest.mark.parametrize("filter_name, settings", [
         ("pf", None),
