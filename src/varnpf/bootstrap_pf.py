@@ -1,8 +1,7 @@
 """Bootstrap particle filter: advect, reweight, maybe resample.
 
-Every filter's cycle is ``cycle(ensemble, ctx, k) -> (ensemble,
-CycleDiagnostics)``: observation interval k of the run whose RunContext
-is ``ctx``.  All three end in _close_cycle.
+RunContext describes the cycle every filter shares; each ends in
+_close_cycle.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .sde import (  # noqa: F401
     SdeModel,
     advect_particles,
     integrate_path,
+    whole_steps,
 )
 from .seeding import KeySource
 
@@ -40,17 +40,19 @@ Array = np.ndarray
 class RunContext:
     """What every cycle of one run reads; run_experiment builds it once.
 
-    The run has T = len(times) - 1 steps of size ``dt`` and L =
-    len(observations) observation intervals of S = T / L steps each.
-    Cycle k runs from times[kS] to times[(k + 1)S], advects particle i
-    along its Wiener increments noise[i, kS:(k + 1)S] and assimilates
-    observations[k].  It resamples (systematic, one uniform draw from
-    ``resample_rng``) when ``resample`` is set and ESS <
+    Each filter's cycle is ``cycle(ensemble, ctx, k) -> (ensemble,
+    CycleDiagnostics)``.  The run's ``times`` are T steps of size ``dt``,
+    in L = len(observations) observation intervals of S = T / L steps
+    each.  Cycle k runs from times[kS] to times[(k + 1)S], advects
+    particle i along its Wiener increments noise[i, kS:(k + 1)S] and
+    assimilates observations[k].  It resamples (systematic, one uniform
+    draw from ``resample_rng``) when ``resample`` is set and ESS <
     ``resample_threshold`` * n.  The nudged cycles read ``nudging``, the
     guided one ``variational`` too, and particle i's control solves in
     cycle k draw from the children of ``control`` extended by (k, i).
-    Raises ValueError unless ``noise`` is (n, T, d), with d the model's
-    dimension, and T divides into the L intervals.
+    Raises ValueError unless ``times`` spans whole steps of ``dt``,
+    ``noise`` is (n, T, d), with d the model's dimension, and T divides
+    into the L intervals.
     """
 
     model: SdeModel
@@ -67,13 +69,18 @@ class RunContext:
     control: KeySource
 
     def __post_init__(self):
-        n_steps = len(self.times) - 1
+        t0, t1 = self.times[0], self.times[-1]
+        n_steps = whole_steps(t0, t1, self.dt)
+        if len(self.times) != n_steps + 1:
+            raise ValueError(
+                f"times must be the {n_steps + 1} points of [{t0}, {t1}] "
+                f"in steps of {self.dt}, got {len(self.times)}"
+            )
         want = (len(self.noise), n_steps, self.model.dimension)
         if np.shape(self.noise) != want:
             raise ValueError(
                 f"increments must be (particles, steps, dimension) = "
-                f"{want} for [{self.times[0]}, {self.times[-1]}], "
-                f"got {np.shape(self.noise)}"
+                f"{want} for [{t0}, {t1}], got {np.shape(self.noise)}"
             )
         if n_steps % len(self.observations):
             raise ValueError(

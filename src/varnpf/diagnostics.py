@@ -1,4 +1,4 @@
-"""What ``cycle(ensemble, ctx, k)`` of every filter reports or raises."""
+"""Per-cycle diagnostic records shared by all assimilation cycles."""
 
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ class CycleFailure(RuntimeError):
 class CycleDiagnostics:
     """Everything a cycle observed, enough to rebuild the error metrics.
 
-    ``t_start`` and ``t_end`` are the context's times[kS] and
-    times[(k + 1)S] of cycle k, with S steps per interval.
+    ``t_start`` and ``t_end`` are RunContext.bounds(k) of cycle k.
     ``step_states`` holds the advected trajectory at every integrator step,
     including both endpoints; the states at ``t_end`` are pre-update.  The
     nudging fields stay None for the plain bootstrap cycle.  ``counters``

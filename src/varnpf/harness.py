@@ -466,10 +466,8 @@ def run_experiment(
 ) -> ExperimentRecord:
     """Run one filter over the full horizon and collect every series.
 
-    The run's RunContext is built once: the models, the truth's times and
-    observations, every particle's increments for the whole run, the
-    resampling stream, the settings and the root of the control keys.
-    The filter's cycle then runs as ``cycle(ensemble, ctx, k)`` for each
+    The run's RunContext is built once, with every particle's increments
+    for the whole run, and the filter's cycle runs on it for each
     observation interval k.  ``runtime['total']`` covers the assimilation
     loop only; generating the truth is timed separately since it is
     shared by paired runs.  The control and variational runtimes sum the

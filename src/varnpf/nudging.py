@@ -13,9 +13,6 @@ with Psi the fundamental matrix of the drift linearized along eta.  The
 feedback control is u = (1/phi) R grad phi with R the diffusion matrix,
 and applying it tilts the path measure, which the weights must repay
 through the change-of-measure factor accumulated by rn_log_increment.
-
-npf_assimilation_cycle(ensemble, ctx, k), cycle k of the nudged filter
-on a bootstrap_pf.RunContext, steers toward observation k.
 """
 
 from __future__ import annotations
@@ -563,11 +560,10 @@ def _nudged_sweep(
     CycleDiagnostics counters and timings it reports (a fit's work and
     seconds; empty when it did none).  ``reweight_obs`` is read only at
     the terminal reweight, so it may be a view of a target that target_fn
-    fills.  Each live particle i solves for its control with
-    adaptive_control, drawing from its own stream, child j of the
-    context's ``control`` root extended by (k, i); one child_keys call
-    derives every particle's and subinterval's key, and a key_generator
-    per solve seeds its Philox.  A subinterval's solves advance together,
+    fills.  Each live particle solves for its control with
+    adaptive_control, drawing from its own stream (see RunContext); one
+    child_keys call derives every particle's and subinterval's key, and a
+    key_generator per solve seeds its Philox.  A subinterval's solves advance together,
     one propagation pass per round (see _solve_controls), and the sweep
     sums the work they report, so ``drift_evals`` counts the rows times
     drift evaluations of the guidance, the solves and the advection.  The

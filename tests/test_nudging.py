@@ -990,7 +990,8 @@ class TestCycleOracle:
     """
 
     @staticmethod
-    def _cycle(filter_name, config, operator):
+    def _cycle(filter_name, config, operator, k=0):
+        """Cycle k of a context with k + 1 cycles of 25 steps each."""
         model = lorenz63()
         obs = _OPERATORS[operator]
         rng = np.random.default_rng(12)
@@ -1000,17 +1001,25 @@ class TestCycleOracle:
         weights = np.full(6, 0.2)
         weights[4] = 1e-20
         ens = ParticleEnsemble(states, weights)
-        incs = np.stack(
-            [sample_brownian_path(rng, 25, 3, 0.01) for _ in range(6)]
-        )
+        incs = np.stack([
+            sample_brownian_path(rng, 25 * (k + 1), 3, 0.01)
+            for _ in range(6)
+        ])
         y = obs.observe(center + np.array([2.0, -1.0, 1.5]))
         ctx = cycle_context(
-            model, obs, y, incs, np.random.default_rng(14), nudging=config,
-            control=stream_key(13, CONTROL),
+            model, obs, [y] * (k + 1), incs, np.random.default_rng(14),
+            nudging=config, control=stream_key(13, CONTROL),
         )
         if filter_name == "npf":
-            return npf_assimilation_cycle(ens, ctx, 0)
-        return var_npf_assimilation_cycle(ens, ctx, 0)
+            return npf_assimilation_cycle(ens, ctx, k)
+        return var_npf_assimilation_cycle(ens, ctx, k)
+
+    @staticmethod
+    def _oracle_cycle(monkeypatch, *args):
+        with monkeypatch.context() as patched:
+            patched.setattr(nudging, "_nudged_sweep", _nudged_sweep_oracle)
+            patched.setattr(var_npf, "_nudged_sweep", _nudged_sweep_oracle)
+            return TestCycleOracle._cycle(*args)
 
     @pytest.mark.parametrize("filter_name", ["npf", "var_npf"])
     @_EACH_OPERATOR
@@ -1028,10 +1037,9 @@ class TestCycleOracle:
                 tolerance=0.03, rollback_log_threshold=threshold,
             )
             got = self._cycle(filter_name, config, operator)
-            with monkeypatch.context() as patched:
-                patched.setattr(nudging, "_nudged_sweep", _nudged_sweep_oracle)
-                patched.setattr(var_npf, "_nudged_sweep", _nudged_sweep_oracle)
-                want = self._cycle(filter_name, config, operator)
+            want = self._oracle_cycle(
+                monkeypatch, filter_name, config, operator
+            )
             _assert_same_cycle(got, want)
             diag = got[1]
             assert diag.particle_failures == [4]
@@ -1042,6 +1050,25 @@ class TestCycleOracle:
             assert not np.any(diag.phi_floored[:, live])
             if threshold == -30.0:
                 assert np.any(diag.control_applied)
+
+    @pytest.mark.parametrize("filter_name", ["npf", "var_npf"])
+    def test_second_cycle_matches_one_particle_loop(
+        self, monkeypatch, filter_name
+    ):
+        # cycle 1 has its own increments, times and control streams: the
+        # first cycle's controls, or cycle 0's streams, would differ
+        config = NudgingConfig(
+            batch_size=2, max_batches=3, tolerance=0.03,
+            rollback_log_threshold=-30.0,
+        )
+        got = self._cycle(filter_name, config, "identity", 1)
+        want = self._oracle_cycle(
+            monkeypatch, filter_name, config, "identity", 1
+        )
+        _assert_same_cycle(got, want)
+        assert got[1].t_start == 0.25 and got[1].t_end == 0.5
+        assert got[1].posterior.time == 0.5
+        assert np.any(got[1].control_applied)
 
 
 class TestCallsPerSolve:
@@ -1294,17 +1321,17 @@ class TestConfigValidation:
 
 
 class TestIncrementCheck:
-    """A context checks its (n, T, d) increments against its time grid,
-    the model's dimension and its observation intervals once, when it is
-    built, and every cycle checks them against the ensemble it is
-    handed."""
+    """A context checks its time grid against dt and its (n, T, d)
+    increments against the grid, the model's dimension and its
+    observation intervals once, when it is built, and every cycle checks
+    them against the ensemble it is handed."""
 
     @pytest.mark.parametrize("filter_name", ["pf", "npf", "var_npf"])
     @pytest.mark.parametrize("shape, t_end", [
         ((4, 50, 3), 0.5),  # one particle short
         ((5, 40, 3), 0.5),  # too few steps
         ((5, 50, 2), 0.5),  # wrong dimension
-        ((5, 50, 3), 0.505),  # [0, t_end] needs a 51st, partial step
+        ((5, 50, 3), 0.505),  # not a whole number of steps
     ])
     def test_rejects_increments_off_the_interval(
         self, filter_name, shape, t_end
@@ -1315,15 +1342,25 @@ class TestIncrementCheck:
         )
         ens = ParticleEnsemble(states, np.full(5, 0.2))
         obs = ObservationModel(operator=np.eye(3), noise_cov=2.0 * np.eye(3))
-        # the grid of [0, t_end]: steps of 0.01, the last one partial
-        times = np.append(np.arange(0.0, t_end - 1e-9, 0.01), t_end)
+        # 50 steps over [0, t_end], against dt 0.01
+        times = np.linspace(0.0, t_end, 51)
         incs = rng.normal(0.0, 0.1, size=shape)
-        with pytest.raises(ValueError, match="increments must be"):
+        message = "increments must be|whole number of steps"
+        with pytest.raises(ValueError, match=message):
             CYCLES[filter_name](ens, cycle_context(
                 lorenz63(), obs, np.array([0.0, 0.0, 25.0]), incs,
                 np.random.default_rng(44), times=times,
                 control=stream_key(43, CONTROL),
             ), 0)
+
+    def test_rejects_times_off_the_dt_grid(self):
+        # [0, 0.5] in 25 steps of 0.02 where dt is 0.01
+        with pytest.raises(ValueError, match="times must be the 51 points"):
+            cycle_context(
+                lorenz63(), ObservationModel(np.eye(3), 2.0 * np.eye(3)),
+                np.zeros(3), np.zeros((5, 25, 3)),
+                np.random.default_rng(49), times=np.linspace(0.0, 0.5, 26),
+            )
 
     @pytest.mark.parametrize("observations", [3, 4, 7])
     def test_rejects_steps_off_the_intervals(self, observations):

@@ -2,9 +2,12 @@
 
 run_experiment derives every particle's propagation key in one batch and
 draws its increments once for the whole run.  The reference below builds
-every stream from its own SeedSequence, the control streams' root too,
-and draws each particle's increments afresh every cycle, and the records
-must agree bit for bit, including a run that fails part-way.
+every stream from its own SeedSequence and draws each particle's
+increments afresh every cycle, and the records must agree bit for bit,
+including a run that fails part-way.  The nudged cycles derive their
+control keys from the context's root; the reference checks that cycle k
+asks for particle i's stream (seed; CONTROL, code, ic, run, k, i) and
+keys the solves from its own sequences.
 """
 
 import dataclasses
@@ -12,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from varnpf import nudging
 from varnpf.diagnostics import CycleFailure
 from varnpf.ensemble import ParticleEnsemble
 from varnpf.harness import (
@@ -42,6 +46,7 @@ def reference_run(config, truth):
     n, d = config.particles, model.dimension
     span, total = config.steps_per_interval, config.n_steps
     seed, ic, run = config.seed, config.ic_index, config.run_index
+    code = FILTER_CODES[config.filter_name]
     mean0 = np.asarray(
         config.truth_init if config.ensemble_mean is None
         else config.ensemble_mean,
@@ -69,22 +74,41 @@ def reference_run(config, truth):
         dt=config.dt, resample=config.resample,
         resample_threshold=config.resample_threshold,
         nudging=config.nudging, variational=config.variational,
-        control=stream_sequence(
-            seed, CONTROL, FILTER_CODES[config.filter_name], ic, run
-        ),
+        control=stream_sequence(seed, CONTROL, code, ic, run),
     )
     assert ctx.times.tobytes() == truth.times.tobytes()
     cycle = CYCLES[config.filter_name]
+    derive_keys = nudging.child_keys
+    keyed = []  # the cycles that asked for control keys
+
+    def own_keys(seqs, count):
+        k = len(keyed)
+        own = [
+            stream_sequence(seed, CONTROL, code, ic, run, k, i)
+            for i in range(n)
+        ]
+        assert [(s.entropy, tuple(s.spawn_key)) for s in seqs] == [
+            (s.entropy, s.spawn_key) for s in own
+        ], f"cycle {k} asked for other control streams"
+        keyed.append(k)
+        return derive_keys(own, count)
+
     step_states = np.full((total + 1, n, d), np.nan)
     step_weights = np.full((total + 1, n), np.nan)
     step_states[0], step_weights[0] = ens.states, ens.weights
     failure = None
     for k in range(config.n_intervals):
         try:
-            ens, diag = cycle(ens, ctx, k)
+            with pytest.MonkeyPatch.context() as patched:
+                patched.setattr(nudging, "child_keys", own_keys)
+                ens, diag = cycle(ens, ctx, k)
         except CycleFailure as err:
             failure = f"cycle {k}: {err}"
             break
+        finally:
+            # one key derivation per nudged cycle, cycle k's own
+            if config.filter_name != "pf":
+                assert keyed == list(range(k + 1))
         rows = slice(k * span + 1, (k + 1) * span + 1)
         step_states[rows] = diag.step_states[1:]
         step_states[(k + 1) * span] = diag.posterior.states
