@@ -46,8 +46,8 @@ class RunContext:
     each.  Cycle k runs from times[kS] to times[(k + 1)S], advects
     particle i along its Wiener increments noise[i, kS:(k + 1)S] and
     assimilates observations[k].  It resamples (systematic, one uniform
-    draw from ``resample_rng``) when ``resample`` is set and ESS <
-    ``resample_threshold`` * n.  The nudged cycles read ``nudging``, the
+    draw from ``resample_rng``) when ESS < ``resample_threshold`` * n, so
+    a threshold of 0 never does.  The nudged cycles read ``nudging``, the
     guided one ``variational`` too, and particle i's control solves in
     cycle k draw from the children of ``control`` extended by (k, i).
     Raises ValueError unless ``times`` spans whole steps of ``dt``,
@@ -62,7 +62,6 @@ class RunContext:
     observations: Array  # (L, m)
     noise: Array  # (n, T, d)
     resample_rng: np.random.Generator
-    resample: bool
     resample_threshold: float
     nudging: NudgingConfig
     variational: VarNpfSettings
@@ -180,7 +179,7 @@ def _close_cycle(
     posterior_ness = effective_sample_size(posterior.weights)
 
     resampled = False
-    if ctx.resample and posterior_ness < ctx.resample_threshold * n:
+    if posterior_ness < ctx.resample_threshold * n:
         posterior = systematic_resample(
             posterior, ctx.resample_rng.random()
         )

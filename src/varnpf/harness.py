@@ -14,7 +14,7 @@ import dataclasses
 import hashlib
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,9 +22,7 @@ import numpy as np
 from .bootstrap_pf import RunContext, pf_assimilation_cycle
 from .diagnostics import CycleDiagnostics, CycleFailure
 from .ensemble import ObservationModel, ParticleEnsemble
-from .nudging import (
-    NudgingConfig, check_bool, check_int, npf_assimilation_cycle,
-)
+from .nudging import NudgingConfig, check_int, npf_assimilation_cycle
 from .sde import (
     IntegrationError,
     L63Params,
@@ -104,6 +102,9 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "diffusion", _freeze(self.diffusion))
+        shape = _numeric_shape(self.diffusion, "diffusion")
+        if shape != (3, 3):
+            raise ConfigError(f"diffusion must have shape (3, 3), got {shape}")
 
     def build(self) -> SdeModel:
         return lorenz63(
@@ -134,7 +135,6 @@ class ExperimentConfig:
     ensemble_cov_scale: float = 2.0
     obs_operator: tuple = _IDENTITY3
     obs_noise_cov: tuple = _DEFAULT_OBS_COV
-    resample: bool = True
     resample_threshold: float = 0.5
     model: ModelConfig = ModelConfig()
     nudging: NudgingConfig = NudgingConfig()
@@ -160,7 +160,6 @@ class ExperimentConfig:
                 ("run_index", 0),
             ):
                 check_int(getattr(self, key), key, minimum)
-            check_bool(self.resample, "resample")
         except ValueError as err:
             raise ConfigError(str(err)) from None
         for key in ("dt", "dt_obs", "t_final"):
@@ -168,8 +167,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be positive and finite")
         if np.isnan(self.resample_threshold):
             raise ConfigError("resample_threshold must not be nan")
-        if self.ensemble_cov_scale <= 0.0:
-            raise ConfigError("ensemble_cov_scale must be positive")
+        if not 0.0 < self.ensemble_cov_scale < np.inf:
+            raise ConfigError("ensemble_cov_scale must be positive and finite")
         ratio = self.dt_obs / self.dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError("dt_obs must be a whole multiple of dt")
@@ -178,8 +177,12 @@ class ExperimentConfig:
             raise ConfigError("t_final must be a whole multiple of dt_obs")
         for key in ("truth_init", "ensemble_mean"):
             value = getattr(self, key)
-            if value is not None and _numeric_shape(value, key) != (3,):
+            if value is None:
+                continue
+            if _numeric_shape(value, key) != (3,):
                 raise ConfigError(f"{key} must have three components")
+            if not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ConfigError(f"{key} must be finite")
         operator = _numeric_shape(self.obs_operator, "obs_operator")
         if len(operator) != 2 or operator[1] != 3 or operator[0] < 1:
             raise ConfigError(
@@ -344,7 +347,6 @@ class ExperimentRecord:
     truth_digest: str
     failed: bool = False
     failure_message: str | None = None
-    cycles: list = field(default_factory=list)  # kept only on request
 
     def __getattr__(self, name):
         # only reached when the instance has no such attribute; __dict__
@@ -462,7 +464,6 @@ _SERIES_ATTRS = frozenset(s.attr for s in RECORD_SERIES)
 def run_experiment(
     config: ExperimentConfig,
     truth: TruthData | None = None,
-    keep_cycles: bool = False,
 ) -> ExperimentRecord:
     """Run one filter over the full horizon and collect every series.
 
@@ -522,7 +523,6 @@ def run_experiment(
         resample_rng=stream_generator(
             stream_sequence(seed, RESAMPLE, ic, run)
         ),
-        resample=config.resample,
         resample_threshold=config.resample_threshold,
         nudging=config.nudging,
         variational=config.variational,
@@ -559,7 +559,6 @@ def run_experiment(
     series["step_weights"][0] = ens.weights
     statuses: list = [None] * n_cycles
     runtime = dict(total=0.0, truth=truth_time, control=0.0, variational=0.0)
-    cycles: list[CycleDiagnostics] = []
     failed = False
     failure_message = None
 
@@ -589,8 +588,6 @@ def run_experiment(
                 if value is not None:
                     series[s.attr][rows[s.axes[0]]] = value
             statuses[k] = diag.variational_status
-            if keep_cycles:
-                cycles.append(diag)
             work = diag
         for attr in COUNTERS:
             if attr in series:
@@ -620,7 +617,6 @@ def run_experiment(
         truth_digest=truth.digest,
         failed=failed,
         failure_message=failure_message,
-        cycles=cycles,
     )
 
 

@@ -95,7 +95,6 @@ class ControlEstimate:
     grad_phi: Array
     realizations_used: int
     converged: bool
-    normalized_variation_history: tuple[float, ...]
     phi_floored: bool = False
 
     def __post_init__(self):
@@ -316,7 +315,8 @@ def adaptive_control(
     drift varies by orders of magnitude.
 
     A standalone call is a one-row call of _solve_controls, drawing every
-    batch from ``rng``.  ``first_pass`` is the solve's settled estimate
+    batch from ``rng``, which it leaves past the spare batches of the
+    solve's last round.  ``first_pass`` is the solve's settled estimate
     when a caller has already formed it together with other solves:
     _solve_controls returns each of its solves through this call, which
     then hands the estimate back unchanged.
@@ -343,30 +343,28 @@ def _solve_controls(
     """One adaptive_control solve per row of ``states``, each drawing from
     its own generator in ``rngs``, all of them in lockstep rounds.
 
-    Since convergence compares two estimates, no solve stops before its
-    second batch (unless ``max_batches`` is 1), so round 0 draws
-    min(2, max_batches) batches per solve, in one ``normal`` call, which
-    gives the bits of one call per batch.  Each later round looks ahead:
-    every solve that has not yet settled draws min(CONTROL_LOOKAHEAD,
-    max_batches - drawn) batches, each by its own ``normal`` call.  Each
-    round's batches propagate in one pass, each row from its own solve
-    point.  The round's batch counts are then scanned in order, as a
-    one-batch-at-a-time solve would meet them: at each count the solves
-    still running hold the same number of batches, so their estimates, the
-    normalized controls and the variations from the previous count are
-    formed as arrays.  A solve settles once its variation is within
-    ``tolerance`` or its batch budget is spent.  One that settles before
-    its round's last batch has its generator rewound to the state it had
-    before the next batch (kept as it drew), and the batches after it are
-    spare: propagated, never used.
+    Every round draws each unsettled solve's batches in one ``normal``
+    call, which gives the bits of one call per batch.  Since convergence
+    compares two estimates, no solve stops before its second batch (unless
+    ``max_batches`` is 1), so round 0 draws min(2, max_batches) batches per
+    solve; each later round looks ahead by min(CONTROL_LOOKAHEAD,
+    max_batches - drawn) batches.  Each round's batches propagate in one
+    pass, each row from its own solve point.  The round's batch counts are
+    then scanned in order, as a one-batch-at-a-time solve would meet them:
+    at each count the solves still running hold the same number of
+    batches, so their estimates, the normalized controls and the
+    variations from the previous count are formed as arrays.  A solve
+    settles once its variation is within ``tolerance`` or its batch budget
+    is spent; the batches its round drew after that count are spare:
+    propagated, never used, and its generator stays advanced past them.
 
-    Each generator therefore draws and keeps its solve's batches as a lone
-    solve would, each batch propagates bitwise as if alone, and every
-    reduction runs along one solve's own axis (the variation's root of
-    _squared_norms rounds as np.linalg.norm), so each solve's estimate
-    and generator state do not depend on which solves share its rounds
-    (given a drift that acts row by row, as Lorenz-63's does).  Each
-    estimate returns through its own adaptive_control call.
+    Each solve therefore uses the batches a one-batch-at-a-time solve
+    would draw from its generator, each batch propagates bitwise as if
+    alone, and every reduction runs along one solve's own axis (the
+    variation's root of _squared_norms rounds as np.linalg.norm), so each
+    solve's estimate and generator state do not depend on which solves
+    share its rounds (given a drift that acts row by row, as Lorenz-63's
+    does).  Each estimate returns through its own adaptive_control call.
 
     Also returns the solves' work as CycleDiagnostics counters:
     ``realization_steps`` of the realizations used and
@@ -390,7 +388,6 @@ def _solve_controls(
     floored = np.empty(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     batches = np.empty(n, dtype=int)
-    variations = []  # one (n,) column per comparison, nan where settled
     passes = spare = 0
 
     active = np.arange(n)
@@ -401,23 +398,10 @@ def _solve_controls(
     prev = None
     while active.size:
         increments = np.empty((active.size, k, b, n_steps, d))
-        # marks[i][q - 1]: solve i's generator state before the round's
-        # batch q; round 0 settles no solve before its last batch, so keeps
-        # none
-        marks = {}
         for r, i in enumerate(active.tolist()):
-            if not drawn:
-                increments[r] = rngs[i].normal(
-                    0.0, scale, size=(k, b, n_steps, d)
-                )
-                continue
-            marks[i] = []
-            for q in range(k):
-                if q:
-                    marks[i].append(rngs[i].bit_generator.state)
-                increments[r, q] = rngs[i].normal(
-                    0.0, scale, size=(b, n_steps, d)
-                )
+            increments[r] = rngs[i].normal(
+                0.0, scale, size=(k, b, n_steps, d)
+            )
         g_new, term_new = _misfit_terms(
             model, obs_model, np.repeat(x[active], k * b, axis=0),
             target_obs, increments.reshape(-1, b, n_steps, d), dt,
@@ -434,8 +418,6 @@ def _solve_controls(
             settled = np.full(active.size, drawn >= config.max_batches)
             if prev is not None:
                 deltas = np.sqrt(_squared_norms(normalized - prev))
-                variations.append(np.full(n, np.nan))
-                variations[-1][active] = deltas
                 converged[active] = deltas <= config.tolerance
                 settled |= converged[active]
             done = active[settled]
@@ -443,10 +425,7 @@ def _solve_controls(
                 part[settled] for part in est
             )
             batches[done] = drawn
-            if q < k - 1:  # back to before the batch after this one
-                for i in done.tolist():
-                    rngs[i].bit_generator.state = marks[i][q]
-                spare += (k - 1 - q) * done.size
+            spare += (k - 1 - q) * done.size
             keep = ~settled
             active, g, term = active[keep], g[keep], term[keep]
             prev = normalized[keep]
@@ -454,8 +433,6 @@ def _solve_controls(
                 break
         k = min(CONTROL_LOOKAHEAD, config.max_batches - drawn)
 
-    # a solve's variations are its first batches - 1 columns
-    history = np.array(variations).T.reshape(n, -1)
     used = int(batches.sum()) * b
     work = {
         "realization_steps": used * n_steps,
@@ -474,9 +451,6 @@ def _solve_controls(
                 grad_phi=grad[i],
                 realizations_used=int(batches[i]) * b,
                 converged=bool(converged[i]),
-                normalized_variation_history=tuple(
-                    history[i, : batches[i] - 1].tolist()
-                ),
                 phi_floored=bool(floored[i]),
             ),
         )

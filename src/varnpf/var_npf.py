@@ -22,9 +22,7 @@ import numpy as np
 from .bootstrap_pf import RunContext
 from .diagnostics import CycleDiagnostics
 from .ensemble import ParticleEnsemble, empirical_moments
-from .nudging import (
-    _nudged_sweep, check_bool, check_int, npf_assimilation_cycle,
-)
+from .nudging import _nudged_sweep, check_bool, check_int
 from .variational import (
     VariationalProblem,
     VariationalResult,
@@ -48,9 +46,6 @@ class VarNpfSettings:
     # terminal reweight against the pseudo observation instead of the
     # real one (ablation switch; the default keeps the true observation)
     reweight_with_pseudo: bool = False
-    # bypass the guidance entirely: full horizons toward the real
-    # observation, which reduces the cycle to the plain nudged filter
-    skip_variational: bool = False
 
     def __post_init__(self):
         if not self.regularization_eps > 0.0:
@@ -58,10 +53,7 @@ class VarNpfSettings:
         if not self.bound_sigmas > 0.0:
             raise ValueError("bound_sigmas must be positive")
         check_int(self.max_iterations, "max_iterations", 1)
-        for name in (
-            "resolve_per_subinterval", "reweight_with_pseudo",
-            "skip_variational",
-        ):
+        for name in ("resolve_per_subinterval", "reweight_with_pseudo"):
             check_bool(getattr(self, name), name)
 
 
@@ -82,16 +74,9 @@ def var_npf_assimilation_cycle(
     status and cost are the last fit's.  A stalled variational solve is
     recorded and its best iterate used; the guidance does not have to be
     optimal to be useful.  The settings are the context's
-    ``variational``; ``skip_variational`` makes the cycle the nudged
-    filter's, with the status "skipped".
+    ``variational``.
     """
     settings = ctx.variational
-    if settings.skip_variational:
-        posterior, diag = npf_assimilation_cycle(ensemble, ctx, k)
-        diag.variational_status = "skipped"
-        diag.timings["variational"] = 0.0
-        return posterior, diag
-
     model, obs_model, dt = ctx.model, ctx.obs_model, ctx.dt
     observation = ctx.observations[k]
     t_start, t_end = ctx.bounds(k)

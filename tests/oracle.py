@@ -34,14 +34,14 @@ def cycle_context(
     of ``observations`` (one observation vector makes one cycle).
 
     ``fields`` overrides the other RunContext fields, whose defaults are
-    dt 0.01, the grid 0, dt, .., T dt, resampling on at threshold 0.5,
-    default nudging and
-    variational settings, and the control root (seed 0; CONTROL), so
+    dt 0.01, the grid 0, dt, .., T dt, resampling below an ESS of half
+    the particles (``resample_threshold=0.0`` turns it off), default
+    nudging and variational settings, and the control root (seed 0; CONTROL), so
     particle i's control streams in cycle k are the children of
     ``stream_sequence(0, CONTROL, k, i)``.
     """
     fields = {
-        "dt": 0.01, "resample": True, "resample_threshold": 0.5,
+        "dt": 0.01, "resample_threshold": 0.5,
         "nudging": NudgingConfig(), "variational": VarNpfSettings(),
         "control": stream_key(0, CONTROL), **fields,
     }

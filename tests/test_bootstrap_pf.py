@@ -9,7 +9,7 @@ from varnpf.ensemble import ObservationModel, ParticleEnsemble
 from varnpf.sde import IntegrationError, lorenz63, sample_brownian_path
 from varnpf.seeding import stream_generator, stream_sequence
 
-from oracle import cycle_context, one_row_path
+from oracle import CYCLES, cycle_context, one_row_path
 
 DT = 0.01
 
@@ -53,7 +53,7 @@ class TestCycle:
         incs = make_increments(rng, 5)
         post, diag = pf_assimilation_cycle(ens, cycle_context(
             lorenz63(), make_obs(scale=1e8), np.zeros(3), incs,
-            np.random.default_rng(3), resample=False,
+            np.random.default_rng(3), resample_threshold=0.0,
         ), 0)
         assert np.allclose(post.weights, w, atol=1e-6)
 
@@ -110,7 +110,7 @@ class TestCycle:
             incs = make_increments(rng, 10)
             post, diag = pf_assimilation_cycle(ens, cycle_context(
                 model, obs, y, incs, np.random.default_rng(8),
-                resample=False,
+                resample_threshold=0.0,
             ), 0)
             assert diag.prior_ness == 10.0
             values.append(diag.posterior_ness / 10.0)
@@ -128,7 +128,7 @@ class TestFailures:
         incs = make_increments(rng, 4)
         post, diag = pf_assimilation_cycle(ens, cycle_context(
             lorenz63(), make_obs(), np.array([0.0, 0.0, 25.0]), incs,
-            np.random.default_rng(10), resample=False,
+            np.random.default_rng(10), resample_threshold=0.0,
         ), 0)
         assert diag.particle_failures == [2]
         assert post.weights[2] == 0.0
@@ -251,7 +251,42 @@ class TestResampling:
         post, diag = pf_assimilation_cycle(ens, cycle_context(
             lorenz63(), make_obs(), np.array([40.0, 40.0, 80.0]),
             make_increments(rng, 10), np.random.default_rng(18),
-            resample=False,
+            resample_threshold=0.0,
         ), 0)
         assert not diag.resampled
         assert not np.array_equal(post.weights, np.full(10, 0.1))
+
+    @pytest.mark.parametrize("threshold", [0.0, -np.inf])
+    @pytest.mark.parametrize("filter_name", sorted(CYCLES))
+    def test_no_positive_threshold_never_resamples(
+        self, filter_name, threshold
+    ):
+        # a three-cycle run that resamples at the default threshold
+        # resamples in no cycle at 0 or below, and draws nothing from the
+        # resampling stream
+        rng = np.random.default_rng(19)
+        model = lorenz63()
+        center = np.array([1.508870, -1.531271, 25.46091])
+        truth = one_row_path(
+            model, center, np.zeros(3), make_increments(rng, 1, 150)[0], DT
+        )
+        ens = spread_ensemble(rng, 8, center=center)
+        incs = make_increments(rng, 8, 150)
+
+        def run(resample_rng, **fields):
+            ctx = cycle_context(
+                model, make_obs(), truth[50::50], incs, resample_rng,
+                **fields,
+            )
+            post, resampled = ens, []
+            for k in range(3):
+                post, diag = CYCLES[filter_name](post, ctx, k)
+                resampled.append(diag.resampled)
+            return resampled
+
+        assert any(run(np.random.default_rng(20)))
+        used = np.random.default_rng(20)
+        assert not any(run(used, resample_threshold=threshold))
+        assert used.bit_generator.state == (
+            np.random.default_rng(20).bit_generator.state
+        )

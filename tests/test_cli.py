@@ -260,12 +260,22 @@ class TestErrorPaths:
         ("truth_init: [a, b, c]", "truth_init"),
         ("resample_threshold: .nan", "resample_threshold"),
         ("nudging:\n  rollback_log_threshold: .nan", "rollback_log_threshold"),
+        ("ensemble_cov_scale: .inf", "ensemble_cov_scale"),
+        ("model:\n  diffusion: [[2, 1], [1, 2]]", "diffusion"),
+        ("truth_init: [.nan, -1.5, 25.0]", "truth_init"),
+        ("ensemble_mean: [1.5, .inf, 25.0]", "ensemble_mean"),
+        # removed switches: unknown keys
         ('resample: "false"', "resample"),
         ("resample: 0", "resample"),
         ("variational:\n  skip_variational: 1", "skip_variational"),
         ('variational:\n  reweight_with_pseudo: "true"',
          "reweight_with_pseudo"),
         ("variational:\n  resolve_per_subinterval: yes_please",
+         "resolve_per_subinterval"),
+        ('variational:\n  resolve_per_subinterval: "false"',
+         "resolve_per_subinterval"),
+        ("variational:\n  reweight_with_pseudo: 0", "reweight_with_pseudo"),
+        ("variational:\n  resolve_per_subinterval: 1",
          "resolve_per_subinterval"),
     ])
     @pytest.mark.parametrize("command", ["run", "mc"])

@@ -40,6 +40,20 @@ CYCLES = (
 )
 
 
+def run_keeping_cycles(monkeypatch, cfg):
+    """run_experiment(cfg), and the CycleDiagnostics of every cycle that
+    returned, caught by wrapping the harness's cycle names."""
+    cycles = []
+    for name in CYCLES:
+        def kept(*args, _cycle=getattr(harness, name)):
+            ensemble, diag = _cycle(*args)
+            cycles.append(diag)
+            return ensemble, diag
+
+        monkeypatch.setattr(harness, name, kept)
+    return run_experiment(cfg), cycles
+
+
 def quick_config(**kwargs):
     kwargs.setdefault("particles", 4)
     kwargs.setdefault("t_final", 0.5)
@@ -179,11 +193,11 @@ class TestRunExperiment:
         assert not run_experiment(cfg).failed
         assert calls == {f"{filter_name}_assimilation_cycle": cfg.n_intervals}
 
-    def test_observation_rows_hold_the_posterior(self):
+    def test_observation_rows_hold_the_posterior(self, monkeypatch):
         cfg = quick_config(seed=10, t_final=1.0)
-        record = run_experiment(cfg, keep_cycles=True)
-        assert len(record.cycles) == 2
-        for k, diag in enumerate(record.cycles):
+        record, cycles = run_keeping_cycles(monkeypatch, cfg)
+        assert len(cycles) == 2
+        for k, diag in enumerate(cycles):
             row = (k + 1) * 50
             assert np.array_equal(
                 record.step_states[row], diag.posterior.states
@@ -191,7 +205,6 @@ class TestRunExperiment:
             assert np.array_equal(
                 record.step_weights[row], diag.posterior.weights
             )
-        assert record.cycles == [] or run_experiment(cfg).cycles == []
 
     def test_ensemble_mean_is_weighted(self):
         record = run_experiment(quick_config(seed=11))
@@ -381,13 +394,12 @@ class TestCounterDeclarations:
             assert averages[f"avg_{s.attr}"] == getattr(row, s.attr) > 0
 
     @pytest.mark.parametrize("name", ["pf", "npf", "var_npf"])
-    def test_every_cycle_counter_is_declared(self, name):
-        record = run_experiment(
-            quick_config(filter_name=name, seed=19, t_final=1.0),
-            keep_cycles=True,
+    def test_every_cycle_counter_is_declared(self, monkeypatch, name):
+        _, cycles = run_keeping_cycles(
+            monkeypatch, quick_config(filter_name=name, seed=19, t_final=1.0)
         )
-        assert len(record.cycles) == 2
-        for diag in record.cycles:
+        assert len(cycles) == 2
+        for diag in cycles:
             assert diag.counters
             assert set(diag.counters) <= set(COUNTERS)
 

@@ -291,18 +291,25 @@ class TestAdaptiveBatching:
         assert np.array_equal(est.grad_phi, grad)
 
     def test_history_tracks_convergence(self):
+        # the solve stops at the first batch count whose variation is
+        # within tolerance: capped one batch short of it, the same stream
+        # never converges
         model, obs = ou_model(), obs_1d()
         config = NudgingConfig(tolerance=0.05, max_batches=200)
-        rng = stream_generator(stream_sequence(34, 0))
-        est = adaptive_control(
-            model, obs, 0.0, np.array([0.2]), 0.5, np.array([1.0]),
-            config, rng, 0.01,
-        )
+
+        def solve(config):
+            return adaptive_control(
+                model, obs, 0.0, np.array([0.2]), 0.5, np.array([1.0]),
+                config, stream_generator(stream_sequence(34, 0)), 0.01,
+            )
+
+        est = solve(config)
         assert est.converged
-        assert est.normalized_variation_history[-1] <= 0.05
-        assert all(
-            d > 0.05 for d in est.normalized_variation_history[:-1]
-        )
+        batches = est.realizations_used // config.batch_size
+        assert 2 < batches < config.max_batches
+        capped = solve(dataclasses.replace(config, max_batches=batches - 1))
+        assert not capped.converged
+        assert capped.realizations_used == (batches - 1) * config.batch_size
 
 
 def _propagate_oracle(model, x, increments, dt):
@@ -364,7 +371,6 @@ def _adaptive_control_oracle(
         denom = 1.0
     g_all = np.empty(0)
     term_all = np.empty((0, d))
-    history = []
     prev_normalized = None
     converged = False
     batches = 0
@@ -388,7 +394,6 @@ def _adaptive_control_oracle(
         normalized = control / denom
         if prev_normalized is not None:
             delta = float(np.linalg.norm(normalized - prev_normalized))
-            history.append(delta)
             if delta <= config.tolerance:
                 converged = True
                 break
@@ -399,7 +404,6 @@ def _adaptive_control_oracle(
         grad_phi=grad,
         realizations_used=batches * config.batch_size,
         converged=converged,
-        normalized_variation_history=tuple(history),
         phi_floored=floored,
     )
 
@@ -572,13 +576,11 @@ class TestAdaptiveControlOracle:
             assert est.grad_phi.tobytes() == want.grad_phi.tobytes()
             assert est.realizations_used == want.realizations_used
             assert est.converged == want.converged
-            assert (
-                est.normalized_variation_history
-                == want.normalized_variation_history
-            )
             assert est.phi_floored == want.phi_floored
+            n_steps = whole_steps(0.0, horizon, dt)
             assert _same_state(
-                rng.bit_generator.state, rng_oracle.bit_generator.state
+                rng.bit_generator.state,
+                _past_spare(rng_oracle, want, config, n_steps, dt),
             )
             seen["floored"] += est.phi_floored
             seen["unconverged"] += not est.converged
@@ -610,9 +612,6 @@ def _assert_same_estimate(est, want):
     assert est.grad_phi.tobytes() == want.grad_phi.tobytes()
     assert est.realizations_used == want.realizations_used
     assert est.converged == want.converged
-    assert (
-        est.normalized_variation_history == want.normalized_variation_history
-    )
     assert est.phi_floored == want.phi_floored
 
 
@@ -638,6 +637,18 @@ def _drawn(used, max_batches):
     return min(max_batches, first + CONTROL_LOOKAHEAD * rounds)
 
 
+def _past_spare(rng, est, config, n_steps, dt):
+    """The state of the one-batch loop's generator ``rng``, after its
+    solve ``est`` over ``n_steps`` steps, once it also draws the spare
+    batches of the solve's last look-ahead round."""
+    used = est.realizations_used // config.batch_size
+    spare = _drawn(used, config.max_batches) - used
+    rng.normal(0.0, np.sqrt(dt), size=(
+        spare, config.batch_size, n_steps, len(est.control)
+    ))
+    return rng.bit_generator.state
+
+
 def _counting_passes(monkeypatch):
     """Count the control solves' propagation passes (_misfit_terms calls)."""
     calls = []
@@ -653,7 +664,8 @@ def _counting_passes(monkeypatch):
 
 class TestStackedSolves:
     """A subinterval's solves, propagated together round by round, equal
-    one-at-a-time solves bit for bit, generator states included.
+    one-at-a-time solves bit for bit, generator states included once the
+    one-at-a-time generators also draw the spare batches.
 
     Sixty solves per case on twelve Lorenz-63 points, one of them at 1e8
     (its realizations blow up, so its value function floors), toward five
@@ -724,7 +736,8 @@ class TestStackedSolves:
             ):
                 _assert_same_estimate(est, want_est)
                 assert _same_state(
-                    rng.bit_generator.state, rng_oracle.bit_generator.state
+                    rng.bit_generator.state,
+                    _past_spare(rng_oracle, want_est, config, n_steps, dt),
                 )
                 seen["floored"] += est.phi_floored
                 seen["unconverged"] += not est.converged
@@ -734,7 +747,7 @@ class TestStackedSolves:
         assert seen["floored"] >= 5
         if max_batches == 50:
             # some solves settled before their round's last batch, so
-            # their generators were rewound
+            # their generators went on past spare batches
             assert seen["converged_late"] >= 5 and seen["spare"] > 0
         else:
             assert seen["unconverged"] >= 5
@@ -953,7 +966,7 @@ def _nudged_sweep_oracle(ensemble, ctx, k, target_fn, reweight_obs):
     )
     posterior_ness = effective_sample_size(posterior.weights)
     resampled = False
-    if ctx.resample and posterior_ness < ctx.resample_threshold * n:
+    if posterior_ness < ctx.resample_threshold * n:
         posterior = systematic_resample(posterior, ctx.resample_rng.random())
         resampled = True
     return posterior, CycleDiagnostics(

@@ -71,8 +71,7 @@ def reference_run(config, truth):
     ctx = cycle_context(
         model, config.build_obs_model(), truth.observations, noise,
         stream_generator(stream_sequence(seed, RESAMPLE, ic, run)),
-        dt=config.dt, resample=config.resample,
-        resample_threshold=config.resample_threshold,
+        dt=config.dt, resample_threshold=config.resample_threshold,
         nudging=config.nudging, variational=config.variational,
         control=stream_sequence(seed, CONTROL, code, ic, run),
     )

@@ -46,29 +46,6 @@ def control_root(seed, filter_code):
     return stream_key(seed, CONTROL, filter_code, 0, 0)
 
 
-class TestSkipVariationalReduction:
-    def test_bitwise_equal_to_nudged_cycle(self):
-        model, obs_model, ens, incs, y = setup_cycle()
-        root = control_root(90, 1)
-
-        post_npf, diag_npf = npf_assimilation_cycle(ens, cycle_context(
-            model, obs_model, y, incs, np.random.default_rng(91),
-            control=root,
-        ), 0)
-        post_var, diag_var = var_npf_assimilation_cycle(ens, cycle_context(
-            model, obs_model, y, incs, np.random.default_rng(91),
-            variational=VarNpfSettings(skip_variational=True), control=root,
-        ), 0)
-        assert np.array_equal(post_npf.states, post_var.states)
-        assert np.array_equal(post_npf.weights, post_var.weights)
-        assert np.array_equal(diag_npf.log_rn, diag_var.log_rn)
-        assert np.array_equal(diag_npf.step_states, diag_var.step_states)
-        assert (diag_npf.counters["realization_steps"]
-                == diag_var.counters["realization_steps"])
-        assert diag_var.variational_status == "skipped"
-        assert diag_var.timings["variational"] == 0.0
-
-
 class TestGuidedCycle:
     def test_short_horizons_cut_realization_steps(self):
         model, obs_model, ens, incs, y = setup_cycle()
@@ -140,7 +117,7 @@ class TestAblationFlags:
                 model, obs_model, y, incs, np.random.default_rng(99),
                 nudging=config,
                 variational=VarNpfSettings(reweight_with_pseudo=flag),
-                control=control_root(98, 2), resample=False,
+                control=control_root(98, 2), resample_threshold=0.0,
             ), 0)
             outputs.append(diag)
         base, ablated = outputs
@@ -306,8 +283,7 @@ class TestDriftEvals:
         ("npf", None),
         ("var_npf", VarNpfSettings()),
         ("var_npf", VarNpfSettings(resolve_per_subinterval=True)),
-        ("var_npf", VarNpfSettings(skip_variational=True)),
-    ], ids=["pf", "npf", "var_npf", "var_npf_refit", "var_npf_skipped"])
+    ], ids=["pf", "npf", "var_npf", "var_npf_refit"])
     def test_counts_every_drift_row(self, filter_name, settings):
         ens = setup_cycle()[2]
         rows = []
