@@ -84,6 +84,18 @@ def _numeric_shape(value, key: str) -> tuple:
         raise ConfigError(f"{key} must be a numeric array") from None
 
 
+def _positive_definite(matrix: Array) -> bool:
+    """Whether a square matrix is finite, symmetric and has a Cholesky
+    factor."""
+    if not (np.isfinite(matrix).all() and np.array_equal(matrix, matrix.T)):
+        return False
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _freeze(value):
     """Recursively turn lists into tuples so configs compare and hash."""
     if isinstance(value, (list, tuple)):
@@ -105,6 +117,14 @@ class ModelConfig:
         shape = _numeric_shape(self.diffusion, "diffusion")
         if shape != (3, 3):
             raise ConfigError(f"diffusion must have shape (3, 3), got {shape}")
+        for key in ("alpha", "gamma", "beta"):
+            if not np.isfinite(float(getattr(self, key))):
+                raise ConfigError(f"{key} must be finite")
+        diffusion = np.asarray(self.diffusion, dtype=float)
+        if np.any(diffusion) and not _positive_definite(diffusion):
+            raise ConfigError(
+                "diffusion must be all zero or symmetric positive definite"
+            )
 
     def build(self) -> SdeModel:
         return lorenz63(

@@ -126,59 +126,59 @@ def _propagate_with_sensitivity(
     than the drift-only flow.  The realizations run first (by rk4_path),
     and their (S + 1, k * b, d) path is kept, so the Jacobians take two
     calls per pass: one at every path state, which serves as one step's end
-    and the next step's start, and one at every chord midpoint.  The Psi
-    steps then read them; their stacked 3x3 products stay np.matmul, which
-    an explicit sum of three terms would round differently.  Each Psi step
-    writes its products, scalings and sums into five (k * b, d, d) buffers
-    allocated once per pass, in the order the RK4 formula reads, so it
-    rounds as the same expression with fresh arrays would.  The noise term
-    is a matrix product, which rounds differently for different row
-    counts; one stacked matmul over the increments multiplies each (b, d)
-    batch on its own, so it rounds as a batch alone does.  When the drift
-    and its Jacobian act row by row (as the Lorenz-63 ones do), each
-    batch's realizations come out bitwise as if propagated alone.  Returns
+    and the next step's start, and one at every chord midpoint.  RK4 is
+    linear in Psi, so each step multiplies it by a propagator A_s; all S
+    are formed at once and multiplied pairwise, level by level as A_{2i+1}
+    A_{2i} with an odd last factor carried up: the recurrence's Psi rounded
+    in another order.  The 3x3 products stay np.matmul, which an explicit
+    sum of three terms would round differently.  The noise term is a matrix
+    product, which rounds differently for different row counts; one
+    stacked matmul over the increments multiplies each (b, d) batch on its
+    own, so it rounds as a batch alone does.  When the drift and its
+    Jacobian act row by row (as the Lorenz-63 ones do), each batch's
+    realizations come out bitwise as if propagated alone.  Returns
     endpoints (k, b, d) and fundamental matrices (k, b, d, d).
     """
     k, b, n_steps, d = increments.shape
-    n = k * b
-    fund = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     # one stacked product over the (S, k, b, d) increments: each (b, d)
     # batch is still multiplied on its own
     noise = np.matmul(
         increments.transpose(2, 0, 1, 3), model.dispersion.T
-    ).reshape(n_steps, n, d)
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    ).reshape(n_steps, k * b, d)
     path = rk4_path(
-        model, np.broadcast_to(np.asarray(x, dtype=float), (n, d)), dt,
+        model, np.broadcast_to(np.asarray(x, dtype=float), (k * b, d)), dt,
         n_steps, noise=noise,
     )
-    p1, p2, p3, p4, arg = (np.empty((n, d, d)) for _ in range(5))
+    eye = np.eye(d)
     # blown-up realizations go non-finite here and are dropped by
     # _combine_terms, so their overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
         ends = model.drift_jacobian(path)
         mids = model.drift_jacobian(0.5 * (path[:-1] + path[1:]))
-        # fund += sixth * (p1 + 2 (p2 + p3) + p4), with p1 = ends[s] fund,
-        # p2 = mids[s] (fund + half p1), p3 = mids[s] (fund + half p2) and
-        # p4 = ends[s + 1] (fund + dt p3), each operation into a buffer
-        for s in range(n_steps):
-            np.matmul(ends[s], fund, p1)
-            np.multiply(half, p1, arg)
-            np.add(fund, arg, arg)
-            np.matmul(mids[s], arg, p2)
-            np.multiply(half, p2, arg)
-            np.add(fund, arg, arg)
-            np.matmul(mids[s], arg, p3)
-            np.multiply(dt, p3, arg)
-            np.add(fund, arg, arg)
-            np.matmul(ends[s + 1], arg, p4)
-            np.add(p2, p3, arg)
-            np.multiply(2.0, arg, arg)
-            np.add(p1, arg, arg)
-            np.add(arg, p4, arg)
-            np.multiply(sixth, arg, arg)
-            np.add(fund, arg, fund)
+        # A_s = I + dt/6 (p1 + 2 (p2 + p3) + p4) for all s in three buffers:
+        # p1 = ends[s], p2 = mids[s] (I + dt/2 p1), p3 = mids[s] (I + dt/2
+        # p2) and p4 = ends[s + 1] (I + dt p3), written over p3
+        arg = np.multiply(0.5 * dt, ends[:-1])
+        arg += eye
+        fund = np.matmul(mids, arg)
+        np.multiply(0.5 * dt, fund, arg)
+        arg += eye
+        p3 = np.matmul(mids, arg)
+        np.multiply(dt, p3, arg)
+        arg += eye
+        fund += p3
+        p4 = np.matmul(ends[1:], arg, out=p3)
+        fund *= 2.0
+        fund += ends[:-1]
+        fund += p4
+        fund *= dt / 6.0
+        fund += eye
+        # freed before the product allocates its levels
+        del ends, mids, arg, p3, p4
+        while len(fund) > 1:
+            pairs = len(fund) // 2
+            level = np.matmul(fund[1:2 * pairs:2], fund[:2 * pairs:2])
+            fund = np.concatenate((level, fund[2 * pairs:]))
     return path[-1].reshape(k, b, d), fund.reshape(k, b, d, d)
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from varnpf.cli import main
-from varnpf.harness import ExperimentConfig, RunMetrics
+from varnpf.harness import ExperimentConfig, ModelConfig, RunMetrics
 from varnpf.io import load_config_file, read_summary_csv, write_config_file
 
 SUMMARY_FIELDS = [f.name for f in dataclasses.fields(RunMetrics)]
@@ -264,6 +264,13 @@ class TestErrorPaths:
         ("model:\n  diffusion: [[2, 1], [1, 2]]", "diffusion"),
         ("truth_init: [.nan, -1.5, 25.0]", "truth_init"),
         ("ensemble_mean: [1.5, .inf, 25.0]", "ensemble_mean"),
+        ("model:\n  alpha: .nan", "alpha"),
+        ("model:\n  gamma: .inf", "gamma"),
+        ("model:\n  beta: -.inf", "beta"),
+        ("model:\n  diffusion: [[-1, 0, 0], [0, 2, 0], [0, 0, 2]]",
+         "diffusion"),
+        ("model:\n  diffusion: [[2, 1, 0], [0, 2, 0], [0, 0, 2]]",
+         "diffusion"),
         # removed switches: unknown keys
         ('resample: "false"', "resample"),
         ("resample: 0", "resample"),
@@ -283,6 +290,22 @@ class TestErrorPaths:
         self, tmp_path, capsys, text, key, command
     ):
         assert_config_error(tmp_path, capsys, text, key, command)
+
+    @pytest.mark.parametrize("filter_name", ["pf", "npf", "var_npf"])
+    def test_zero_diffusion_loads_and_runs(
+        self, tmp_path, capsys, filter_name
+    ):
+        # all-zero noise is the deterministic model, not a malformed one
+        cfg = write_config(
+            tmp_path, filter_name=filter_name,
+            model=ModelConfig(diffusion=[[0.0] * 3] * 3),
+        )
+        out = tmp_path / "r"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["config"]["model"]["diffusion"] == [[0.0] * 3] * 3
 
     def test_negative_seed_override_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=70)

@@ -312,22 +312,65 @@ class TestAdaptiveBatching:
         assert capped.realizations_used == (batches - 1) * config.batch_size
 
 
-def _propagate_oracle(model, x, increments, dt):
-    """One-batch propagation evaluating all three Jacobians at every step."""
+def _realized_steps(model, x, increments, dt):
+    """Yield each step's (start, end) of a one-batch realized path."""
     n, n_steps, d = increments.shape
     states = np.broadcast_to(np.asarray(x, dtype=float), (n, d)).copy()
-    fund = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     sigma_t = model.dispersion.T
+    for s in range(n_steps):
+        x1 = (
+            rk4_step(model.drift, states, None, dt)
+            + increments[:, s] @ sigma_t
+        )
+        yield states, x1
+        states = x1
+
+
+def _step_propagator(jac, x0, x1, dt):
+    """One step's RK4 propagator A_s of Psi, from three Jacobian calls."""
+    eye = np.eye(x0.shape[-1])
+    a0 = jac(x0)
+    am = jac(0.5 * (x0 + x1))
+    a1 = jac(x1)
+    p1 = a0
+    p2 = am @ (eye + (0.5 * dt) * p1)
+    p3 = am @ (eye + (0.5 * dt) * p2)
+    p4 = a1 @ (eye + dt * p3)
+    return eye + (dt / 6.0) * (p1 + 2.0 * (p2 + p3) + p4)
+
+
+def _pairwise_product(factors):
+    """A_{S-1} ... A_0, multiplied level by level as A_{2i+1} A_{2i} with an
+    odd last factor carried up to the next level."""
+    while len(factors) > 1:
+        carried = factors[-1:] if len(factors) % 2 else []
+        factors = [
+            factors[i + 1] @ factors[i] for i in range(0, len(factors) - 1, 2)
+        ] + carried
+    return factors[0]
+
+
+def _propagate_oracle(model, x, increments, dt):
+    """One-batch propagation: three Jacobian calls per step, each step's
+    propagator, then their pairwise product."""
+    factors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x0, x1 in _realized_steps(model, x, increments, dt):
+            factors.append(_step_propagator(model.drift_jacobian, x0, x1, dt))
+            ends = x1
+        return ends, _pairwise_product(factors)
+
+
+def _sequential_oracle(model, x, increments, dt):
+    """Psi stepped along the realized path by the RK4 recurrence
+    Psi' = J(eta_s) Psi, one step after another."""
+    n, _, d = increments.shape
+    fund = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     jac = model.drift_jacobian
     half = 0.5 * dt
     sixth = dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(n_steps):
-            x0 = states
-            x1 = (
-                rk4_step(model.drift, x0, None, dt)
-                + increments[:, s] @ sigma_t
-            )
+        for x0, x1 in _realized_steps(model, x, increments, dt):
             a0 = jac(x0)
             am = jac(0.5 * (x0 + x1))
             a1 = jac(x1)
@@ -336,8 +379,13 @@ def _propagate_oracle(model, x, increments, dt):
             p3 = am @ (fund + half * p2)
             p4 = a1 @ (fund + dt * p3)
             fund = fund + sixth * (p1 + 2.0 * (p2 + p3) + p4)
-            states = x1
-    return states, fund
+    return fund
+
+
+def _close_per_row(fund, want, rel=1e-12):
+    """Each row's Psi within rel of that row's largest entry."""
+    scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+    return bool(np.all(np.abs(fund - want) <= rel * scale))
 
 
 def _combine_terms_oracle(g, term, diffusion):
@@ -440,7 +488,9 @@ _OPERATORS = {
 
 class TestPropagationOracle:
     """The Jacobians of a whole pass, taken in two calls, equal three per
-    step."""
+    step, and the pass's Psi is the pairwise product of its steps'
+    propagators, which rounds the step-by-step recurrence in another order.
+    """
 
     @staticmethod
     def _counting(model):
@@ -458,9 +508,18 @@ class TestPropagationOracle:
 
     @pytest.mark.parametrize("name", ["l63", "linear"])
     def test_matches_per_step_jacobians_bitwise(self, name):
+        self._check_one_batch(name, 25)
+
+    # odd counts carry a factor up at least one level of the product
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7])
+    @pytest.mark.parametrize("name", ["l63", "linear"])
+    def test_short_horizons_bitwise(self, name, n_steps):
+        self._check_one_batch(name, n_steps)
+
+    def _check_one_batch(self, name, n_steps):
         model = lorenz63() if name == "l63" else _linear_model()
         rng = np.random.default_rng(7)
-        dt, n_steps = 0.01, 25
+        dt = 0.01
         x = np.array([1.5, -1.5, 25.0])
         increments = rng.normal(0.0, np.sqrt(dt), size=(5, n_steps, 3))
         counted, calls = self._counting(model)
@@ -476,6 +535,33 @@ class TestPropagationOracle:
         assert sum(np.prod(shape[:-1]) for shape in calls) == (
             (2 * n_steps + 1) * 5
         )
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 25, 50])
+    @pytest.mark.parametrize("name", ["l63", "linear"])
+    def test_product_matches_sequential_recurrence(self, name, n_steps):
+        model = lorenz63() if name == "l63" else _linear_model()
+        rng = np.random.default_rng(11)
+        dt = 0.01
+        x = np.array([1.5, -1.5, 25.0]) + rng.normal(scale=4.0, size=(6, 3))
+        increments = rng.normal(0.0, np.sqrt(dt), size=(6, n_steps, 3))
+        _, fund = _propagate_with_sensitivity(model, x, increments[None], dt)
+        want = _sequential_oracle(model, x, increments, dt)
+        assert np.all(np.isfinite(want))
+        assert _close_per_row(fund[0], want)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 50])
+    def test_constant_jacobian_gives_a_matrix_power(self, n_steps):
+        # a linear drift has one Jacobian everywhere, so every step's
+        # propagator is the same A_0 and Psi = A_0^S
+        model = _linear_model()
+        rng = np.random.default_rng(12)
+        dt = 0.01
+        x = rng.normal(size=(4, 3))
+        increments = rng.normal(0.0, np.sqrt(dt), size=(4, n_steps, 3))
+        _, fund = _propagate_with_sensitivity(model, x, increments[None], dt)
+        a0 = _step_propagator(model.drift_jacobian, x[0], x[0], dt)
+        want = np.linalg.matrix_power(a0, n_steps)
+        assert _close_per_row(fund[0], np.broadcast_to(want, fund[0].shape))
 
     def test_blowup_row_among_healthy_rows(self):
         model = lorenz63()
@@ -493,9 +579,17 @@ class TestPropagationOracle:
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3])
     def test_batches_propagate_as_if_alone(self, batch_size):
+        self._check_batches(batch_size, 15)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_short_horizon_batches_as_if_alone(self, batch_size, n_steps):
+        self._check_batches(batch_size, n_steps)
+
+    def _check_batches(self, batch_size, n_steps):
         model = lorenz63()
         rng = np.random.default_rng(9)
-        dt, n_steps = 0.01, 15
+        dt = 0.01
         x = np.array([-5.0, 3.0, 20.0])
         increments = rng.normal(
             0.0, np.sqrt(dt), size=(3, batch_size, n_steps, 3)
