@@ -22,7 +22,12 @@ import numpy as np
 from .bootstrap_pf import RunContext, pf_assimilation_cycle
 from .diagnostics import CycleDiagnostics, CycleFailure
 from .ensemble import ObservationModel, ParticleEnsemble
-from .nudging import NudgingConfig, check_int, npf_assimilation_cycle
+from .nudging import (
+    NudgingConfig,
+    check_int,
+    check_real,
+    npf_assimilation_cycle,
+)
 from .sde import (
     IntegrationError,
     L63Params,
@@ -77,11 +82,27 @@ _DEFAULT_DIFFUSION = ((2.0, 1.0, 0.5), (1.0, 2.0, 1.0), (0.5, 1.0, 2.0))
 
 def _numeric_shape(value, key: str) -> tuple:
     """The array shape of a numeric config value; ConfigError names
-    ``key`` when the value is not a numeric array."""
+    ``key`` when the value is not an array of numbers (a string or a bool
+    is not a number)."""
     try:
-        return np.asarray(value, dtype=float).shape
+        array = np.asarray(value)
+        elements = np.asarray(value, dtype=object).ravel()
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a numeric array") from None
+        array = None
+    if (array is None or array.dtype.kind not in "iuf"
+            or any(isinstance(v, bool) for v in elements)):
+        raise ConfigError(f"{key} must be a numeric array")
+    return array.shape
+
+
+def _check_reals(config, keys) -> None:
+    """ConfigError naming the first of ``keys`` whose value in ``config``
+    is not a real number."""
+    try:
+        for key in keys:
+            check_real(getattr(config, key), key)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _positive_definite(matrix: Array) -> bool:
@@ -117,8 +138,9 @@ class ModelConfig:
         shape = _numeric_shape(self.diffusion, "diffusion")
         if shape != (3, 3):
             raise ConfigError(f"diffusion must have shape (3, 3), got {shape}")
+        _check_reals(self, ("alpha", "gamma", "beta"))
         for key in ("alpha", "gamma", "beta"):
-            if not np.isfinite(float(getattr(self, key))):
+            if not np.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
         diffusion = np.asarray(self.diffusion, dtype=float)
         if np.any(diffusion) and not _positive_definite(diffusion):
@@ -182,6 +204,10 @@ class ExperimentConfig:
                 check_int(getattr(self, key), key, minimum)
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        _check_reals(self, (
+            "dt", "dt_obs", "t_final", "resample_threshold",
+            "ensemble_cov_scale",
+        ))
         for key in ("dt", "dt_obs", "t_final"):
             if not 0.0 < getattr(self, key) < np.inf:
                 raise ConfigError(f"{key} must be positive and finite")
@@ -461,6 +487,8 @@ RECORD_SERIES: tuple[Series, ...] = (
     Series("phi_floored", "phi_floored", _SUBS, bool, _NUDGED),
     Series("batches_used", "batches_used", _SUBS, int, _NUDGED),
     Series("log_rn", "log_rn", ("cycle", "particle"), float, _NUDGED),
+    Series("jacobian_evals", "jacobian_evals", ("cycle",), int, _NUDGED,
+           COUNTER),
     Series("realization_steps", "realization_steps", ("cycle",), int, _NUDGED,
            COUNTER),
     Series("spare_realization_steps", "spare_realization_steps", ("cycle",),
@@ -694,6 +722,7 @@ class RunMetrics:
     spare_realization_steps: int = 0
     control_passes: int = 0
     drift_evals: int = 0
+    jacobian_evals: int = 0
     variational_iterations: int = 0
     variational_cost_evals: int = 0
     variational_flows: int = 0

@@ -430,8 +430,37 @@ def write_meta(meta: dict, path) -> None:
         fh.write("\n")
 
 
+# YAML 1.2's float rule (core schema).  PyYAML's YAML 1.1 rule wants a dot
+# in the mantissa and a sign in the exponent, so it reads 1e-2 as a string.
+_YAML12_FLOAT = re.compile(r"""^(?:
+    [-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?
+    |[-+]?\.(?:inf|Inf|INF)
+    |\.(?:nan|NaN|NAN))$""", re.X)
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+
+
+def _config_loader():
+    """yaml.SafeLoader with YAML 1.2's float rule in place of 1.1's.  The
+    int rule is tried first, so plain digits stay integers."""
+    import yaml
+
+    safe = yaml.SafeLoader.yaml_implicit_resolvers
+
+    class Loader(yaml.SafeLoader):
+        yaml_implicit_resolvers = {
+            first: [r for r in resolvers if r[0] != _FLOAT_TAG]
+            for first, resolvers in safe.items()
+        }
+
+    Loader.add_implicit_resolver(
+        _FLOAT_TAG, _YAML12_FLOAT, list("-+.0123456789")
+    )
+    return Loader
+
+
 def load_config_file(path) -> ExperimentConfig:
-    """Parse a YAML experiment config, rejecting unknown keys."""
+    """Parse a YAML experiment config, rejecting unknown keys.  Floats
+    follow YAML 1.2, so exponent forms such as 1e-2 are numbers."""
     import yaml
 
     try:
@@ -440,7 +469,7 @@ def load_config_file(path) -> ExperimentConfig:
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from err
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_config_loader())
     except yaml.YAMLError as err:
         raise ConfigError(f"malformed config file: {err}") from err
     if data is None:

@@ -35,7 +35,15 @@ from .ensemble import (  # noqa: F401
     systematic_resample,
 )
 from .bootstrap_pf import RunContext, _close_cycle
-from .sde import RK4_STAGES, SdeModel, advect_particles, rk4_path, whole_steps
+from .sde import (
+    RK4_STAGES,
+    SdeModel,
+    advect_particles,
+    pairwise_product,
+    rk4_path,
+    rk4_propagators,
+    whole_steps,
+)
 from .seeding import child_keys, key_generator, stream_key
 # perfbench/layertrace.py still looks stream_generator up in this module
 from .seeding import stream_generator  # noqa: F401
@@ -60,6 +68,14 @@ def check_int(value, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
+def check_real(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is a real number (not a bool), so
+    a number given as a string fails at load with its name instead of
+    inside a comparison."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+
+
 def check_bool(value, name: str) -> None:
     """Raise ValueError unless ``value`` is a bool, so a switch given as a
     string or a number fails at load instead of reading as truthy."""
@@ -80,6 +96,8 @@ class NudgingConfig:
     def __post_init__(self):
         for name in ("subintervals", "batch_size", "max_batches"):
             check_int(getattr(self, name), name, 1)
+        for name in ("tolerance", "rollback_log_threshold"):
+            check_real(getattr(self, name), name)
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
         if np.isnan(self.rollback_log_threshold):
@@ -127,17 +145,17 @@ def _propagate_with_sensitivity(
     and their (S + 1, k * b, d) path is kept, so the Jacobians take two
     calls per pass: one at every path state, which serves as one step's end
     and the next step's start, and one at every chord midpoint.  RK4 is
-    linear in Psi, so each step multiplies it by a propagator A_s; all S
-    are formed at once and multiplied pairwise, level by level as A_{2i+1}
-    A_{2i} with an odd last factor carried up: the recurrence's Psi rounded
-    in another order.  The 3x3 products stay np.matmul, which an explicit
-    sum of three terms would round differently.  The noise term is a matrix
-    product, which rounds differently for different row counts; one
-    stacked matmul over the increments multiplies each (b, d) batch on its
-    own, so it rounds as a batch alone does.  When the drift and its
-    Jacobian act row by row (as the Lorenz-63 ones do), each batch's
-    realizations come out bitwise as if propagated alone.  Returns
-    endpoints (k, b, d) and fundamental matrices (k, b, d, d).
+    linear in Psi, so each step multiplies it by a propagator A_s, with
+    stage Jacobians (J1, J2, J3, J4) = (end, midpoint, midpoint, next end);
+    all S are formed at once (sde.rk4_propagators) and multiplied pairwise
+    (sde.pairwise_product): the recurrence's Psi rounded in another order.
+    The noise term is a matrix product, which rounds differently for
+    different row counts; one stacked matmul over the increments
+    multiplies each (b, d) batch on its own, so it rounds as a batch alone
+    does.  When the drift and its Jacobian act row by row (as the
+    Lorenz-63 ones do), each batch's realizations come out bitwise as if
+    propagated alone.  Returns endpoints (k, b, d) and fundamental
+    matrices (k, b, d, d).
     """
     k, b, n_steps, d = increments.shape
     # one stacked product over the (S, k, b, d) increments: each (b, d)
@@ -149,36 +167,15 @@ def _propagate_with_sensitivity(
         model, np.broadcast_to(np.asarray(x, dtype=float), (k * b, d)), dt,
         n_steps, noise=noise,
     )
-    eye = np.eye(d)
     # blown-up realizations go non-finite here and are dropped by
     # _combine_terms, so their overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
         ends = model.drift_jacobian(path)
         mids = model.drift_jacobian(0.5 * (path[:-1] + path[1:]))
-        # A_s = I + dt/6 (p1 + 2 (p2 + p3) + p4) for all s in three buffers:
-        # p1 = ends[s], p2 = mids[s] (I + dt/2 p1), p3 = mids[s] (I + dt/2
-        # p2) and p4 = ends[s + 1] (I + dt p3), written over p3
-        arg = np.multiply(0.5 * dt, ends[:-1])
-        arg += eye
-        fund = np.matmul(mids, arg)
-        np.multiply(0.5 * dt, fund, arg)
-        arg += eye
-        p3 = np.matmul(mids, arg)
-        np.multiply(dt, p3, arg)
-        arg += eye
-        fund += p3
-        p4 = np.matmul(ends[1:], arg, out=p3)
-        fund *= 2.0
-        fund += ends[:-1]
-        fund += p4
-        fund *= dt / 6.0
-        fund += eye
+        steps = rk4_propagators(ends[:-1], mids, mids, ends[1:], dt)
         # freed before the product allocates its levels
-        del ends, mids, arg, p3, p4
-        while len(fund) > 1:
-            pairs = len(fund) // 2
-            level = np.matmul(fund[1:2 * pairs:2], fund[:2 * pairs:2])
-            fund = np.concatenate((level, fund[2 * pairs:]))
+        del ends, mids
+        fund = pairwise_product(steps)
     return path[-1].reshape(k, b, d), fund.reshape(k, b, d, d)
 
 
@@ -370,7 +367,9 @@ def _solve_controls(
     ``realization_steps`` of the realizations used and
     ``spare_realization_steps`` of the spare ones, ``control_passes``, and
     ``drift_evals`` (RK4_STAGES per step of every propagated realization,
-    and one per solve for its denominator).  No rows means no work.
+    and one per solve for its denominator) and ``jacobian_evals`` (2S + 1
+    per propagated realization of S steps: its path states and chord
+    midpoints).  No rows means no work.
     """
     if not rngs:
         return [], {}
@@ -438,6 +437,7 @@ def _solve_controls(
         "realization_steps": used * n_steps,
         "spare_realization_steps": spare * b * n_steps,
         "drift_evals": RK4_STAGES * (used + spare * b) * n_steps + n,
+        "jacobian_evals": (2 * n_steps + 1) * (used + spare * b),
         "control_passes": passes,
     }
 

@@ -36,10 +36,11 @@ end of each step.  It picks one of two kernels; no caller chooses.
         40     0.532 / 0.261     1.801 / 0.912     2.079 / 0.938
 
   The kernels cross near 17 rows for the advection, 18 for the noisy
-  flow (a control solve's realizations) and 21 for the drift-only flow
-  (a variational fit's, whose flows carry at most 7 rows), so
-  SMALL_ROWS = 18 sits at the first two crossovers.  The 350-step truth
-  takes 0.5 ms instead of 11 ms.
+  flow (a control solve's realizations) and 21 for the drift-only flow,
+  so SMALL_ROWS = 18 sits at the first two crossovers.  The rows that
+  matter most sit far below them: a variational fit flows one row at a
+  time, and the 350-step truth is one row, which takes 0.5 ms instead of
+  11 ms.
 
 Both kernels give the same bits.  Python floats and numpy's elementwise
 ufuncs both round once per IEEE operation, and CPython never fuses two
@@ -54,6 +55,13 @@ over one path that freezes rows leaving float64; the truth runs through
 it on one row.  With the noise added after the RK4 update, it collapses to
 plain RK4 when the dispersion vanishes.  Strong order is 1/2, which is
 all the additive noise allows anyway.
+
+Perturbations of a start move through an RK4 step by a propagator formed
+from the Jacobians at the step's four stage states
+(:func:`rk4_propagators`), and through a whole path by the product of its
+steps' propagators, taken pairwise (:func:`pairwise_product`).  The
+nudged filters' sensitivity pass and :func:`rk4_tangent`, the exact
+derivative of a drift-only flow for the variational fit, both use them.
 """
 
 from __future__ import annotations
@@ -435,6 +443,81 @@ def rk4_path(
         return np.ascontiguousarray(path.transpose(1, 0, 2)).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         return rk4_states(model, x, dt, n_steps, control, noise)
+
+
+def rk4_propagators(
+    j1: Array, j2: Array, j3: Array, j4: Array, dt: float
+) -> Array:
+    """The tangent-linear maps of RK4 steps, from their stage Jacobians.
+
+    A step's update moves with a perturbation of its start through
+    A = I + dt/6 (p1 + 2 (p2 + p3) + p4), with p1 = J1, p2 = J2 (I + dt/2
+    p1), p3 = J3 (I + dt/2 p2) and p4 = J4 (I + dt p3), where J_i is the
+    drift Jacobian at the state stage i reads.  The J_i are (..., d, d)
+    stacks, one matrix per step (and row), and every A is formed at once
+    in three buffers, p4 written over p3.  The d x d products stay
+    np.matmul, which an explicit sum of d terms would round differently.
+    Returns the (..., d, d) stack of A.
+    """
+    eye = np.eye(j1.shape[-1])
+    arg = np.multiply(0.5 * dt, j1)
+    arg += eye
+    prop = np.matmul(j2, arg)
+    np.multiply(0.5 * dt, prop, arg)
+    arg += eye
+    p3 = np.matmul(j3, arg)
+    np.multiply(dt, p3, arg)
+    arg += eye
+    prop += p3
+    p4 = np.matmul(j4, arg, out=p3)
+    prop *= 2.0
+    prop += j1
+    prop += p4
+    prop *= dt / 6.0
+    prop += eye
+    return prop
+
+
+def pairwise_product(factors: Array) -> Array:
+    """F_{S-1} ... F_0 of an (S, ..., d, d) stack, shape (..., d, d).
+
+    Multiplied level by level as F_{2i+1} F_{2i}, with an odd last factor
+    carried up, so ceil(log2 S) stacked matmuls replace S - 1 in turn: the
+    step-by-step product rounded in another order.  Only a level with a
+    carried factor is copied.
+    """
+    while len(factors) > 1:
+        pairs = len(factors) // 2
+        level = np.matmul(factors[1:2 * pairs:2], factors[:2 * pairs:2])
+        factors = (
+            np.concatenate((level, factors[-1:])) if len(factors) % 2
+            else level
+        )
+    return factors[0]
+
+
+def rk4_tangent(model: SdeModel, path: Array, dt: float) -> Array:
+    """The derivative of a drift-only RK4 flow's last state by its start.
+
+    ``path`` is one row's (S + 1, d) flow, as rk4_path returns it.  The
+    stage states of all S steps are formed from it at once (x_s, then
+    x_s + dt/2 k1, x_s + dt/2 k2 and x_s + dt k3, with k_i the drift at
+    the stage before), and their 4S Jacobians take one drift_jacobian
+    call.  Psi = A_{S-1} ... A_0 (rk4_propagators, pairwise_product) is
+    the exact derivative of the discrete map, the tangent-linear model of
+    the flow.  Costs 3S drift rows and 4S Jacobians.  Overflow propagates
+    as inf or nan, without a warning.
+    """
+    x = path[:-1]
+    stages = np.empty((4,) + x.shape)
+    stages[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
+            np.multiply(h, model.drift(stages[i - 1]), stages[i])
+            stages[i] += x
+        return pairwise_product(
+            rk4_propagators(*model.drift_jacobian(stages), dt)
+        )
 
 
 def advect_particles(

@@ -22,7 +22,7 @@ import numpy as np
 from .bootstrap_pf import RunContext
 from .diagnostics import CycleDiagnostics
 from .ensemble import ParticleEnsemble, empirical_moments
-from .nudging import _nudged_sweep, check_bool, check_int
+from .nudging import _nudged_sweep, check_bool, check_int, check_real
 from .variational import (
     VariationalProblem,
     VariationalResult,
@@ -48,6 +48,8 @@ class VarNpfSettings:
     reweight_with_pseudo: bool = False
 
     def __post_init__(self):
+        for name in ("regularization_eps", "bound_sigmas"):
+            check_real(getattr(self, name), name)
         if not self.regularization_eps > 0.0:
             raise ValueError("regularization_eps must be positive")
         if not self.bound_sigmas > 0.0:
@@ -69,11 +71,11 @@ def var_npf_assimilation_cycle(
     ``resolve_per_subinterval``, it fits an initial state over [t_j, t_end]
     to the moments of the ensemble it is handed and fills ``targets[j:]``
     from the fit's flow, and reports the fit's iterations, cost
-    evaluations, flows, drift evaluations and seconds, which the sweep
-    sums (into the CycleFailure of a failing cycle too).  The recorded
-    status and cost are the last fit's.  A stalled variational solve is
-    recorded and its best iterate used; the guidance does not have to be
-    optimal to be useful.  The settings are the context's
+    evaluations, flows, drift and Jacobian evaluations and seconds, which
+    the sweep sums (into the CycleFailure of a failing cycle too).  The
+    recorded status and cost are the last fit's.  A stalled variational
+    solve is recorded and its best iterate used; the guidance does not
+    have to be optimal to be useful.  The settings are the context's
     ``variational``.
     """
     settings = ctx.variational
@@ -116,6 +118,7 @@ def var_npf_assimilation_cycle(
             "variational_iterations": result.iterations,
             "variational_cost_evals": result.cost_evals,
             "variational_flows": result.flows,
+            "jacobian_evals": result.jacobian_evals,
         }, {"variational": seconds}
 
     # a view: the reweight reads the last target as the sweep left it

@@ -11,31 +11,30 @@ seeds the pseudo observation path that guides the nudged filter.
 
 The solver is a box-constrained Gauss-Newton descent, the outer loop of
 incremental 4D-Var.  Each step solves N p = -g, with N = P + J^T H^T C^-1 H J,
-P the regularized prior precision, H and C from the observation model and g
-the central-difference gradient.  Column i of the flow Jacobian J is
-(F(x + h_i e_i) - F(x - h_i e_i)) / 2 h_i, from the endpoints the
-gradient's own difference points already flowed.  Gauss-Newton drops the
-misfit's second-order term, so with large residuals it converges only
-linearly; the fit only seeds a pseudo observation path, so it does not
-chase the last digits of the minimum.  The step is projected onto a box
+P the regularized prior precision and H and C from the observation model.
+J is the flow's tangent-linear model, the exact derivative of the discrete
+RK4 map (sde.rk4_tangent), taken along the iterate's own flow, and
+g = P (x - mu) + J^T grad misfit(F(x)) the exact gradient.  Gauss-Newton
+drops the misfit's second-order term, so with large residuals it
+converges only linearly; the fit only seeds a pseudo observation path, so
+it does not chase the last digits of the minimum.  The step is projected onto a box
 around the prior mean and shortened by Armijo backtracking, one step
 length at a time: each trial flows alone, on rk4_path's few-row kernel,
 and most line searches accept the full step.  When the full step stays
 in the box and its predicted decrease is below the tolerance, the solve
 stops before flowing it.  The accepted trial's flow is kept, so the best
 iterate's trajectory, which the pseudo observation path samples, needs
-no flow of its own.
+no flow of its own, and its tangent pass runs along that flow.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensemble import ObservationModel, quadratic_form
-from .sde import RK4_STAGES, SdeModel, rk4_path, whole_steps
+from .sde import RK4_STAGES, SdeModel, rk4_path, rk4_tangent, whole_steps
 
 Array = np.ndarray
 
@@ -92,45 +91,43 @@ class VariationalProblem:
         )
 
 
-def _costs_at(states: Array, ends: Array, problem: VariationalProblem) -> Array:
-    """Cost of (B, d) states whose flow endpoints are ``ends``, shape (B,)."""
-    dx = states - problem.prior_mean
-    prior_term = 0.5 * quadratic_form(dx, problem._prior_prec)
+def _cost_at(x: Array, flow: Array, problem: VariationalProblem) -> float:
+    """Cost of the state ``x`` whose drift-only flow is ``flow``."""
+    prior_term = 0.5 * quadratic_form(x - problem.prior_mean,
+                                      problem._prior_prec)
     with np.errstate(over="ignore", invalid="ignore"):
-        misfit = np.asarray(
-            problem.obs_model.neg_log_likelihood(ends, problem.observation)
+        cost = prior_term + problem.obs_model.neg_log_likelihood(
+            flow[-1], problem.observation
         )
-    cost = prior_term + misfit
-    return np.where(np.isfinite(cost), cost, BLOWUP_COST)
-
-
-def _cost_batch(states: Array, problem: VariationalProblem) -> Array:
-    """Cost at a batch of candidate initial states, shape (B,)."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    ends = rk4_path(problem.model, states, problem.dt, problem.n_steps)[-1]
-    return _costs_at(states, ends, problem)
+    return float(cost) if np.isfinite(cost) else BLOWUP_COST
 
 
 def variational_cost(x: Array, problem: VariationalProblem) -> float:
     """Prior-plus-terminal-misfit cost; BLOWUP_COST when the flow diverges."""
-    return float(_cost_batch(np.asarray(x, float)[None, :], problem)[0])
+    x = np.asarray(x, dtype=float)
+    flow = rk4_path(problem.model, x, problem.dt, problem.n_steps)
+    return _cost_at(x, flow, problem)
 
 
-def _gradient_points(x: Array) -> tuple[Array, Array]:
-    """The 2d central-difference points around ``x`` and their steps h."""
-    h = np.maximum(1e-6, 1e-8 * np.abs(x))
-    return np.concatenate([x + np.diag(h), x - np.diag(h)], axis=0), h
-
-
-def _central_difference(costs: Array, h: Array) -> Array:
-    d = h.shape[0]
-    return (costs[:d] - costs[d:]) / (2.0 * h)
+def _tangent(
+    x: Array, flow: Array, problem: VariationalProblem
+) -> tuple[Array, Array]:
+    """The cost's gradient at ``x`` and the flow's tangent-linear model Psi,
+    from x's drift-only ``flow`` (S + 1, d).  Non-finite where the flow or
+    Psi left float64, without a warning."""
+    psi = rk4_tangent(problem.model, flow, problem.dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        misfit = problem.obs_model.nll_gradient(flow[-1], problem.observation)
+        g = problem._prior_prec @ (x - problem.prior_mean) + psi.T @ misfit
+    return g, psi
 
 
 def variational_gradient(x: Array, problem: VariationalProblem) -> Array:
-    """Central-difference gradient, step max(1e-6, 1e-8 |x_i|) per axis."""
-    points, h = _gradient_points(np.asarray(x, dtype=float))
-    return _central_difference(_cost_batch(points, problem), h)
+    """The exact gradient of the cost, through the flow's tangent-linear
+    model."""
+    x = np.asarray(x, dtype=float)
+    flow = rk4_path(problem.model, x, problem.dt, problem.n_steps)
+    return _tangent(x, flow, problem)[0]
 
 
 def _projected_gradient(x: Array, g: Array, lower: Array, upper: Array) -> Array:
@@ -144,21 +141,19 @@ def _projected_gradient(x: Array, g: Array, lower: Array, upper: Array) -> Array
 
 
 def _step_direction(
-    g: Array, ends: Array, h: Array, problem: VariationalProblem
+    g: Array, psi: Array, problem: VariationalProblem
 ) -> Array:
     """The Gauss-Newton step, else -g.
 
-    The step solves N p = -g, with N = P + J^T H^T C^-1 H J the
-    Gauss-Newton normal matrix and J the central-difference flow Jacobian
-    from the flow endpoints ``ends`` of the 2d gradient points with steps
-    ``h``.  When N is not finite or singular, or p is no descent
-    direction, the step is -g.  A blown-up endpoint makes N non-finite,
-    which falls back without a warning.
+    The step solves N p = -g, with N = P + (H Psi)^T C^-1 H Psi the
+    Gauss-Newton normal matrix and Psi the flow's tangent-linear model.
+    When N is not finite or singular, or p is no descent direction, the
+    step is -g.  A non-finite Psi makes N non-finite, which falls back
+    without a warning.
     """
-    d = h.shape[0]
     obs = problem.obs_model
     with np.errstate(over="ignore", invalid="ignore"):
-        hj = obs.operator @ ((ends[:d] - ends[d:]) / (2.0 * h)[:, None]).T
+        hj = obs.operator @ psi
         normal = problem._prior_prec + hj.T @ obs._noise_prec @ hj
         if not np.all(np.isfinite(normal)):
             return -g
@@ -179,11 +174,13 @@ class VariationalResult:
     status: str  # "gradient" | "cost_decrease" | "max_iterations" | "stalled"
     # drift-only flow of x_opt at every step of the interval, (S + 1, d)
     flow: Array | None = None
-    # rows x drift evaluations of the solve's flows, RK4 stages
+    # rows x drift evaluations of the solve's flows (RK4 stages) and
+    # tangent passes (3 stages)
     drift_evals: int = 0
-    # the solve's flows: the start's, one per trial and one per accepted
-    # step (its gradient points)
+    # the solve's one-row flows: the start's and one per trial
     flows: int = 0
+    # drift Jacobians of the tangent passes, RK4_STAGES per step
+    jacobian_evals: int = 0
 
 
 # Armijo step lengths 1, 1/2, ..., 2**-39 (the last one >= 1e-12), tried
@@ -206,49 +203,42 @@ def minimize_cost(
     predicted: when the full step stays inside the box and its model
     decrease 0.5 |g^T p| / max(|cost|, 1) is below the tolerance, the
     solve stops before flowing it), the iteration cap, or a failed line
-    search ("stalled"); the best iterate seen is always returned and its
-    cost never exceeds the cost at the starting point.  ``cost_evals``
-    counts the cost evaluations made; ``drift_evals`` counts every row
-    flowed, times RK4_STAGES per step, and ``flows`` the flows themselves:
-    the start's, one per trial step length and one per accepted step for
-    its gradient points.
+    search or a non-finite gradient ("stalled"; a start whose flow leaves
+    float64 stalls there); the best iterate seen is always returned and
+    its cost never exceeds the cost at the starting point.  Each iterate
+    is flowed once, alone, and gets one tangent pass along that flow for
+    its gradient and Psi.  ``cost_evals`` counts the cost evaluations
+    made, ``flows`` the flows (the start's and one per trial step length;
+    each prices one cost), ``drift_evals`` every row flowed times
+    RK4_STAGES per step plus three per step of each tangent pass, and
+    ``jacobian_evals`` the tangent passes' RK4_STAGES Jacobians per step.
 
     ``flow`` of the result is the drift-only flow of ``x_opt`` at every
     step of the interval, taken without another flow: from the start's
     flow, or the accepted trial's own.  Pass it to build_pseudo_path.
-
-    The gradient is a central difference with h = max(1e-6, 1e-8 |x_i|),
-    whose rounding noise is near 1e-8 at costs of order 1-10.  A
-    ``gradient_tol`` below about 1e-7 is under that noise floor, so such a
-    solve may not stop on "gradient" and ends on "cost_decrease" instead.
     """
     model, dt, n_steps = problem.model, problem.dt, problem.n_steps
     lower, upper = problem.lower, problem.upper
     x = np.clip(problem.prior_mean if x0 is None else np.asarray(x0, float),
                 lower, upper)
-    d = x.shape[0]
 
-    # the start's cost and gradient share one flow
-    points, h = _gradient_points(x)
-    rows = np.concatenate([x[None, :], points])
-    path = rk4_path(model, rows, dt, n_steps)
-    ends = path[-1]
-    flows, flowed = 1, len(rows)
-    flow = path[:, 0].copy()
-    current = float(_costs_at(rows[:1], ends[:1], problem)[0])
-    point_ends = ends[1:]
-    g = _central_difference(_costs_at(points, point_ends, problem), h)
-    evals = 1 + 2 * d
+    flow = rk4_path(model, x, dt, n_steps)
+    current = _cost_at(x, flow, problem)
+    g, psi = _tangent(x, flow, problem)
+    evals = tangents = 1
     status = "max_iterations"
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
+        if not np.all(np.isfinite(g)):
+            status = "stalled"
+            break
         pg = _projected_gradient(x, g, lower, upper)
         if np.max(np.abs(pg)) < gradient_tol:
             status = "gradient"
             break
 
-        direction = _step_direction(g, point_ends, h, problem)
+        direction = _step_direction(g, psi, problem)
         full = x + direction
         predicted = 0.5 * abs(float(g @ direction)) / max(abs(current), 1.0)
         if (np.array_equal(np.clip(full, lower, upper), full)
@@ -262,12 +252,9 @@ def minimize_cost(
             step = candidate - x
             if not np.any(step):
                 break  # projection swallowed the whole step
-            row = candidate[None]
-            trial_path = rk4_path(model, row, dt, n_steps)[:, 0]
-            flows += 1
-            flowed += 1
+            trial_flow = rk4_path(model, candidate, dt, n_steps)
             evals += 1
-            trial = float(_costs_at(row, trial_path[-1:], problem)[0])
+            trial = _cost_at(candidate, trial_flow, problem)
             if trial <= current + 1e-4 * float(g @ step):
                 accepted = True
                 break
@@ -277,13 +264,9 @@ def minimize_cost(
 
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)
-        points, h = _gradient_points(candidate)
-        point_ends = rk4_path(model, points, dt, n_steps)[-1]
-        flows += 1
-        flowed += 2 * d
-        evals += 2 * d
-        g = _central_difference(_costs_at(points, point_ends, problem), h)
-        x, current, flow = candidate, trial, trial_path
+        x, current, flow = candidate, trial, trial_flow
+        g, psi = _tangent(x, flow, problem)
+        tangents += 1
         if relative < cost_decrease_tol:
             status = "cost_decrease"
             break
@@ -299,8 +282,9 @@ def minimize_cost(
         cost_evals=evals,
         status=status,
         flow=flow,
-        drift_evals=RK4_STAGES * problem.n_steps * flowed,
-        flows=flows,
+        drift_evals=n_steps * (RK4_STAGES * evals + 3 * tangents),
+        flows=evals,
+        jacobian_evals=RK4_STAGES * n_steps * tangents,
     )
 
 

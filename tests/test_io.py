@@ -893,6 +893,43 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="is not UTF-8 text"):
             load_config_file(path)
 
+    @pytest.mark.parametrize("text, key, value", [
+        ("dt: 1e-2\n", "dt", 0.01),
+        ("t_final: 1e1\n", "t_final", 10.0),
+        ("resample_threshold: 1e-1\n", "resample_threshold", 0.1),
+        ("ensemble_cov_scale: 2E+0\n", "ensemble_cov_scale", 2.0),
+    ])
+    def test_exponent_floats_load_as_numbers(self, tmp_path, text, key,
+                                             value):
+        # YAML 1.1 reads an exponent without a dot as a string
+        path = tmp_path / "exponent.yaml"
+        path.write_text(text)
+        assert getattr(load_config_file(path), key) == value
+
+    @pytest.mark.parametrize("text, key", [
+        ("dt: '1e-2'\n", "dt"),
+        ("dt_obs: fast\n", "dt_obs"),
+        ("t_final: [3.5]\n", "t_final"),
+        ("resample_threshold: half\n", "resample_threshold"),
+        ("ensemble_cov_scale: true\n", "ensemble_cov_scale"),
+        ("model:\n  gamma: '28'\n", "gamma"),
+        ("nudging:\n  tolerance: '0.1'\n", "tolerance"),
+        ("nudging:\n  rollback_log_threshold: low\n",
+         "rollback_log_threshold"),
+        ("variational:\n  regularization_eps: tiny\n",
+         "regularization_eps"),
+        ("variational:\n  bound_sigmas: [10]\n", "bound_sigmas"),
+        ("truth_init: [1, '2', 3]\n", "truth_init"),
+        ("ensemble_mean: [true, 2, 3]\n", "ensemble_mean"),
+        ("obs_noise_cov: [[2, 0, 0], [0, 2, 0], [0, 0, '2']]\n",
+         "obs_noise_cov"),
+    ])
+    def test_non_numbers_name_their_key(self, tmp_path, text, key):
+        path = tmp_path / "typed.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            load_config_file(path)
+
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n")

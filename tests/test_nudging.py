@@ -819,6 +819,9 @@ class TestStackedSolves:
             assert work["drift_evals"] == (
                 4 * drawn * batch_size * n_steps + len(states)
             )
+            assert work["jacobian_evals"] == (
+                (2 * n_steps + 1) * drawn * batch_size
+            )
             seen["spare"] += work["spare_realization_steps"]
             want = _solve_controls_oracle(
                 model, obs, 0.0, states, horizon, target, config,
@@ -1007,6 +1010,10 @@ def _nudged_sweep_oracle(ensemble, ctx, k, target_fn, reweight_obs):
             # four stages per step of every realization drawn, and the
             # solve's denominator
             counters["drift_evals"] += 4 * drawn * b * horizon_steps + 1
+            # a Jacobian at every path state and chord midpoint
+            counters["jacobian_evals"] += (
+                (2 * horizon_steps + 1) * drawn * b
+            )
             proposed[j, i] = est.control
             batches_used[j, i] = used
             solver_converged[j, i] = est.converged

@@ -516,3 +516,35 @@ class TestStackedNoise:
             for i in range(k):
                 alone = increments[i, :, s] @ sigma_t
                 assert stacked[s, i].tobytes() == alone.tobytes()
+
+
+def _level_loop(fund):
+    """npf's former in-place product of its propagator stack: level by
+    level, A_{2i+1} A_{2i} in one stacked matmul, an odd last factor
+    concatenated onto the level."""
+    while len(fund) > 1:
+        pairs = len(fund) // 2
+        level = np.matmul(fund[1:2 * pairs:2], fund[:2 * pairs:2])
+        fund = np.concatenate((level, fund[2 * pairs:]))
+    return fund[0]
+
+
+class TestPairwiseProduct:
+    def test_bitwise_equal_to_the_level_loop(self):
+        rng = np.random.default_rng(71)
+        for n_steps in range(1, 71):
+            stack = np.eye(3) + 0.05 * rng.standard_normal((n_steps, 4, 3, 3))
+            got = sde.pairwise_product(stack)
+            assert got.shape == (4, 3, 3)
+            assert got.tobytes() == _level_loop(stack).tobytes(), n_steps
+
+    def test_product_order(self):
+        # later factors multiply from the left
+        rng = np.random.default_rng(72)
+        for n_steps in (1, 2, 3, 5, 8):
+            stack = rng.standard_normal((n_steps, 3, 3))
+            want = np.eye(3)
+            for factor in stack:
+                want = factor @ want
+            assert np.allclose(sde.pairwise_product(stack), want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())

@@ -238,27 +238,35 @@ class TestAblationFlags:
         cost_evals = diag.counters["variational_cost_evals"]
         assert iterations == sum(r.iterations for r in results)
         assert cost_evals == sum(r.cost_evals for r in results)
-        assert cost_evals > iterations
-        # a fit flows its start, then once per iteration but its last at
-        # least
+        # a fit prices its start, then at least one trial per iteration
+        # but its last, each on a flow of its own
         assert diag.counters["variational_flows"] == sum(
             r.flows for r in results
-        ) >= iterations
+        ) == cost_evals >= iterations
+        assert diag.counters["jacobian_evals"] >= sum(
+            r.jacobian_evals for r in results
+        ) > 0
 
 
-def counting_l63(rows):
+def counting_l63(rows, jacobian_rows=None):
     """Lorenz-63 without the column form, appending the row count of each
-    drift evaluation to ``rows``."""
+    drift evaluation to ``rows`` (and of each Jacobian evaluation to
+    ``jacobian_rows``, when given)."""
     model = lorenz63()
 
     def drift(x):
         rows.append(int(np.prod(np.shape(x)[:-1])))
         return model.drift(x)
 
+    def drift_jacobian(x):
+        if jacobian_rows is not None:
+            jacobian_rows.append(int(np.prod(np.shape(x)[:-1])))
+        return model.drift_jacobian(x)
+
     return SdeModel(
         dimension=3,
         drift=drift,
-        drift_jacobian=model.drift_jacobian,
+        drift_jacobian=drift_jacobian,
         dispersion=model.dispersion,
         diffusion=model.diffusion,
     )
@@ -303,15 +311,20 @@ class TestDriftEvals:
     def test_variational_solve_counts_its_flows(self):
         model, obs_model, ens, _, y = setup_cycle()
         moments = empirical_moments(ens)
-        rows = []
+        rows, jacobian_rows = [], []
         problem = VariationalProblem(
-            model=counting_l63(rows), obs_model=obs_model,
+            model=counting_l63(rows, jacobian_rows), obs_model=obs_model,
             prior_mean=moments.mean, prior_cov=moments.cov, observation=y,
             t_start=0.0, t_end=0.5, dt=DT,
         )
         result = minimize_cost(problem)
         assert result.drift_evals == sum(rows) > 0
-        assert result.drift_evals % (4 * 50) == 0
+        assert result.jacobian_evals == sum(jacobian_rows) > 0
+        # four stages per step of each one-row flow, and three drift and
+        # four Jacobian evaluations per step of each tangent pass
+        tangents, rest = divmod(result.jacobian_evals, 4 * 50)
+        assert rest == 0 and 1 <= tangents <= result.iterations + 1
+        assert result.drift_evals == 4 * 50 * result.flows + 3 * 50 * tangents
 
     @pytest.mark.parametrize("filter_name", ["pf", "npf", "var_npf"])
     def test_failing_cycle_keeps_its_count(self, filter_name):

@@ -14,7 +14,8 @@ import pytest
 
 from varnpf import variational
 from varnpf.ensemble import ObservationModel
-from varnpf.sde import RK4_STAGES, SdeModel, lorenz63, rk4_path
+from varnpf.harness import BENCHMARK_ICS
+from varnpf.sde import RK4_STAGES, SdeModel, lorenz63, rk4_path, rk4_tangent
 from varnpf.variational import (
     BLOWUP_COST,
     VariationalProblem,
@@ -137,11 +138,13 @@ class TestGaussMarkov:
                 f"instance {instance}: {res.x_opt} vs {closed_form} "
                 f"({res.status})"
             )
+            # the exact gradient has no difference noise to stop under
+            assert res.status == "gradient", (instance, res)
 
     def test_linear_instances_solve_in_one_gauss_newton_step(self):
-        # the cost is quadratic, so the first Gauss-Newton step lands on
-        # the minimizer up to finite-difference noise (about 1e-8 in the
-        # gradient) and the second iteration only confirms it
+        # the cost is quadratic and the tangent gradient exact, so the
+        # first Gauss-Newton step lands on the minimizer up to rounding
+        # and the second iteration only confirms it
         for instance in range(20):
             problem, closed_form = gauss_markov_instance(instance)
             res = minimize_cost(
@@ -159,15 +162,14 @@ class TestGaussNewtonDirection:
         problem = make_problem(
             zero_drift_model(), np.zeros(3), np.eye(3), obs, np.ones(3)
         )
-        h = np.full(3, 1e-6)
         g = np.array([1.0, -2.0, 0.5])
         for bad in (np.inf, np.nan):
-            ends = np.zeros((6, 3))
-            ends[0] = ends[3] = np.inf  # inf - inf in column 0
-            ends[4, 2] = bad
+            psi = np.eye(3)
+            psi[0, 0] = np.inf
+            psi[1, 2] = bad
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got = _step_direction(g, ends, h, problem)
+                got = _step_direction(g, psi, problem)
             assert np.array_equal(got, -g)
 
     def test_step_solves_the_normal_equations(self):
@@ -178,23 +180,23 @@ class TestGaussNewtonDirection:
             zero_drift_model(), np.zeros(3), np.diag([2.0, 1.0, 4.0]), obs,
             np.ones(3),
         )
-        h = np.full(3, 1e-6)
-        ends = np.concatenate([np.diag(h), -np.diag(h)])  # J = I
         g = np.array([1.0, -2.0, 0.5])
-        J = np.eye(3)
+        J = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, -1.0], [0.3, 0.0, 1.0]])
         H, noise_prec = obs.operator, np.linalg.inv(obs.noise_cov)
         normal = problem._prior_prec + J.T @ H.T @ noise_prec @ H @ J
-        got = _step_direction(g, ends, h, problem)
+        got = _step_direction(g, J, problem)
         assert np.array_equal(got, np.linalg.solve(normal, -g))
         assert not np.allclose(got, -g)
 
     def test_blown_up_gradient_point_solves_without_warning(self):
-        # the drift is infinite right of x_0 = 1, so the first gradient
-        # point of a start at x_0 = 1 blows up and the other five do not
+        # the drift's Jacobian is infinite from x_0 = 1 on, so the tangent
+        # pass of a start at x_0 = 1 blows up, though its flow does not
         cliff = SdeModel(
             dimension=3,
-            drift=lambda x: np.where(x > 1.0, np.inf, 0.0),
-            drift_jacobian=lambda x: np.zeros(x.shape[:-1] + (3, 3)),
+            drift=lambda x: np.zeros_like(x),
+            drift_jacobian=lambda x: np.where(
+                x[..., :1, None] >= 1.0, np.inf, np.zeros(x.shape + (3,))
+            ),
             dispersion=np.eye(3),
             diffusion=np.eye(3),
         )
@@ -204,14 +206,51 @@ class TestGaussNewtonDirection:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = minimize_cost(problem)
-        assert res.cost_opt <= variational_cost(mu, problem)
-        assert np.all(np.isfinite(res.x_opt))
+        assert res.status == "stalled" and res.iterations == 1
+        assert res.cost_opt == variational_cost(mu, problem)
+        assert np.array_equal(res.x_opt, mu)
+
+
+class TestTangent:
+    """The tangent pass is the exact derivative of the discrete RK4 map."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 50])
+    def test_linear_flow_tangent_is_the_step_matrix_power(self, n_steps):
+        dt = 0.01
+        for instance in range(5):
+            A = 0.6 * np.random.default_rng(700 + instance).standard_normal(
+                (3, 3)
+            )
+            x = np.array([0.5, -1.0, 2.0])
+            flow = rk4_path(linear_model(A), x, dt, n_steps)
+            got = rk4_tangent(linear_model(A), flow, dt)
+            want = np.linalg.matrix_power(rk4_step_matrix(A, dt), n_steps)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("t_end", [0.1, 0.5])
+    def test_l63_gradient_matches_central_differences(self, t_end):
+        obs = ObservationModel(operator=np.eye(3), noise_cov=2.0 * np.eye(3))
+        h = 1e-5
+        for center in np.asarray(BENCHMARK_ICS):
+            problem = make_problem(
+                lorenz63(), center, 2.0 * np.eye(3), obs, center + 0.5, t_end
+            )
+            x = center + np.array([0.3, -0.2, 0.4])
+            got = variational_gradient(x, problem)
+            check = np.array([
+                (variational_cost(x + h * e, problem)
+                 - variational_cost(x - h * e, problem)) / (2.0 * h)
+                for e in np.eye(3)
+            ])
+            assert np.max(np.abs(got - check)) <= 1e-7 * max(
+                np.max(np.abs(check)), 1.0
+            ), center
 
 
 class TestGradientConsistency:
     def test_nonlinear_gradient_stable_under_step_choice(self):
-        # independent central difference with a 10x coarser step must
-        # agree to 1e-4 relative on the chaotic-flow cost
+        # an independent central difference must agree with the tangent
+        # gradient to 1e-4 relative on the chaotic-flow cost
         model = lorenz63()
         obs = ObservationModel(operator=np.eye(3), noise_cov=2.0 * np.eye(3))
         mu = np.array([1.508870, -1.531271, 25.46091])
@@ -283,46 +322,73 @@ class TestSolverContract:
         )
         assert variational_cost(np.full(3, 1e8), problem) == BLOWUP_COST
 
+    def test_blown_up_start_stalls_at_its_start(self):
+        # a start whose flow leaves float64 has no gradient to step along
+        model = lorenz63()
+        obs = ObservationModel(operator=np.eye(3), noise_cov=2.0 * np.eye(3))
+        mu = np.full(3, 1e8)
+        problem = make_problem(model, mu, np.eye(3), obs, np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = minimize_cost(problem)
+        assert res.status == "stalled"
+        assert res.iterations == res.cost_evals == res.flows == 1
+        assert np.array_equal(res.x_opt, mu)
+        assert res.cost_opt == BLOWUP_COST
+        assert res.jacobian_evals == RK4_STAGES * problem.n_steps
+
+
+def tangent_oracle(problem, x):
+    """x's flow and the cost's gradient and flow tangent there, one step at
+    a time: each step's stage states, their Jacobians and its propagator,
+    then the propagators' pairwise product."""
+    model, dt = problem.model, problem.dt
+    eye = np.eye(x.shape[0])
+    flow = rk4_path(model, x, dt, problem.n_steps)
+    factors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x_s in flow[:-1]:
+            stages = [x_s]
+            for h in (0.5 * dt, 0.5 * dt, dt):
+                stages.append(x_s + h * model.drift(stages[-1]))
+            j1, j2, j3, j4 = (model.drift_jacobian(y) for y in stages)
+            p1 = j1
+            p2 = j2 @ (eye + (0.5 * dt) * p1)
+            p3 = j3 @ (eye + (0.5 * dt) * p2)
+            p4 = j4 @ (eye + dt * p3)
+            factors.append(eye + (dt / 6.0) * (p1 + 2.0 * (p2 + p3) + p4))
+        while len(factors) > 1:
+            carried = factors[-1:] if len(factors) % 2 else []
+            factors = [
+                factors[i + 1] @ factors[i]
+                for i in range(0, len(factors) - 1, 2)
+            ] + carried
+        psi = factors[0]
+        g = problem._prior_prec @ (x - problem.prior_mean) + psi.T @ (
+            problem.obs_model.nll_gradient(flow[-1], problem.observation)
+        )
+    return flow, g, psi
+
 
 def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
                         cost_decrease_tol=1e-9):
     """One-trial-at-a-time Gauss-Newton search, kept here only as an oracle.
 
-    Gauss-Newton steps, each shortened by Armijo backtracking, and a stop
-    before the line search when the full step stays in the box and its
-    predicted decrease is below ``cost_decrease_tol``.  Returns the result
-    and a log: the accepted backtracking depth per iteration, the flows
-    minimize_cost makes and the rows they carry (the start and its 2d
-    gradient points; one row per trial priced; per accepted step its 2d
-    gradient points), and whether the predicted decrease stopped the
-    search.
+    Gauss-Newton steps from the tangent oracle, each shortened by Armijo
+    backtracking, and a stop before the line search when the full step
+    stays in the box and its predicted decrease is below
+    ``cost_decrease_tol``.  Returns the result and a log: the accepted
+    backtracking depth per iteration, the one-row flows minimize_cost
+    makes (the start's and one per trial priced), the tangent passes (the
+    start's and one per accepted step), and whether the predicted decrease
+    stopped the search.
     """
     lower, upper = problem.lower, problem.upper
     obs_model = problem.obs_model
     H = obs_model.operator
     noise_prec = obs_model._noise_prec
     x = np.clip(problem.prior_mean, lower, upper)
-    d = x.shape[0]
-    evals = [0]
-    log = {"depths": [], "flows": 1, "rows": 1 + 2 * d, "predicted": False}
-
-    def cost(y):
-        evals[0] += 1
-        return variational_cost(y, problem)
-
-    def grad(y):
-        evals[0] += 2 * y.shape[0]
-        return variational_gradient(y, problem)
-
-    def jacobian(y):
-        # flow Jacobian from variational_gradient's own difference points
-        h = np.maximum(1e-6, 1e-8 * np.abs(y))
-        points = np.concatenate([y + np.diag(h), y - np.diag(h)])
-        ends = rk4_path(
-            problem.model, points, problem.dt, problem.n_steps
-        )[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ((ends[:d] - ends[d:]) / (2.0 * h)[:, None]).T
+    log = {"depths": [], "flows": 1, "tangents": 1, "predicted": False}
 
     def solve(matrix, g):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -336,17 +402,20 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
                 return None
             return p
 
-    current = cost(x)
-    g = grad(x)
+    current = variational_cost(x, problem)
+    _, g, psi = tangent_oracle(problem, x)
     status = "max_iterations"
     iterations = 0
     for iterations in range(1, max_iterations + 1):
+        if not np.all(np.isfinite(g)):
+            status = "stalled"
+            break
         pg = _projected_gradient(x, g, lower, upper)
         if np.max(np.abs(pg)) < gradient_tol:
             status = "gradient"
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            hj = H @ jacobian(x)
+            hj = H @ psi
             normal = problem._prior_prec + hj.T @ noise_prec @ hj
         direction = solve(normal, g)
         if direction is None:
@@ -366,9 +435,8 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
             step = candidate - x
             if not np.any(step):
                 break
-            trial = cost(candidate)
+            trial = variational_cost(candidate, problem)
             log["flows"] += 1
-            log["rows"] += 1
             if trial <= current + 1e-4 * float(g @ step):
                 accepted = True
                 break
@@ -378,12 +446,11 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
             status = "stalled"
             break
         log["depths"].append(depth)
-        new_g = grad(candidate)
+        _, new_g, psi = tangent_oracle(problem, candidate)
+        log["tangents"] += 1
         decrease = current - trial
         relative = decrease / max(abs(current), abs(trial), 1.0)
         x, current, g = candidate, trial, new_g
-        log["flows"] += 1
-        log["rows"] += 2 * d
         if relative < cost_decrease_tol:
             status = "cost_decrease"
             break
@@ -392,7 +459,7 @@ def sequential_minimize(problem, max_iterations=200, gradient_tol=1e-5,
     pg = _projected_gradient(x, g, lower, upper)
     result = VariationalResult(
         x_opt=x, cost_opt=current, gradient_norm=float(np.max(np.abs(pg))),
-        iterations=iterations, cost_evals=evals[0], status=status,
+        iterations=iterations, cost_evals=log["flows"], status=status,
     )
     return result, log
 
@@ -458,8 +525,12 @@ class TestBatchedLineSearch:
             want, log = sequential_minimize(problem, max_iterations=cap)
             assert_same_solve(got, want, problem)
             assert n_flows == log["flows"] == got.flows
-            assert got.drift_evals == (
-                RK4_STAGES * problem.n_steps * log["rows"]
+            # four drift stages per flowed step, three per tangent step
+            assert got.drift_evals == problem.n_steps * (
+                RK4_STAGES * log["flows"] + 3 * log["tangents"]
+            )
+            assert got.jacobian_evals == (
+                RK4_STAGES * problem.n_steps * log["tangents"]
             )
             seen["rejected"] += any(k >= 1 for k in log["depths"])
             seen["stalled"] += got.status == "stalled"
